@@ -1,0 +1,477 @@
+"""Command-line entry point.
+
+Every subcommand prints a JSON report carrying the package version, the
+effective configuration, the results, and a timing block in which wall-clock
+seconds and simulated machine steps are kept strictly apart (``render`` is
+the one plain-text exception).  Exit codes: 0 success, 1 bad usage or bad
+input, 2 a verification or consistency check failed, 3 the request is
+infeasible at the attempted scale.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+
+from . import __version__
+from .admissibility import WORKERS_ENV, count_admissible
+from .complexity import (
+    StepMeter,
+    ctime,
+    encode_rank_tuple,
+    incompressible_permutations,
+    lex_first_incompressible,
+    permutation_rank,
+    rank_width,
+    tuple_threshold,
+)
+from .core import InfeasibleError, Pattern, PatternError, get_spec
+from .deepshift import (
+    build_family,
+    decode_two_part,
+    load_family,
+    member,
+    params_from_dict,
+    params_to_dict,
+    save_family,
+    schedule_params,
+    two_part_code,
+    verify_archive,
+    witness_bit_length,
+)
+from .epitomes import (
+    Profile,
+    border_epitome_consistency,
+    constant_family,
+    epitome_property_check,
+    identity_family,
+    interior_popcount_family,
+    mirror_family,
+    profile_family,
+    simple_pattern_census,
+    verify_enforcer,
+)
+from .lowcfg import (
+    NNSpec,
+    build_Pk,
+    describe_subpattern,
+    description_constant,
+    lowcfg_roundtrip,
+    save_description,
+)
+
+_FAMILY_FACTORIES = {
+    "profile": lambda args: profile_family(),
+    "mirror": lambda args: mirror_family(),
+    "identity": lambda args: identity_family(),
+    "constant": lambda args: constant_family(),
+    "interior-popcount": lambda args: interior_popcount_family(kind=args.kind),
+}
+
+
+def _read_pattern(path: str) -> Pattern:
+    if path == "-":
+        return Pattern.from_text(sys.stdin.read())
+    with open(path, "r", encoding="ascii") as fh:
+        return Pattern.from_text(fh.read())
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
+
+
+# ---------------------------------------------------------------------------
+# Subcommand handlers.  Each returns (payload, ok, machine_steps | None).
+# ---------------------------------------------------------------------------
+
+
+def _cmd_block_count(args):
+    if args.workers is not None:
+        os.environ[WORKERS_ENV] = str(args.workers)
+    spec = get_spec(args.spec)
+    count = count_admissible(spec, args.n, args.margin)
+    return {"count": count}, True, None
+
+
+def _cmd_census(args):
+    return {"simple_patterns": simple_pattern_census(args.n)}, True, None
+
+
+def _cmd_deep_build(args):
+    params = schedule_params(
+        args.n0,
+        args.c,
+        args.depth,
+        mode=args.mode,
+        structural_override=tuple(args.override) if args.override else None,
+        oracle=args.oracle,
+    )
+    fam = build_family(params)
+    manifest = save_family(fam, args.out)
+    payload = {
+        "out": args.out,
+        "params": params_to_dict(fam.params),
+        "measured_steps": fam.measured_steps,
+        "levels": [
+            {"level": lv.level, "blocks": len(lv.blocks), "side": fam.params.N[lv.level]}
+            for lv in fam.levels
+        ],
+        "manifest_files": sorted(
+            rel for lv in manifest["levels"] for rel in lv["block_files"]
+        ),
+    }
+    return payload, True, fam.measured_steps
+
+
+def _cmd_deep_member(args):
+    fam = load_family(args.family)
+    p = _read_pattern(args.pattern)
+    res = member(p, fam)
+    payload = {
+        "accepted": res.accepted,
+        "level": res.level,
+        "corner_ids": res.corner_ids,
+        "offset": res.offset,
+    }
+    if res.accepted:
+        payload["witness_bits"] = witness_bit_length(res, fam)
+    # a rejected probe is signalled through the exit code; no witness fields
+    return payload, res.accepted, None
+
+
+def _cmd_lowcfg_build(args):
+    nn = NNSpec(get_spec(args.spec))
+    pk = build_Pk(nn, args.k)
+    payload = {"k": args.k, "side": pk.height}
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        path = os.path.join(args.out, f"P_{args.k}.txt")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(pk.to_text())
+        payload["written"] = path
+    else:
+        payload["pattern"] = pk.rows()
+    return payload, True, None
+
+
+def _cmd_lowcfg_roundtrip(args):
+    import random
+
+    nn = NNSpec(get_spec(args.spec))
+    pk = build_Pk(nn, args.k)
+    side = pk.height
+    rng = random.Random(args.seed)
+    rects = []
+    for _ in range(args.rects):
+        h = rng.randrange(1, side + 1)
+        w = rng.randrange(1, side + 1)
+        r0 = rng.randrange(0, side - h + 1)
+        c0 = rng.randrange(0, side - w + 1)
+        rects.append((r0, c0, h, w))
+    entries = lowcfg_roundtrip(nn, pk, args.k, rects)
+    ok = all(e["ok"] and e["within_bound"] for e in entries)
+    payload = {
+        "constant": description_constant(nn.spec.alphabet),
+        "rects": entries,
+    }
+    if args.out and entries:
+        desc = describe_subpattern(nn, pk, args.k, rects[0])
+        save_description(desc, args.out)
+        payload["written"] = args.out
+    return payload, ok, None
+
+
+def _cmd_kc_exact(args):
+    if set(args.string) - {"0", "1"}:
+        raise PatternError(f"expected a bit string, got {args.string!r}")
+    meter = StepMeter()
+    res = ctime(args.string, args.max_len, args.budget, meter)
+    payload = {
+        "found": res.value is not None,
+        "value": res.value,
+        "witness": res.witness,
+    }
+    return payload, True, meter.steps
+
+
+def _cmd_kc_incompressible(args):
+    meter = StepMeter()
+    if args.mode == "pattern":
+        p = lex_first_incompressible(args.side, args.budget, args.threshold, meter)
+        payload = {
+            "threshold": args.threshold,
+            "pattern": p.rows(),
+        }
+    else:
+        perms = incompressible_permutations(
+            args.length, args.count, args.budget, distinct=args.distinct, meter=meter
+        )
+        ranks = [permutation_rank(perm) for perm in perms]
+        payload = {
+            "threshold": tuple_threshold(args.length, args.count),
+            "rank_width": rank_width(args.length),
+            "permutations": [list(p) for p in perms],
+            "encoding": encode_rank_tuple(tuple(ranks), args.length),
+        }
+    return payload, True, meter.steps
+
+
+def _cmd_epitome_verify(args):
+    spec = get_spec(args.spec)
+    if args.profile is not None:
+        rep = verify_enforcer(Profile(tuple(args.profile)), spec)
+        payload = {
+            "profile": list(rep.prof.counts),
+            "clause1_self_compatible": rep.clause1,
+            "clause2_compatible_implies_leq": rep.clause2,
+            "clause3_violations_witnessed": rep.clause3,
+            "converse_leq_implies_compatible": rep.converse,
+            "cases": len(rep.cases),
+        }
+        return payload, rep.ok, None
+    fam = _FAMILY_FACTORIES[args.family](args)
+    rep = epitome_property_check(spec, fam, args.n, window_margin=args.margin)
+    payload = {
+        "family": rep.family,
+        "kind": rep.kind,
+        "checked": len(rep.entries),
+        "ok": rep.ok,
+        "note": rep.note,
+    }
+    if rep.counterexample is not None:
+        payload["counterexample"] = rep.counterexample
+    return payload, rep.ok, None
+
+
+def _cmd_border_consistency(args):
+    spec = get_spec(args.spec)
+    fam = _FAMILY_FACTORIES[args.family](args)
+    if args.projection == "identity":
+        projection = {a: a for a in spec.alphabet.letters}
+    else:
+        projection = dict(pair.split("=", 1) for pair in args.projection.split(","))
+    rep = border_epitome_consistency(spec, projection, fam, args.n)
+    payload = {
+        "groups": len(rep.groups),
+        "flagged": rep.flagged_count,
+        "ledger_bits": rep.ledger_bits,
+        "flagged_borders": [g.border for g in rep.groups if g.flagged][:20],
+    }
+    if args.full:
+        payload["detail"] = [
+            {"border": g.border, "size": g.size, "values": list(g.values), "flagged": g.flagged}
+            for g in rep.groups
+        ]
+    return payload, True, None
+
+
+def _cmd_two_part_code(args):
+    spec = get_spec(args.spec)
+    p = _read_pattern(args.pattern)
+    code = two_part_code(p, args.k, spec, margin=args.margin)
+    roundtrip = decode_two_part(code.bits) == p
+    payload = {
+        "total_bits": len(code.bits),
+        "header_bits": code.header_bits,
+        "dictionary_bits": code.dictionary_bits,
+        "index_bits": code.index_bits,
+        "payload_bits": code.payload_bits,
+        "dictionary_size": code.dictionary_size,
+        "roundtrip": roundtrip,
+    }
+    if args.emit_bits:
+        payload["bits"] = code.bits
+    return payload, roundtrip, None
+
+
+def _cmd_render(args):
+    p = _read_pattern(args.pattern)
+    return p.render()
+
+
+def _cmd_verify_archive(args):
+    expected = None
+    if args.expect_params:
+        with open(args.expect_params, "r", encoding="ascii") as fh:
+            expected = params_from_dict(json.load(fh))
+    rep = verify_archive(args.archive, expected_params=expected)
+    payload = {
+        "ok": rep.ok,
+        "manifest_diff": rep.manifest_diff,
+        "mismatches": rep.mismatches,
+    }
+    return payload, rep.ok, None
+
+
+# ---------------------------------------------------------------------------
+# Parser
+# ---------------------------------------------------------------------------
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="shiftlab",
+        description="Workbench for two-dimensional shifts of finite type.",
+    )
+    parser.add_argument("--out-file", help="write the JSON report here instead of stdout")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    q = sub.add_parser("block-count", help="count margin-admissible n x n patterns")
+    q.add_argument("spec")
+    q.add_argument("n", type=int)
+    q.add_argument("--margin", type=int, default=0)
+    q.add_argument("--workers", type=int, default=None)
+    q.set_defaults(func=_cmd_block_count)
+
+    q = sub.add_parser("census", help="count simple patterns by enumeration")
+    q.add_argument("n", type=int)
+    q.set_defaults(func=_cmd_census)
+
+    q = sub.add_parser("deep-build", help="build and archive a standard block family")
+    q.add_argument("--n0", type=int, required=True)
+    q.add_argument("--c", type=int, default=3)
+    q.add_argument("--depth", type=int, required=True)
+    q.add_argument("--mode", choices=["two-block", "multi-block"], default="two-block")
+    q.add_argument("--oracle", choices=["exact", "proxy"], default="exact")
+    q.add_argument("--override", type=_int_list, default=None,
+                   help="comma-separated n_i list replacing the c-fold growth")
+    q.add_argument("--out", required=True)
+    q.set_defaults(func=_cmd_deep_build)
+
+    q = sub.add_parser("deep-member", help="decide membership in an archived family")
+    q.add_argument("--family", required=True)
+    q.add_argument("--pattern", required=True)
+    q.set_defaults(func=_cmd_deep_member)
+
+    q = sub.add_parser("lowcfg-build", help="build the canonical level-k square")
+    q.add_argument("--spec", default="hard-square")
+    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--out", default=None)
+    q.set_defaults(func=_cmd_lowcfg_build)
+
+    q = sub.add_parser("lowcfg-roundtrip", help="describe and rebuild random sub-rectangles")
+    q.add_argument("--spec", default="hard-square")
+    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--rects", type=int, default=10)
+    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--out", default=None, help="save the first description here")
+    q.set_defaults(func=_cmd_lowcfg_roundtrip)
+
+    q = sub.add_parser("kc-exact", help="exact bounded complexity of a bit string")
+    q.add_argument("string")
+    q.add_argument("--max-len", type=int, required=True)
+    q.add_argument("--budget", type=int, required=True)
+    q.set_defaults(func=_cmd_kc_exact)
+
+    q = sub.add_parser("kc-incompressible", help="lex-first incompressible object")
+    q.add_argument("--mode", choices=["pattern", "perms"], default="pattern")
+    q.add_argument("--side", type=int, default=2)
+    q.add_argument("--threshold", type=int, default=4)
+    q.add_argument("--length", type=int, default=4, help="permutation length (perms mode)")
+    q.add_argument("--count", type=int, default=2, help="tuple size (perms mode)")
+    q.add_argument("--distinct", action="store_true")
+    q.add_argument("--budget", type=int, required=True)
+    q.set_defaults(func=_cmd_kc_incompressible)
+
+    q = sub.add_parser("epitome-verify", help="check the enforcement property of a family")
+    q.add_argument("--spec", default="red-black")
+    q.add_argument("--family", choices=sorted(_FAMILY_FACTORIES), default="profile")
+    q.add_argument("--n", type=int, default=2)
+    q.add_argument("--margin", type=int, default=1)
+    q.add_argument("--kind", choices=["plain", "ordered"], default="plain",
+                   help="kind for families that support both")
+    q.add_argument("--profile", type=_int_list, default=None,
+                   help="verify a single enforcer window for this profile")
+    q.set_defaults(func=_cmd_epitome_verify)
+
+    q = sub.add_parser("border-consistency", help="group cover patterns by border ring")
+    q.add_argument("--spec", default="hard-square")
+    q.add_argument("--family", choices=sorted(_FAMILY_FACTORIES), default="interior-popcount")
+    q.add_argument("--n", type=int, default=3)
+    q.add_argument("--projection", default="identity",
+                   help='"identity" or comma list like "0=B,1=W"')
+    q.add_argument("--kind", choices=["plain", "ordered"], default="plain")
+    q.add_argument("--full", action="store_true", help="include every group in the report")
+    q.set_defaults(func=_cmd_border_consistency)
+
+    q = sub.add_parser("two-part-code", help="dictionary-plus-indices code of a pattern")
+    q.add_argument("--pattern", required=True)
+    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--spec", default="hard-square")
+    q.add_argument("--margin", type=int, default=0)
+    q.add_argument("--emit-bits", action="store_true")
+    q.set_defaults(func=_cmd_two_part_code)
+
+    q = sub.add_parser("render", help="print a pattern file as a grid")
+    q.add_argument("pattern")
+    q.set_defaults(func=_cmd_render)
+
+    q = sub.add_parser("verify-archive", help="rebuild an archived family and compare")
+    q.add_argument("archive")
+    q.add_argument("--expect-params", default=None)
+    q.set_defaults(func=_cmd_verify_archive)
+
+    return parser
+
+
+def _emit(args, report: dict) -> None:
+    text = json.dumps(report, indent=2, sort_keys=True)
+    if getattr(args, "out_file", None):
+        with open(args.out_file, "w", encoding="ascii") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
+def _config_of(args) -> dict:
+    skip = {"func", "command", "out_file"}
+    return {k: v for k, v in vars(args).items() if k not in skip}
+
+
+def main(argv=None) -> int:
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse uses status 2 for usage errors; normalize to 1, keep 0 for --help
+        return 0 if exc.code in (0, None) else 1
+
+    t0 = time.perf_counter()
+    try:
+        out = args.func(args)
+    except InfeasibleError as exc:
+        _emit(args, {"command": args.command, "error": str(exc), "infeasible": True})
+        return 3
+    except PatternError as exc:
+        print(f"shiftlab: {exc}", file=sys.stderr)
+        return 1
+
+    if isinstance(out, str):
+        sys.stdout.write(out)
+        return 0
+
+    payload, ok, machine_steps = out
+    timing = {"wall_seconds": round(time.perf_counter() - t0, 6)}
+    if machine_steps is not None:
+        # simulated cost, never mixed into the wall clock
+        timing["machine_steps"] = machine_steps
+    report = {
+        "command": args.command,
+        "version": __version__,
+        "config": _config_of(args),
+        "ok": ok,
+        "result": payload,
+        "timing": timing,
+    }
+    _emit(args, report)
+    return 0 if ok else 2
+
+
+if __name__ == "__main__":  # pragma: no cover
+    sys.exit(main())

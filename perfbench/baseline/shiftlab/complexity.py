@@ -1,0 +1,318 @@
+"""Exact resource-bounded descriptional complexity for a fixed tiny machine.
+
+The machine is normative for every complexity value in the package; nothing
+here approximates except ``proxy_upper_bound``, which is clearly flagged.
+
+Program format (a bit string):
+
+* empty program: halts immediately with empty output, 0 steps;
+* first bit ``1``: literal mode — the remaining bits are the output, and the
+  run costs one step per program bit (marker included);
+* first bit ``0``: VM mode — the remaining bits are read as 3-bit opcodes
+  (1–2 trailing bits are ignored) over two counters A and B, both starting
+  at 0:
+
+  ====  =====  ==========================================
+  000   OUT0   emit '0'
+  001   OUT1   emit '1'
+  010   INC    A += 1
+  011   DEC    A -= 1, floored at 0
+  100   WHILE  if A == 0 jump just past the matching ENDW
+  101   ENDW   jump back to the matching WHILE
+  110   SWAP   swap A and B
+  111   HALT   stop
+  ====  =====  ==========================================
+
+Each executed opcode costs one step; running off the end of the opcode list
+halts normally; unmatched WHILE/ENDW brackets make the program non-halting by
+definition.  A run that exhausts its step budget reports ``halted=False`` and
+``steps == budget``.
+
+Enumeration order everywhere: programs by length ascending, then numerically
+(which is lexicographic at fixed length).
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+import zlib
+from dataclasses import dataclass, field
+
+from .core import BINARY, InfeasibleError, Pattern
+
+OUT0, OUT1, INC, DEC, WHILE, ENDW, SWAP, HALT = range(8)
+
+
+@dataclass(frozen=True)
+class MachineProgram:
+    bits: str
+
+    def __post_init__(self):
+        if set(self.bits) - {"0", "1"}:
+            raise ValueError(f"program must be a bit string, got {self.bits!r}")
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+
+@dataclass(frozen=True)
+class RunOutcome:
+    """Result of one bounded run.  ``halted=False`` always reports
+    ``steps == budget`` (the run was cut off, or the program was statically
+    non-halting and charged its whole budget)."""
+
+    halted: bool
+    output: str
+    steps: int
+
+
+@dataclass
+class StepMeter:
+    """Accumulates machine steps actually executed; used to make the
+    higher-level time budgets depend deterministically on measured work."""
+
+    steps: int = 0
+
+    def add(self, n: int) -> None:
+        self.steps += n
+
+
+def _bits_of(program: MachineProgram | str) -> str:
+    if isinstance(program, MachineProgram):
+        return program.bits
+    if set(program) - {"0", "1"}:
+        raise ValueError(f"program must be a bit string, got {program!r}")
+    return program
+
+
+@functools.lru_cache(maxsize=1 << 18)
+def _run(bits: str, budget: int) -> RunOutcome:
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    if not bits:
+        return RunOutcome(True, "", 0)
+    if bits[0] == "1":
+        need = len(bits)
+        if budget >= need:
+            return RunOutcome(True, bits[1:], need)
+        return RunOutcome(False, bits[1 : max(1, budget)], budget)
+    body = bits[1:]
+    ops = [int(body[i : i + 3], 2) for i in range(0, len(body) - 2, 3)]
+    match: dict[int, int] = {}
+    stack = []
+    for i, op in enumerate(ops):
+        if op == WHILE:
+            stack.append(i)
+        elif op == ENDW:
+            if not stack:
+                return RunOutcome(False, "", budget)
+            j = stack.pop()
+            match[i] = j
+            match[j] = i
+    if stack:
+        return RunOutcome(False, "", budget)
+    a = b = 0
+    pc = 0
+    steps = 0
+    out: list[str] = []
+    n_ops = len(ops)
+    while pc < n_ops:
+        if steps >= budget:
+            return RunOutcome(False, "".join(out), budget)
+        op = ops[pc]
+        steps += 1
+        if op == OUT0:
+            out.append("0")
+            pc += 1
+        elif op == OUT1:
+            out.append("1")
+            pc += 1
+        elif op == INC:
+            a += 1
+            pc += 1
+        elif op == DEC:
+            if a:
+                a -= 1
+            pc += 1
+        elif op == WHILE:
+            pc = match[pc] + 1 if a == 0 else pc + 1
+        elif op == ENDW:
+            pc = match[pc]
+        elif op == SWAP:
+            a, b = b, a
+            pc += 1
+        else:  # HALT
+            return RunOutcome(True, "".join(out), steps)
+    return RunOutcome(True, "".join(out), steps)
+
+
+def run_program(program: MachineProgram | str, budget: int, meter: StepMeter | None = None) -> RunOutcome:
+    """Run a program for at most ``budget`` steps."""
+    outcome = _run(_bits_of(program), budget)
+    if meter is not None:
+        meter.add(outcome.steps)
+    return outcome
+
+
+def iter_programs(max_len: int):
+    """All programs of length <= max_len, length ascending then numeric."""
+    yield ""
+    for length in range(1, max_len + 1):
+        for v in range(1 << length):
+            yield format(v, f"0{length}b")
+
+
+@dataclass(frozen=True)
+class ComplexityResult:
+    """Minimal program length for a string under the given resource bounds.
+
+    ``value`` is None when no program of length <= max_len prints the string
+    within the budget; ``witness`` is the first minimal program in enumeration
+    order."""
+
+    value: int | None
+    witness: str | None
+    budget: int
+    max_len: int
+
+
+def ctime(x: str, max_len: int, budget: int, meter: StepMeter | None = None) -> ComplexityResult:
+    """Exact time-bounded complexity of ``x`` by exhaustive enumeration."""
+    for bits in iter_programs(max_len):
+        outcome = run_program(bits, budget, meter)
+        if outcome.halted and outcome.output == x:
+            return ComplexityResult(len(bits), bits, budget, max_len)
+    return ComplexityResult(None, None, budget, max_len)
+
+
+def printable_strings(
+    max_len: int,
+    budget: int,
+    length: int | None = None,
+    meter: StepMeter | None = None,
+) -> dict[str, str]:
+    """Map output -> first producing program, over all programs of length
+    <= max_len run within the budget.  ``length`` filters outputs."""
+    out: dict[str, str] = {}
+    for bits in iter_programs(max_len):
+        outcome = run_program(bits, budget, meter)
+        if not outcome.halted:
+            continue
+        if length is not None and len(outcome.output) != length:
+            continue
+        out.setdefault(outcome.output, bits)
+    return out
+
+
+def _bits_to_square(bits: str, n: int) -> Pattern:
+    cells = {(r, c): bits[r * n + c] for r in range(n) for c in range(n)}
+    return Pattern(BINARY, cells)
+
+
+def lex_first_incompressible(
+    n: int,
+    budget: int,
+    threshold: int,
+    meter: StepMeter | None = None,
+) -> Pattern:
+    """Lex-first n x n binary matrix no program shorter than ``threshold``
+    bits prints (row-major) within the budget.
+
+    ``threshold <= n*n + 1`` is required: the literal program of length
+    n*n + 1 prints every matrix, so higher thresholds are unsatisfiable.
+    """
+    if threshold > n * n + 1:
+        raise InfeasibleError(
+            f"threshold {threshold} exceeds the literal bound {n * n + 1}"
+        )
+    printable = printable_strings(threshold - 1, budget, length=n * n, meter=meter)
+    for v in range(1 << (n * n)):
+        bits = format(v, f"0{n * n}b")
+        if bits not in printable:
+            return _bits_to_square(bits, n)
+    raise InfeasibleError("every matrix is printable below the threshold")  # pragma: no cover
+
+
+def rank_width(l: int) -> int:
+    """Bits per permutation rank: ceil(log2 l!)."""
+    return (math.factorial(l) - 1).bit_length()
+
+
+def tuple_threshold(l: int, count: int) -> int:
+    """floor(count * log2 l!), computed exactly."""
+    return (math.factorial(l) ** count).bit_length() - 1
+
+
+def permutation_from_rank(l: int, rank: int) -> tuple[int, ...]:
+    """The rank-th permutation of (1..l) in lexicographic order (factorial
+    number system / Lehmer code)."""
+    if not 0 <= rank < math.factorial(l):
+        raise ValueError(f"rank {rank} out of range for l={l}")
+    items = list(range(1, l + 1))
+    out = []
+    for i in range(l, 0, -1):
+        f = math.factorial(i - 1)
+        idx, rank = divmod(rank, f)
+        out.append(items.pop(idx))
+    return tuple(out)
+
+
+def permutation_rank(perm: tuple[int, ...]) -> int:
+    """Lexicographic rank of a permutation of (1..l); inverse of
+    permutation_from_rank."""
+    l = len(perm)
+    items = list(range(1, l + 1))
+    rank = 0
+    for i, v in enumerate(perm):
+        idx = items.index(v)
+        rank += idx * math.factorial(l - 1 - i)
+        items.pop(idx)
+    return rank
+
+
+def encode_rank_tuple(ranks: tuple[int, ...], l: int) -> str:
+    w = rank_width(l)
+    return "".join(format(r, f"0{w}b") for r in ranks)
+
+
+def incompressible_permutations(
+    l: int,
+    count: int,
+    budget: int,
+    distinct: bool = False,
+    meter: StepMeter | None = None,
+) -> list[tuple[int, ...]]:
+    """Lex-first tuple of ``count`` permutations of (1..l) whose fixed-width
+    rank encoding (ceil(log2 l!) bits per rank) no program shorter than
+    floor(count*log2 l!) bits prints within the budget.
+
+    ``distinct=True`` additionally requires pairwise distinct permutations;
+    the plain contract does not (at small scales the machine is too weak for
+    the threshold alone to rule out repetitions).
+    """
+    if l < 1 or count < 1:
+        raise InfeasibleError("need l >= 1 and count >= 1")
+    if distinct and count > math.factorial(l):
+        raise InfeasibleError(f"cannot pick {count} distinct permutations of 1..{l}")
+    threshold = tuple_threshold(l, count)
+    enc_len = count * rank_width(l)
+    printable = printable_strings(threshold - 1, budget, length=enc_len, meter=meter) if threshold > 0 else {}
+    f = math.factorial(l)
+    for ranks in itertools.product(range(f), repeat=count):
+        if distinct and len(set(ranks)) != count:
+            continue
+        if encode_rank_tuple(ranks, l) not in printable:
+            return [permutation_from_rank(l, r) for r in ranks]
+    raise InfeasibleError("every rank tuple is printable below the threshold")
+
+
+def proxy_upper_bound(x: str) -> int:
+    """Crude *upper-bound proxy* for descriptional complexity: 8x the zlib
+    level-9 compressed size plus a fixed header allowance.  Only an upper
+    bound on scale — never comparable with exact ``ctime`` values, and never
+    a substitute for them."""
+    if set(x) - {"0", "1"}:
+        raise ValueError("proxy_upper_bound expects a bit string")
+    return 8 * len(zlib.compress(x.encode("ascii"), 9)) + 32

@@ -1,0 +1,742 @@
+"""Hierarchical block families with incompressibility-selected structure.
+
+A family is built level by level.  Level 0 holds explicit small blocks; at
+each level above, the arrangement of lower-level blocks is selected by an
+exact (or, when asked, proxy) incompressibility search:
+
+* two-block mode: one binary matrix R per level, chosen lex-first among
+  matrices whose row-major bits no short program prints; the two level-i
+  blocks are the R-substitution of the lower pair and its inversion;
+* multi-block mode: a lex-first tuple of permutations of the lower blocks,
+  chosen by the same kind of search on its fixed-width rank encoding; each
+  level-i block contains every level-(i-1) block exactly once.
+
+Time budgets follow a fixed schedule: T is a configurable base bound
+(default N^3), t' = 2*T(N) + N^3, and t = 2*t' + N^3 plus the measured
+machine steps spent building the lower levels.  The measurement is
+deterministic, so archived families rebuild bit-exactly from their manifests.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import math
+import os
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable
+
+from . import __version__
+from .admissibility import extendable
+from .complexity import (
+    StepMeter,
+    incompressible_permutations,
+    lex_first_incompressible,
+    permutation_from_rank,
+    proxy_upper_bound,
+    rank_width,
+    tuple_threshold,
+)
+from .core import (
+    _ALPHABET_BY_SIZE,
+    BINARY,
+    InfeasibleError,
+    Pattern,
+    PatternError,
+    ShiftSpec,
+    invert,
+    iter_rect_patterns,
+    subpattern,
+)
+
+TWO_BLOCK = "two-block"
+MULTI_BLOCK = "multi-block"
+
+
+@dataclass(frozen=True)
+class LevelBudget:
+    T: int
+    t_prime: int
+    t: int
+
+
+@dataclass(frozen=True)
+class DeepParams:
+    """Fully resolved construction parameters.
+
+    ``n`` has depth+2 entries (the top level's block count in multi-block
+    mode needs one extra); ``N[i]`` is the side length of a level-i block;
+    ``thresholds[i]`` and ``budgets[i]`` apply to the level-i search
+    (index 0 is a placeholder).
+    """
+
+    n0: int
+    c: int
+    depth: int
+    mode: str
+    structural_override: tuple[int, ...] | None
+    oracle: str
+    n: tuple[int, ...]
+    N: tuple[int, ...]
+    block_counts: tuple[int, ...]
+    thresholds: tuple[int, ...]
+    budgets: tuple[LevelBudget, ...]
+
+    @property
+    def structural(self) -> bool:
+        return self.structural_override is not None
+
+
+@dataclass(frozen=True)
+class LevelBlocks:
+    level: int
+    blocks: tuple[Pattern, ...]
+    witness_matrix: Pattern | None = None
+    witness_perms: tuple[tuple[int, ...], ...] | None = None
+
+
+@dataclass
+class StandardBlockFamily:
+    params: DeepParams
+    levels: list[LevelBlocks]
+    measured_steps: tuple[int, ...]
+    _array_cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def depth(self) -> int:
+        return self.params.depth
+
+    def blocks(self, level: int) -> tuple[Pattern, ...]:
+        return self.levels[level].blocks
+
+
+def default_T(N: int) -> int:
+    return N**3
+
+
+def schedule_params(
+    n0: int,
+    c: int,
+    depth: int,
+    mode: str = TWO_BLOCK,
+    structural_override: Iterable[int] | None = None,
+    oracle: str = "exact",
+    T: Callable[[int], int] | None = None,
+    budget_overrides: dict[int, tuple[int, int, int]] | None = None,
+) -> DeepParams:
+    """Resolve sizes, thresholds, and budgets for a family.
+
+    Without ``structural_override`` the side factors follow
+    n_{i+1} = (n_0 * ... * n_i)^c with c >= 3.  An override pins the factors
+    directly (depth+1 or depth+2 entries, the last repeated if needed) and
+    marks the family as running outside the fast-growth regime the
+    construction's growth guarantees assume.
+    """
+    if n0 < 2:
+        raise PatternError("n0 must be at least 2")
+    if depth < 1:
+        raise PatternError("depth must be at least 1")
+    if mode not in (TWO_BLOCK, MULTI_BLOCK):
+        raise PatternError(f"unknown mode {mode!r}")
+    if oracle not in ("exact", "proxy"):
+        raise PatternError(f"unknown oracle {oracle!r}")
+
+    if structural_override is not None:
+        ns = tuple(int(v) for v in structural_override)
+        if len(ns) not in (depth + 1, depth + 2):
+            raise PatternError(
+                f"structural override needs depth+1 or depth+2 entries, got {len(ns)}"
+            )
+        if any(v < 2 for v in ns):
+            raise PatternError("side factors must be at least 2")
+        if ns[0] != n0:
+            raise PatternError("structural override must start with n0")
+        if len(ns) == depth + 1:
+            ns = ns + (ns[-1],)
+    else:
+        if c < 3:
+            raise PatternError("c must be at least 3 without a structural override")
+        ns_list = [n0]
+        running = n0
+        for _ in range(depth + 1):
+            nxt = running**c
+            ns_list.append(nxt)
+            running *= nxt
+        ns = tuple(ns_list)
+
+    N_list = []
+    running = 1
+    for i in range(depth + 1):
+        running *= ns[i]
+        N_list.append(running)
+    N = tuple(N_list)
+
+    if mode == TWO_BLOCK:
+        counts = tuple(2 for _ in range(depth + 1))
+        thresholds = (0,) + tuple(ns[i] ** 2 for i in range(1, depth + 1))
+    else:
+        counts = tuple(ns[i + 1] ** 2 for i in range(depth + 1))
+        if 2 ** (n0 * n0) <= counts[0]:
+            raise InfeasibleError(
+                f"level 0 needs {counts[0]} distinct {n0}x{n0} binary blocks "
+                f"but only {2 ** (n0 * n0)} exist"
+            )
+        thresholds = (0,) + tuple(
+            tuple_threshold(counts[i - 1], counts[i]) for i in range(1, depth + 1)
+        )
+
+    T_fn = T or default_T
+    budgets = [LevelBudget(0, 0, 0)]
+    for i in range(1, depth + 1):
+        if budget_overrides and i in budget_overrides:
+            budgets.append(LevelBudget(*budget_overrides[i]))
+            continue
+        Ti = T_fn(N[i])
+        tp = 2 * Ti + N[i] ** 3
+        budgets.append(LevelBudget(Ti, tp, 2 * tp + N[i] ** 3))
+    return DeepParams(
+        n0=n0,
+        c=c,
+        depth=depth,
+        mode=mode,
+        structural_override=tuple(structural_override) if structural_override is not None else None,
+        oracle=oracle,
+        n=ns,
+        N=N,
+        block_counts=counts,
+        thresholds=thresholds,
+        budgets=tuple(budgets),
+    )
+
+
+def substitute(R: Pattern, block0: Pattern, block1: Pattern) -> Pattern:
+    """Replace each 0/1 of the binary matrix R by the corresponding block."""
+    if R.alphabet.letters != BINARY.letters or not R.is_rectangular:
+        raise PatternError("R must be a rectangular binary pattern")
+    if block0.height != block1.height or block0.width != block1.width:
+        raise PatternError("blocks must share a shape")
+    Nb = block0.height
+    cells: dict[tuple[int, int], str] = {}
+    for (i, j), bit in R.items():
+        src = block1 if bit == "1" else block0
+        for (u, v), letter in src.items():
+            cells[(i * Nb + u, j * Nb + v)] = letter
+    return Pattern(block0.alphabet, cells)
+
+
+def arrange(perm: tuple[int, ...], blocks: tuple[Pattern, ...], n: int) -> Pattern:
+    """Lay out ``blocks[perm[p]-1]`` at grid position p (row-major) in an
+    n x n arrangement; ``perm`` is a permutation of 1..len(blocks)."""
+    if len(perm) != n * n or sorted(perm) != list(range(1, len(blocks) + 1)):
+        raise PatternError("perm must be a permutation of 1..l with l = n^2")
+    Nb = blocks[0].height
+    cells: dict[tuple[int, int], str] = {}
+    for pos, b_ix in enumerate(perm):
+        gi, gj = divmod(pos, n)
+        for (u, v), letter in blocks[b_ix - 1].items():
+            cells[(gi * Nb + u, gj * Nb + v)] = letter
+    return Pattern(blocks[0].alphabet, cells)
+
+
+def _all_const(n: int, bit: str) -> Pattern:
+    return Pattern(BINARY, {(r, c): bit for r in range(n) for c in range(n)})
+
+
+def _proxy_first_matrix(n: int, threshold: int) -> Pattern:
+    for v in range(1 << (n * n)):
+        bits = format(v, f"0{n * n}b")
+        if proxy_upper_bound(bits) >= threshold:
+            return Pattern(BINARY, {(r, c): bits[r * n + c] for r in range(n) for c in range(n)})
+    raise InfeasibleError("proxy bound rejects every matrix")
+
+
+def _proxy_first_perms(l: int, count: int) -> list[tuple[int, ...]]:
+    threshold = tuple_threshold(l, count)
+    w = rank_width(l)
+    f = math.factorial(l)
+    for ranks in itertools.product(range(f), repeat=count):
+        if len(set(ranks)) != count:
+            continue
+        enc = "".join(format(r, f"0{w}b") for r in ranks) or "0"
+        if proxy_upper_bound(enc) >= threshold:
+            return [permutation_from_rank(l, r) for r in ranks]
+    raise InfeasibleError("proxy bound rejects every tuple")
+
+
+def build_family(params: DeepParams, budgets_final: bool = False) -> StandardBlockFamily:
+    """Build all levels.  With ``budgets_final`` the t budgets are taken
+    verbatim from ``params`` (archive rebuilds); otherwise the measured
+    machine cost of the lower levels is folded in and recorded."""
+    if params.mode == TWO_BLOCK:
+        level0 = LevelBlocks(0, (_all_const(params.n0, "0"), _all_const(params.n0, "1")))
+    else:
+        width = params.n0 * params.n0
+        blocks0 = tuple(
+            Pattern(BINARY, {
+                (r, c): format(v, f"0{width}b")[r * params.n0 + c]
+                for r in range(params.n0)
+                for c in range(params.n0)
+            })
+            for v in range(params.block_counts[0])
+        )
+        level0 = LevelBlocks(0, blocks0)
+    levels = [level0]
+    measured = [0]
+    final_budgets = [params.budgets[0]]
+    cumulative = 0
+    for i in range(1, params.depth + 1):
+        lb = params.budgets[i]
+        t_final = lb.t if budgets_final else lb.t + cumulative
+        meter = StepMeter()
+        prev = levels[i - 1].blocks
+        if params.mode == TWO_BLOCK:
+            if params.oracle == "exact":
+                R = lex_first_incompressible(params.n[i], t_final, params.thresholds[i], meter)
+            else:
+                R = _proxy_first_matrix(params.n[i], params.thresholds[i])
+            q0 = substitute(R, prev[0], prev[1])
+            entry = LevelBlocks(i, (q0, invert(q0)), witness_matrix=R)
+        else:
+            count = params.block_counts[i]
+            if params.oracle == "exact":
+                perms = incompressible_permutations(
+                    len(prev), count, t_final, distinct=True, meter=meter
+                )
+            else:
+                perms = _proxy_first_perms(len(prev), count)
+            blocks = tuple(arrange(p, prev, params.n[i]) for p in perms)
+            entry = LevelBlocks(i, blocks, witness_perms=tuple(perms))
+        if len({b.lex_key() for b in entry.blocks}) != len(entry.blocks):
+            raise InfeasibleError(f"level {i} blocks are not pairwise distinct")
+        levels.append(entry)
+        measured.append(meter.steps)
+        cumulative += meter.steps
+        final_budgets.append(LevelBudget(lb.T, lb.t_prime, t_final))
+    return StandardBlockFamily(
+        params=replace(params, budgets=tuple(final_budgets)),
+        levels=levels,
+        measured_steps=tuple(measured),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Membership and reconstruction
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MemberResult:
+    accepted: bool
+    level: int
+    corner_ids: tuple[tuple[int, int], tuple[int, int]] | None
+    offset: tuple[int, int] | None
+
+
+def _level_arrays(fam: StandardBlockFamily, level: int):
+    """Row strings of every 2x2 arrangement of level blocks, cached."""
+    cached = fam._array_cache.get(level)
+    if cached is not None:
+        return cached
+    blocks = fam.blocks(level)
+    rows_of = [b.rows() for b in blocks]
+    N = fam.params.N[level]
+    arrays = []
+    for i00 in range(len(blocks)):
+        for i01 in range(len(blocks)):
+            top = [rows_of[i00][r] + rows_of[i01][r] for r in range(N)]
+            for i10 in range(len(blocks)):
+                for i11 in range(len(blocks)):
+                    bottom = [rows_of[i10][r] + rows_of[i11][r] for r in range(N)]
+                    arrays.append((((i00, i01), (i10, i11)), top + bottom))
+    fam._array_cache[level] = arrays
+    return arrays
+
+
+def member(p: Pattern, fam: StandardBlockFamily) -> MemberResult:
+    """Decide whether ``p`` occurs in some 2x2 arrangement of same-level
+    blocks, at the lowest level whose block side covers the probe.
+
+    The witness records the four corner block identities and the offset of
+    the probe inside the 2N x 2N arrangement.
+    """
+    if not p.is_rectangular:
+        raise PatternError("member requires a rectangular probe")
+    if p.alphabet.letters != BINARY.letters:
+        raise PatternError("probes are binary")
+    side = p.extent
+    level = None
+    for i in range(fam.depth + 1):
+        if fam.params.N[i] >= side:
+            level = i
+            break
+    if level is None:
+        raise InfeasibleError(
+            f"probe side {side} exceeds N_depth={fam.params.N[fam.depth]}; "
+            "outside the decidable range for the built depth"
+        )
+    N = fam.params.N[level]
+    p_rows = p.rows()
+    h, w = p.height, p.width
+    for ids, arows in _level_arrays(fam, level):
+        for a in range(2 * N - h + 1):
+            for b in range(2 * N - w + 1):
+                if all(arows[a + i][b : b + w] == p_rows[i] for i in range(h)):
+                    return MemberResult(True, level, ids, (a, b))
+    return MemberResult(False, level, None, None)
+
+
+def reconstruct_block(
+    p: Pattern,
+    offset: tuple[int, int],
+    corner_ids: tuple[tuple[int, int], tuple[int, int]],
+    fam: StandardBlockFamily,
+    level: int,
+) -> Pattern:
+    """Recover the standard block Q_level^0 from a single N x N window of a
+    2x2 arrangement, its offset, and the four corner identity bits.
+
+    Two-block mode only.  Deliberately reads nothing from the stored blocks:
+    each window cell lands in exactly one corner copy, and XOR with that
+    corner's identity bit maps it back to its position in Q^0.
+    """
+    if fam.params.mode != TWO_BLOCK:
+        raise PatternError("reconstruct_block is defined for two-block families")
+    if not 0 <= level <= fam.depth:
+        raise PatternError(f"level {level} out of range")
+    N = fam.params.N[level]
+    if not (p.is_rectangular and p.height == N and p.width == N):
+        raise PatternError(f"window must be exactly {N}x{N}")
+    a, b = offset
+    if not (0 <= a <= N and 0 <= b <= N):
+        raise PatternError(f"offset {offset} outside [0, N]^2")
+    ids = corner_ids
+    if any(bit not in (0, 1) for row in ids for bit in row):
+        raise PatternError("corner identities must be bits")
+    cells: dict[tuple[int, int], str] = {}
+    for (i, j), letter in p.items():
+        r, c = a + i, b + j
+        I, J = r // N, c // N
+        u, v = r % N, c % N
+        cells[(u, v)] = str(int(letter) ^ ids[I][J])
+    if len(cells) != N * N:  # pragma: no cover - arithmetic guarantees coverage
+        raise PatternError("window does not tile the block")
+    return Pattern(BINARY, cells)
+
+
+def extract_R(q: Pattern, fam: StandardBlockFamily, level: int) -> Pattern:
+    """Classify each lower-level sub-block of ``q`` as Q^0 or Q^1 and return
+    the binary selector matrix (inverse of ``substitute``)."""
+    if fam.params.mode != TWO_BLOCK:
+        raise PatternError("extract_R is defined for two-block families")
+    if level < 1 or level > fam.depth:
+        raise PatternError("extract_R needs a level >= 1 within the family")
+    n_i = fam.params.n[level]
+    N_prev = fam.params.N[level - 1]
+    b0, b1 = fam.blocks(level - 1)
+    cells: dict[tuple[int, int], str] = {}
+    for I in range(n_i):
+        for J in range(n_i):
+            sub = subpattern(q, (I * N_prev, J * N_prev, N_prev, N_prev))
+            if sub == b0:
+                cells[(I, J)] = "0"
+            elif sub == b1:
+                cells[(I, J)] = "1"
+            else:
+                raise PatternError(f"sub-block at ({I}, {J}) is not a standard block")
+    return Pattern(BINARY, cells)
+
+
+def witness_bit_length(res: MemberResult, fam: StandardBlockFamily) -> int:
+    """Encoded size of an accepting witness: four corner identities plus
+    gamma codes of level and offset — O(log N) + 4 bits in two-block mode."""
+    if not res.accepted:
+        raise PatternError("only accepting results carry a witness")
+    id_width = max(1, (len(fam.blocks(res.level)) - 1).bit_length())
+    a, b = res.offset
+    return (
+        4 * id_width
+        + len(gamma_encode(res.level + 1))
+        + len(gamma_encode(a + 1))
+        + len(gamma_encode(b + 1))
+    )
+
+
+def contains_all_2x2(R: Pattern) -> bool:
+    """Diagnostic: does the binary matrix contain every 2x2 pattern?"""
+    seen = set()
+    rows = R.rows()
+    for i in range(len(rows) - 1):
+        for j in range(len(rows[0]) - 1):
+            seen.add(rows[i][j : j + 2] + rows[i + 1][j : j + 2])
+    return len(seen) == 16
+
+
+# ---------------------------------------------------------------------------
+# Two-part codes
+# ---------------------------------------------------------------------------
+
+
+def gamma_encode(v: int) -> str:
+    """Elias gamma code of a positive integer."""
+    if v < 1:
+        raise ValueError("gamma codes positive integers")
+    b = bin(v)[2:]
+    return "0" * (len(b) - 1) + b
+
+
+def gamma_decode(bits: str, pos: int) -> tuple[int, int]:
+    z = 0
+    while bits[pos + z] == "0":
+        z += 1
+    end = pos + z + z + 1
+    return int(bits[pos + z : end], 2), end
+
+
+@dataclass(frozen=True)
+class TwoPartCode:
+    bits: str
+    N: int
+    k: int
+    dictionary_size: int
+    header_bits: int
+    dictionary_bits: int
+    index_bits: int
+
+    @property
+    def payload_bits(self) -> int:
+        return self.dictionary_bits + self.index_bits
+
+
+def two_part_code(p: Pattern, k: int, spec: ShiftSpec, margin: int = 0) -> TwoPartCode:
+    """Encode an (N*k) x (N*k) pattern as an admissible-block dictionary plus
+    per-block indices.
+
+    The dictionary holds every margin-admissible k x k pattern in canonical
+    order (L_k of them, k^2*ceil(log2 |alphabet|) bits each); the body lists
+    the dictionary rank of each of the N^2 blocks (ceil(log2 L_k) bits each).
+    A self-delimiting gamma-coded header (alphabet size, N, k, L_k) makes the
+    code decodable on its own.
+    """
+    if not p.is_rectangular or p.height != p.width:
+        raise PatternError("two_part_code expects a square pattern")
+    if p.alphabet.letters != spec.alphabet.letters:
+        raise PatternError("pattern alphabet does not match spec")
+    if k < 1 or p.height % k:
+        raise PatternError(f"side {p.height} is not a multiple of k={k}")
+    N = p.height // k
+    dictionary = [
+        q for q in iter_rect_patterns(spec.alphabet, k, k) if extendable(q, spec, margin) is not None
+    ]
+    L = len(dictionary)
+    if L == 0:
+        raise InfeasibleError("no admissible blocks at this size")
+    pos = {q.lex_key(): ix for ix, q in enumerate(dictionary)}
+    letter_width = (len(spec.alphabet) - 1).bit_length()
+    index_width = (L - 1).bit_length() if L > 1 else 0
+    header = (
+        gamma_encode(len(spec.alphabet)) + gamma_encode(N) + gamma_encode(k) + gamma_encode(L)
+    )
+    dict_bits = "".join(
+        format(spec.alphabet.index(letter), f"0{letter_width}b")
+        for q in dictionary
+        for _, letter in sorted(q.items())
+    )
+    body = []
+    for I in range(N):
+        for J in range(N):
+            key = subpattern(p, (I * k, J * k, k, k)).lex_key()
+            ix = pos.get(key)
+            if ix is None:
+                raise InfeasibleError(f"block at ({I}, {J}) is not margin-admissible")
+            body.append(format(ix, f"0{index_width}b") if index_width else "")
+    index_bits = "".join(body)
+    return TwoPartCode(
+        bits=header + dict_bits + index_bits,
+        N=N,
+        k=k,
+        dictionary_size=L,
+        header_bits=len(header),
+        dictionary_bits=len(dict_bits),
+        index_bits=len(index_bits),
+    )
+
+
+def decode_two_part(bits: str) -> Pattern:
+    """Inverse of ``two_part_code`` (header is self-delimiting)."""
+    size, pos = gamma_decode(bits, 0)
+    alphabet = _ALPHABET_BY_SIZE.get(size)
+    if alphabet is None:
+        raise PatternError(f"unsupported alphabet size {size}")
+    N, pos = gamma_decode(bits, pos)
+    k, pos = gamma_decode(bits, pos)
+    L, pos = gamma_decode(bits, pos)
+    letter_width = (size - 1).bit_length()
+    dictionary = []
+    for _ in range(L):
+        cells = {}
+        for r in range(k):
+            for c in range(k):
+                ix = int(bits[pos : pos + letter_width], 2)
+                pos += letter_width
+                cells[(r, c)] = alphabet.letters[ix]
+        dictionary.append(Pattern(alphabet, cells))
+    index_width = (L - 1).bit_length() if L > 1 else 0
+    cells = {}
+    for I in range(N):
+        for J in range(N):
+            ix = int(bits[pos : pos + index_width], 2) if index_width else 0
+            pos += index_width
+            for (r, c), letter in dictionary[ix].items():
+                cells[(I * k + r, J * k + c)] = letter
+    return Pattern(alphabet, cells)
+
+
+# ---------------------------------------------------------------------------
+# Archives
+# ---------------------------------------------------------------------------
+
+
+def params_to_dict(params: DeepParams) -> dict:
+    return {
+        "n0": params.n0,
+        "c": params.c,
+        "depth": params.depth,
+        "mode": params.mode,
+        "structural_override": list(params.structural_override)
+        if params.structural_override is not None
+        else None,
+        "oracle": params.oracle,
+        "n": list(params.n),
+        "N": list(params.N),
+        "block_counts": list(params.block_counts),
+        "thresholds": list(params.thresholds),
+        "budgets": [[b.T, b.t_prime, b.t] for b in params.budgets],
+    }
+
+
+def params_from_dict(d: dict) -> DeepParams:
+    return DeepParams(
+        n0=d["n0"],
+        c=d["c"],
+        depth=d["depth"],
+        mode=d["mode"],
+        structural_override=tuple(d["structural_override"])
+        if d["structural_override"] is not None
+        else None,
+        oracle=d["oracle"],
+        n=tuple(d["n"]),
+        N=tuple(d["N"]),
+        block_counts=tuple(d["block_counts"]),
+        thresholds=tuple(d["thresholds"]),
+        budgets=tuple(LevelBudget(*b) for b in d["budgets"]),
+    )
+
+
+def _block_relpath(level: int, j: int) -> str:
+    return f"level_{level}/Q_{j}.txt"
+
+
+def save_family(fam: StandardBlockFamily, dirpath: str) -> dict:
+    """Write the archive: a JSON manifest plus one pattern file per block and
+    per selector matrix.  Everything needed for a bit-exact rebuild is in the
+    manifest."""
+    os.makedirs(dirpath, exist_ok=True)
+    manifest: dict = {
+        "format_version": 1,
+        "package_version": __version__,
+        "params": params_to_dict(fam.params),
+        "measured_steps": list(fam.measured_steps),
+        "flags": {
+            "structural": fam.params.structural,
+            "proxy_oracle": fam.params.oracle == "proxy",
+        },
+        "levels": [],
+    }
+    for entry in fam.levels:
+        os.makedirs(os.path.join(dirpath, f"level_{entry.level}"), exist_ok=True)
+        files = []
+        for j, block in enumerate(entry.blocks):
+            rel = _block_relpath(entry.level, j)
+            with open(os.path.join(dirpath, rel), "w", encoding="ascii") as fh:
+                fh.write(block.to_text())
+            files.append(rel)
+        level_entry: dict = {"level": entry.level, "block_files": files}
+        if entry.witness_matrix is not None:
+            rel = f"level_{entry.level}/R.txt"
+            with open(os.path.join(dirpath, rel), "w", encoding="ascii") as fh:
+                fh.write(entry.witness_matrix.to_text())
+            level_entry["witness_matrix"] = rel
+        if entry.witness_perms is not None:
+            level_entry["witness_perms"] = [list(p) for p in entry.witness_perms]
+        manifest["levels"].append(level_entry)
+    with open(os.path.join(dirpath, "manifest.json"), "w", encoding="ascii") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return manifest
+
+
+def load_family(dirpath: str) -> StandardBlockFamily:
+    """Read an archive back without rebuilding (no searches re-run)."""
+    with open(os.path.join(dirpath, "manifest.json"), "r", encoding="ascii") as fh:
+        manifest = json.load(fh)
+    params = params_from_dict(manifest["params"])
+    levels = []
+    for le in manifest["levels"]:
+        blocks = []
+        for rel in le["block_files"]:
+            with open(os.path.join(dirpath, rel), "r", encoding="ascii") as fh:
+                blocks.append(Pattern.from_text(fh.read()))
+        wm = None
+        if "witness_matrix" in le:
+            with open(os.path.join(dirpath, le["witness_matrix"]), "r", encoding="ascii") as fh:
+                wm = Pattern.from_text(fh.read())
+        wp = tuple(tuple(p) for p in le["witness_perms"]) if "witness_perms" in le else None
+        levels.append(LevelBlocks(le["level"], tuple(blocks), wm, wp))
+    return StandardBlockFamily(params, levels, tuple(manifest["measured_steps"]))
+
+
+@dataclass(frozen=True)
+class ArchiveReport:
+    ok: bool
+    manifest_diff: tuple[str, ...]
+    mismatches: tuple[str, ...]
+
+
+def verify_archive(dirpath: str, expected_params: DeepParams | None = None) -> ArchiveReport:
+    """Rebuild the family from the manifest alone (budgets taken verbatim)
+    and bit-compare every stored file; optionally first diff the manifest's
+    parameters against an expected configuration."""
+    with open(os.path.join(dirpath, "manifest.json"), "r", encoding="ascii") as fh:
+        manifest = json.load(fh)
+    diffs: list[str] = []
+    if expected_params is not None:
+        got = manifest["params"]
+        want = params_to_dict(expected_params)
+        for key in sorted(want):
+            if got.get(key) != want[key]:
+                diffs.append(f"params.{key}: manifest={got.get(key)!r} expected={want[key]!r}")
+    params = params_from_dict(manifest["params"])
+    rebuilt = build_family(params, budgets_final=True)
+    mismatches: list[str] = []
+    for le in manifest["levels"]:
+        i = le["level"]
+        for j, rel in enumerate(le["block_files"]):
+            with open(os.path.join(dirpath, rel), "r", encoding="ascii") as fh:
+                stored = fh.read()
+            if stored != rebuilt.levels[i].blocks[j].to_text():
+                mismatches.append(f"Q_{i}^{j} ({rel})")
+        if "witness_matrix" in le:
+            with open(os.path.join(dirpath, le["witness_matrix"]), "r", encoding="ascii") as fh:
+                stored = fh.read()
+            if stored != rebuilt.levels[i].witness_matrix.to_text():
+                mismatches.append(f"R_{i} ({le['witness_matrix']})")
+        if "witness_perms" in le:
+            if [list(p) for p in rebuilt.levels[i].witness_perms] != le["witness_perms"]:
+                mismatches.append(f"permutations at level {i}")
+    if list(rebuilt.measured_steps) != manifest["measured_steps"]:
+        mismatches.append("measured_steps")
+    return ArchiveReport(
+        ok=not diffs and not mismatches,
+        manifest_diff=tuple(diffs),
+        mismatches=tuple(mismatches),
+    )

@@ -1,0 +1,733 @@
+"""Epitomes: pattern summaries a window construction can enforce.
+
+An epitome family assigns a summary value to (some) n x n patterns.  The
+defining property, checked exhaustively at small sizes: for every pattern P
+with a defined value there is a window coloring R such that P is compatible
+with R and every pattern compatible with R has the same summary (plain kind)
+or a summary bounded by P's (ordered kind).  "Compatible" is approximated by
+local admissibility of the filled window — the note carried by every report.
+
+Line-numbering convention: the enforcer window for an n-entry profile has 3n
+rows; construction line i counted bottom-up corresponds to window row 3n - i
+top-down (row 0 is the top).  The slot sits in the bottom-right quadrant,
+occupying window rows 2n..3n-1, columns 3n-1..4n-2 of the 3n x 4n window;
+pattern row r (top-down) lands in window row 2n + r, i.e. line n - r.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from .admissibility import extendable
+from .core import (
+    BWR,
+    BINARY,
+    InfeasibleError,
+    Occurrence,
+    Pattern,
+    PatternError,
+    ShiftSpec,
+    contains_forbidden,
+    enumerate_forbidden,
+    generic_scan,
+    iter_rect_patterns,
+    red_black_spec,
+)
+
+# ---------------------------------------------------------------------------
+# Profiles of simple patterns
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Profile:
+    """Per-row black counts of a simple pattern (top row first)."""
+
+    counts: tuple[int, ...]
+
+    def __post_init__(self):
+        n = len(self.counts)
+        if any(not 0 <= k <= n for k in self.counts):
+            raise PatternError(f"profile entries must lie in 0..{n}")
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __iter__(self):
+        return iter(self.counts)
+
+
+def profile(p: Pattern) -> Profile | None:
+    """The profile of a simple pattern: each row consists of blacks followed
+    by whites, no red anywhere.  None when the pattern is not simple."""
+    if not p.is_rectangular or p.height != p.width:
+        raise PatternError("profile is defined for square patterns")
+    if p.alphabet.letters != BWR.letters:
+        raise PatternError("profile expects the three-letter alphabet")
+    counts = []
+    for row in p.rows():
+        k = 0
+        while k < len(row) and row[k] == "B":
+            k += 1
+        if any(ch != "W" for ch in row[k:]):
+            return None
+        counts.append(k)
+    return Profile(tuple(counts))
+
+
+def profile_leq(a: Profile, b: Profile) -> bool:
+    """Coordinatewise order; profiles must have equal length."""
+    if len(a) != len(b):
+        raise PatternError("profiles of different sizes are incomparable")
+    return all(x <= y for x, y in zip(a.counts, b.counts))
+
+
+def simple_pattern(prof: Profile) -> Pattern:
+    n = len(prof)
+    return Pattern(
+        BWR,
+        {
+            (r, c): "B" if c < k else "W"
+            for r, k in enumerate(prof.counts)
+            for c in range(n)
+        },
+    )
+
+
+def all_profiles(n: int):
+    for counts in itertools.product(range(n + 1), repeat=n):
+        yield Profile(counts)
+
+
+def simple_pattern_census(n: int, chunk: int = 1 << 20) -> int:
+    """Exhaustive count of simple n x n patterns over all 3^(n^2) candidates.
+
+    Vectorized digit extraction keeps n = 4 (43M candidates) in seconds; the
+    count is produced by enumeration, not by a closed formula.
+    """
+    if n < 1:
+        raise PatternError("n must be positive")
+    if n > 4:
+        raise InfeasibleError("census enumerates 3^(n^2) patterns; n > 4 is out of reach")
+    total = 3 ** (n * n)
+    powers = [3 ** (r * n + c) for r in range(n) for c in range(n)]
+    count = 0
+    for start in range(0, total, chunk):
+        arr = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        ok = np.ones(arr.shape, dtype=bool)
+        for r in range(n):
+            prev = (arr // powers[r * n]) % 3
+            ok &= prev <= 1
+            for c in range(1, n):
+                d = (arr // powers[r * n + c]) % 3
+                ok &= (d <= 1) & (d >= prev)
+                prev = d
+        count += int(ok.sum())
+    return count
+
+
+# ---------------------------------------------------------------------------
+# Mirror epitome
+# ---------------------------------------------------------------------------
+
+
+def mirror_epitome(p: Pattern) -> str:
+    """Row-major bit string (B -> 0, W -> 1) of a red-free pattern; the empty
+    string for any pattern containing red.  Total on all three-letter
+    patterns."""
+    if not p.is_rectangular:
+        raise PatternError("mirror_epitome expects a rectangular pattern")
+    if p.alphabet.letters != BWR.letters:
+        raise PatternError("mirror_epitome expects the three-letter alphabet")
+    rows = p.rows()
+    if any("R" in row for row in rows):
+        return ""
+    return "".join(row.replace("B", "0").replace("W", "1") for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# The enforcer window
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EnforcerWindow:
+    """The 3n x 4n window enforcing a profile maximum at its slot.
+
+    For line i = 1..n (bottom-up; profile entry k = counts[n-i]):
+
+    * a black stripe in window row 3n-i runs from column k+2i-2 up to the
+      slot's left edge; together with the k in-slot blacks of a compatible
+      pattern the line holds a black run of total length 3n-(2i-1);
+    * a red stripe in window row i-1 (line 3n-i+1) spans columns k+2i-2
+      through k+3n-1 — length 3n-2(i-1), left-aligned with the black stripe.
+
+    Everything else outside the slot is white.  A pattern P' in the slot
+    whose row n-i has k' > k blacks extends the black run right by at least
+    one cell, placing a (3n-2i+2)-square with red top row and black bottom
+    row between the two stripes.
+    """
+
+    n: int
+    prof: Profile
+    window: Pattern
+    slot_origin: tuple[int, int]
+
+    def line_row(self, line: int) -> int:
+        return 3 * self.n - line
+
+
+def build_enforcer(prof: Profile) -> EnforcerWindow:
+    n = len(prof)
+    if n < 1:
+        raise PatternError("profiles must have at least one row")
+    H, W = 3 * n, 4 * n
+    slot_r, slot_c = 2 * n, 3 * n - 1
+    slot = {(slot_r + r, slot_c + c) for r in range(n) for c in range(n)}
+    cells: dict[tuple[int, int], str] = {}
+    for i in range(1, n + 1):
+        k = prof.counts[n - i]
+        start = k + 2 * i - 2
+        for c in range(start, 3 * n - 1):
+            cells[(3 * n - i, c)] = "B"
+        for c in range(start, k + 3 * n):
+            cells[(i - 1, c)] = "R"
+    for r in range(H):
+        for c in range(W):
+            if (r, c) not in cells and (r, c) not in slot:
+                cells.setdefault((r, c), "W")
+    return EnforcerWindow(n, prof, Pattern(BWR, cells), (slot_r, slot_c))
+
+
+def place_in_slot(win: EnforcerWindow, p: Pattern) -> Pattern:
+    """The full 3n x 4n window with ``p`` in the slot."""
+    n = win.n
+    if not (p.is_rectangular and p.height == n and p.width == n):
+        raise PatternError(f"slot patterns must be {n}x{n}")
+    return win.window.union(p.translate(*win.slot_origin))
+
+
+@dataclass(frozen=True)
+class EnforcerCase:
+    counts: tuple[int, ...]
+    compatible: bool
+    leq: bool
+    occurrence: Occurrence | None
+
+
+@dataclass(frozen=True)
+class EnforcerReport:
+    """Exhaustive sweep of all (n+1)^n simple slot patterns against one
+    enforcer window.
+
+    Clauses: (1) the window accepts its own profile's pattern; (2) every
+    compatible pattern has profile <= the target; (3) every pattern with
+    profile not <= the target produces an explicit forbidden occurrence.
+    ``converse`` records the reverse of (2): profile <= target implies
+    compatible."""
+
+    prof: Profile
+    cases: tuple[EnforcerCase, ...]
+    clause1: bool
+    clause2: bool
+    clause3: bool
+    converse: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.clause1 and self.clause2 and self.clause3
+
+
+def verify_enforcer(prof: Profile, spec: ShiftSpec | None = None) -> EnforcerReport:
+    spec = spec or red_black_spec()
+    win = build_enforcer(prof)
+    cases = []
+    for cand in all_profiles(len(prof)):
+        full = place_in_slot(win, simple_pattern(cand))
+        occ = contains_forbidden(full, spec)
+        cases.append(
+            EnforcerCase(cand.counts, occ is None, profile_leq(cand, prof), occ)
+        )
+    clause1 = any(c.counts == prof.counts and c.compatible for c in cases)
+    clause2 = all(c.leq for c in cases if c.compatible)
+    clause3 = all(c.occurrence is not None for c in cases if not c.leq)
+    converse = all(c.compatible for c in cases if c.leq)
+    return EnforcerReport(prof, tuple(cases), clause1, clause2, clause3, converse)
+
+
+# ---------------------------------------------------------------------------
+# Epitome families and the enforcement property check
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EpitomeFamily:
+    """A summary map plus, for the ordered kind, its comparison.
+
+    ``evaluate`` returns a hashable value or None (undefined); ``strategy``
+    names the window-construction route the property check should take:
+    a dedicated builder for the built-in families, or the generic exhaustive
+    annulus search."""
+
+    name: str
+    kind: str  # "plain" | "ordered"
+    evaluate: Callable[[Pattern], object]
+    leq: Callable[[object, object], bool] | None = None
+    strategy: str = "generic"
+
+    def __post_init__(self):
+        if self.kind not in ("plain", "ordered"):
+            raise PatternError(f"unknown kind {self.kind!r}")
+        if self.kind == "ordered" and self.leq is None:
+            raise PatternError("ordered families need a comparison")
+
+
+def _total(evaluate):
+    """Make a summary map total: undefined (None) instead of raising on
+    patterns outside its domain."""
+
+    def wrapped(p: Pattern):
+        try:
+            return evaluate(p)
+        except PatternError:
+            return None
+
+    return wrapped
+
+
+def profile_family() -> EpitomeFamily:
+    return EpitomeFamily(
+        name="profile",
+        kind="ordered",
+        evaluate=_total(profile),
+        leq=lambda a, b: profile_leq(a, b),
+        strategy="red-black-enforcer",
+    )
+
+
+def mirror_family() -> EpitomeFamily:
+    return EpitomeFamily(
+        name="mirror",
+        kind="plain",
+        evaluate=_total(mirror_epitome),
+        strategy="mirror-line",
+    )
+
+
+def identity_family() -> EpitomeFamily:
+    """Every pattern is its own summary — enforceable only if single patterns
+    can be pinned by a window, which small-instance search refutes for the
+    square-forbidding family."""
+    return EpitomeFamily(
+        name="identity",
+        kind="plain",
+        evaluate=lambda p: tuple(p.rows()),
+    )
+
+
+def constant_family(value: object = 0) -> EpitomeFamily:
+    return EpitomeFamily(name="constant", kind="plain", evaluate=lambda p: value)
+
+
+def interior_popcount_family(kind: str = "plain") -> EpitomeFamily:
+    """Number of 1-cells strictly inside the bounding box (binary patterns)."""
+
+    def evaluate(p: Pattern):
+        if p.alphabet.letters != BINARY.letters or not p.is_rectangular:
+            return None
+        return sum(
+            1
+            for (r, c), letter in p.items()
+            if letter == "1" and 0 < r < p.height - 1 and 0 < c < p.width - 1
+        )
+
+    return EpitomeFamily(
+        name="interior-popcount",
+        kind=kind,
+        evaluate=evaluate,
+        leq=(lambda a, b: a <= b) if kind == "ordered" else None,
+    )
+
+
+@dataclass(frozen=True)
+class PropertyReport:
+    spec_name: str
+    family: str
+    kind: str
+    n: int
+    margin: int
+    entries: tuple[dict, ...]
+    ok: bool
+    counterexample: dict | None
+    note: str = (
+        "compatibility means local admissibility of the filled window; "
+        "extension to the full plane is approximated by the margin"
+    )
+
+
+def _annulus_cells(n: int, margin: int) -> list[tuple[int, int]]:
+    side = n + 2 * margin
+    return [
+        (r, c)
+        for r in range(side)
+        for c in range(side)
+        if not (margin <= r < margin + n and margin <= c < margin + n)
+    ]
+
+
+def _compat_matrix_red_black(n, margin, annulus, candidates):
+    """Vectorized combo x candidate compatibility for the square-forbidding
+    family: per-row red/black bit masks, run masks per square size.  The
+    filled window covers the whole (n+2*margin)^2 square, so no support test
+    is needed."""
+    side = n + 2 * margin
+    combos = 3 ** len(annulus)
+    idx = np.arange(combos, dtype=np.int64)
+    ann_red = [np.zeros(combos, dtype=np.int64) for _ in range(side)]
+    ann_black = [np.zeros(combos, dtype=np.int64) for _ in range(side)]
+    for t, (r, c) in enumerate(annulus):
+        digit = (idx // (3**t)) % 3
+        ann_red[r] |= (digit == 2).astype(np.int64) << c
+        ann_black[r] |= (digit == 0).astype(np.int64) << c
+    compat = np.empty((combos, len(candidates)), dtype=bool)
+    for jc, q in enumerate(candidates):
+        slot_red = [0] * side
+        slot_black = [0] * side
+        for (r, c), letter in q.items():
+            bit = 1 << (c + margin)
+            if letter == "R":
+                slot_red[r + margin] |= bit
+            elif letter == "B":
+                slot_black[r + margin] |= bit
+        forb = np.zeros(combos, dtype=bool)
+        for s in range(2, side + 1):
+            for top in range(side - s + 1):
+                runs_red = ann_red[top] | slot_red[top]
+                shifted = runs_red
+                for sh in range(1, s):
+                    runs_red = runs_red & (shifted >> sh)
+                bot = top + s - 1
+                runs_black = ann_black[bot] | slot_black[bot]
+                shifted_b = runs_black
+                for sh in range(1, s):
+                    runs_black = runs_black & (shifted_b >> sh)
+                forb |= (runs_red & runs_black) != 0
+        compat[:, jc] = ~forb
+    return compat
+
+
+def _compat_matrix_generic(spec, n, margin, annulus, candidates):
+    side = n + 2 * margin
+    forb = enumerate_forbidden(spec, side)
+    letters = spec.alphabet.letters
+    combos = len(letters) ** len(annulus)
+    rows = []
+    for assignment in itertools.product(letters, repeat=len(annulus)):
+        base = dict(zip(annulus, assignment))
+        row = []
+        for q in candidates:
+            cells = dict(base)
+            for (r, c), letter in q.items():
+                cells[(r + margin, c + margin)] = letter
+            row.append(generic_scan(Pattern(spec.alphabet, cells), forb) is None)
+        rows.append(row)
+    assert len(rows) == combos
+    return rows
+
+
+def _annulus_pattern(spec, annulus, combo_index):
+    letters = spec.alphabet.letters
+    base = len(letters)
+    cells = {}
+    x = combo_index
+    for cell in annulus:
+        cells[cell] = letters[x % base]
+        x //= base
+    return Pattern(spec.alphabet, cells)
+
+
+def _check_generic(spec, fam, n, margin) -> PropertyReport:
+    annulus = _annulus_cells(n, margin)
+    combos = len(spec.alphabet) ** len(annulus)
+    if combos > 2_000_000:
+        raise InfeasibleError(
+            f"annulus search over {combos} colorings is infeasible; "
+            "use a family with a dedicated window builder"
+        )
+    candidates = list(iter_rect_patterns(spec.alphabet, n, n))
+    values = [fam.evaluate(q) for q in candidates]
+    if spec.name == "red-black":
+        compat = _compat_matrix_red_black(n, margin, annulus, candidates)
+    else:
+        compat = np.asarray(
+            _compat_matrix_generic(spec, n, margin, annulus, candidates), dtype=bool
+        )
+
+    undef_cols = [j for j, v in enumerate(values) if v is None]
+    undef_any = (
+        compat[:, undef_cols].any(axis=1)
+        if undef_cols
+        else np.zeros(compat.shape[0], dtype=bool)
+    )
+    if fam.kind == "plain":
+        # A witness coloring for P works iff exactly one distinct value is
+        # compatible with it (necessarily P's own) and nothing undefined is.
+        by_value: dict = {}
+        for j, v in enumerate(values):
+            if v is not None:
+                by_value.setdefault(v, []).append(j)
+        value_hits = np.stack(
+            [compat[:, cols].any(axis=1) for cols in by_value.values()]
+        )
+        unique_ok = (value_hits.sum(axis=0) == 1) & ~undef_any
+
+    def good_mask(j: int):
+        cj = compat[:, j]
+        if fam.kind == "plain":
+            return cj & unique_ok
+        bad_cols = [
+            jj
+            for jj, vv in enumerate(values)
+            if vv is not None and not fam.leq(vv, values[j])
+        ]
+        bad = compat[:, bad_cols].any(axis=1) if bad_cols else 0
+        return cj & ~(bad | undef_any)
+
+    entries = []
+    counterexample = None
+    ok = True
+    for j, (q, v) in enumerate(zip(candidates, values)):
+        if v is None:
+            continue
+        cj = compat[:, j]
+        if not cj.any():
+            continue  # not margin-admissible; outside the contract
+        passed = bool(good_mask(j).any())
+        entries.append({"pattern": q.rows(), "value": repr(v), "pass": passed})
+        if not passed:
+            ok = False
+            if counterexample is None:
+                r_ix = int(np.flatnonzero(cj)[0])
+                conflict = next(
+                    jj
+                    for jj, vv in enumerate(values)
+                    if compat[r_ix, jj]
+                    and (
+                        vv is None
+                        or (vv != v if fam.kind == "plain" else not fam.leq(vv, v))
+                    )
+                )
+                counterexample = {
+                    "pattern": q.rows(),
+                    "annulus": _annulus_pattern(spec, annulus, r_ix).render(),
+                    "also_compatible": candidates[conflict].rows(),
+                    "other_value": repr(values[conflict]),
+                }
+    return PropertyReport(
+        spec_name=spec.name,
+        family=fam.name,
+        kind=fam.kind,
+        n=n,
+        margin=margin,
+        entries=tuple(entries),
+        ok=ok,
+        counterexample=counterexample,
+    )
+
+
+def _check_red_black_profiles(spec, fam, n, margin) -> PropertyReport:
+    entries = []
+    ok = True
+    for prof in all_profiles(n):
+        rep = verify_enforcer(prof, spec)
+        passed = rep.clause1 and rep.clause2
+        ok = ok and passed
+        entries.append(
+            {
+                "pattern": simple_pattern(prof).rows(),
+                "value": repr(prof.counts),
+                "pass": passed,
+            }
+        )
+    return PropertyReport(
+        spec_name=spec.name,
+        family=fam.name,
+        kind=fam.kind,
+        n=n,
+        margin=margin,
+        entries=tuple(entries),
+        ok=ok,
+        counterexample=None if ok else {"detail": "see enforcer sweep"},
+    )
+
+
+def _mirror_window(p: Pattern) -> Pattern:
+    """The mirror family's witness window for a slot pattern.
+
+    Black/white patterns get a full red row directly below the slot plus the
+    reflected copy of the slot rows below it; a pattern containing red (one
+    full red row in any admissible case) gets two red cells flanking that
+    row just outside the slot, which force the row red and mirror-pin the
+    rest."""
+    n = p.height
+    rows = p.rows()
+    if not any("R" in row for row in rows):
+        cells = {(n, c): "R" for c in range(n)}
+        for d in range(1, n + 1):
+            for c in range(n):
+                cells[(n + d, c)] = rows[n - d][c]
+        return Pattern(BWR, cells)
+    red_rows = [r for r, row in enumerate(rows) if row == "R" * n]
+    if len(red_rows) != 1:
+        raise PatternError("admissible mirror patterns have exactly one full red row")
+    r = red_rows[0]
+    return Pattern(BWR, {(r, -1): "R", (r, n): "R"})
+
+
+def _check_mirror(spec, fam, n, margin) -> PropertyReport:
+    entries = []
+    ok = True
+    counterexample = None
+    candidates = list(iter_rect_patterns(BWR, n, n))
+    for p in candidates:
+        if extendable(p, spec, margin) is None:
+            continue
+        value = fam.evaluate(p)
+        window = _mirror_window(p)
+        compatible = []
+        for q in candidates:
+            if contains_forbidden(window.union(q), spec) is None:
+                compatible.append(q)
+        self_ok = p in compatible
+        all_equal = all(fam.evaluate(q) == value for q in compatible)
+        passed = self_ok and all_equal
+        ok = ok and passed
+        entry = {
+            "pattern": p.rows(),
+            "value": repr(value),
+            "compatible_count": len(compatible),
+            "pass": passed,
+        }
+        entries.append(entry)
+        if not passed and counterexample is None:
+            counterexample = {"pattern": p.rows()}
+    return PropertyReport(
+        spec_name=spec.name,
+        family=fam.name,
+        kind=fam.kind,
+        n=n,
+        margin=margin,
+        entries=tuple(entries),
+        ok=ok,
+        counterexample=counterexample,
+    )
+
+
+def epitome_property_check(
+    spec: ShiftSpec, fam: EpitomeFamily, n: int, window_margin: int = 1
+) -> PropertyReport:
+    """Exhaustively test the enforcement property of a family at size n.
+
+    Route selection: the profile family over the square-forbidding spec uses
+    its enforcer windows; the mirror family uses the red-line window builder;
+    anything else sweeps every annulus coloring of the given margin (with a
+    feasibility guard).
+    """
+    if fam.strategy == "red-black-enforcer" and spec.name == "red-black":
+        return _check_red_black_profiles(spec, fam, n, window_margin)
+    if fam.strategy == "mirror-line" and spec.name == "mirror":
+        return _check_mirror(spec, fam, n, window_margin)
+    return _check_generic(spec, fam, n, window_margin)
+
+
+# ---------------------------------------------------------------------------
+# Border consistency for factor covers
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BorderGroup:
+    border: str
+    size: int
+    values: tuple[str, ...]
+    flagged: bool
+
+
+@dataclass(frozen=True)
+class ConsistencyReport:
+    """Groups of locally admissible cover patterns sharing a border ring.
+
+    A group is flagged when the border fails to determine the epitome of the
+    projection: several distinct values (plain kind) or no maximum value
+    (ordered kind).  ``ledger_bits`` is the cost of remembering one border:
+    (4n-4) * ceil(log2 |cover alphabet|)."""
+
+    n: int
+    family: str
+    kind: str
+    groups: tuple[BorderGroup, ...]
+    flagged_count: int
+    ledger_bits: int
+
+
+def _project(p: Pattern, projection: dict[str, str]) -> Pattern:
+    image = sorted(set(projection.values()))
+    if set(image) <= {"0", "1"}:
+        alphabet = BINARY
+    elif set(image) <= {"B", "W", "R"}:
+        alphabet = BWR
+    else:
+        raise PatternError(f"projection image {image} is not a supported alphabet")
+    return Pattern(alphabet, {cell: projection[a] for cell, a in p.items()})
+
+
+def border_epitome_consistency(
+    spec: ShiftSpec, projection: dict[str, str], fam: EpitomeFamily, n: int
+) -> ConsistencyReport:
+    """Group the locally admissible n x n cover patterns by border ring and
+    test whether the ring determines the projected pattern's epitome."""
+    ring = [
+        (r, c)
+        for r in range(n)
+        for c in range(n)
+        if r in (0, n - 1) or c in (0, n - 1)
+    ]
+    groups: dict[str, list] = {}
+    for q in iter_rect_patterns(spec.alphabet, n, n):
+        if contains_forbidden(q, spec) is not None:
+            continue
+        key = "".join(q.at(r, c) for r, c in ring)
+        groups.setdefault(key, []).append(fam.evaluate(_project(q, projection)))
+    out = []
+    flagged_count = 0
+    for key in sorted(groups):
+        vals = groups[key]
+        if fam.kind == "plain":
+            flagged = len(set(map(repr, vals))) > 1
+        else:
+            flagged = not any(
+                all(fam.leq(u, v) for u in vals) for v in vals
+            )
+        if flagged:
+            flagged_count += 1
+        out.append(
+            BorderGroup(
+                border=key,
+                size=len(vals),
+                values=tuple(sorted(set(map(repr, vals)))),
+                flagged=flagged,
+            )
+        )
+    letter_width = (len(spec.alphabet) - 1).bit_length()
+    return ConsistencyReport(
+        n=n,
+        family=fam.name,
+        kind=fam.kind,
+        groups=tuple(out),
+        flagged_count=flagged_count,
+        ledger_bits=(4 * n - 4) * letter_width,
+    )

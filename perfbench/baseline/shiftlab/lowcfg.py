@@ -1,0 +1,359 @@
+"""Low-description-complexity squares for nearest-neighbour constraints.
+
+For a nearest-neighbour specification (all forbidden patterns are dominoes)
+the standard square of level m has side 2^m + 1 and is determined by its
+border ring alone: fill the two centerlines lex-first subject to local
+admissibility *and* completability of the remaining interior, then recurse
+into the four quadrants (side 2^(m-1) + 1), whose borders are now fixed.
+Because the constraints are nearest-neighbour, quadrant interiors are
+conditionally independent given the centerlines, so the recursion reproduces
+exactly what a global lex-first-with-certification fill would produce, while
+any aligned sub-square of the result is itself a standard square of its own
+border — the property that makes O(side)-bit descriptions of arbitrary
+sub-rectangles possible.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from dataclasses import dataclass
+
+from .admissibility import _make_state, _search
+from .core import (
+    Alphabet,
+    InfeasibleError,
+    Pattern,
+    PatternError,
+    ShiftSpec,
+    contains_forbidden,
+    enumerate_forbidden,
+    subpattern,
+)
+from .deepshift import gamma_encode
+
+_NN_SUPPORTS = (
+    frozenset({(0, 0)}),
+    frozenset({(0, 0), (0, 1)}),
+    frozenset({(0, 0), (1, 0)}),
+)
+
+
+@dataclass(frozen=True)
+class NNSpec:
+    """A shift specification certified nearest-neighbour.
+
+    Validation checks that every forbidden pattern up to extent 4 is a
+    horizontal or vertical domino (single-cell letter bans are also allowed,
+    as degenerate dominoes) and that nothing new appears beyond extent 2
+    (enumerators are prefix-closed, so this pins the whole family for any
+    honest spec)."""
+
+    spec: ShiftSpec
+
+    def __post_init__(self):
+        small = enumerate_forbidden(self.spec, 2)
+        for f in small:
+            if frozenset(f.support) not in _NN_SUPPORTS:
+                raise PatternError(
+                    f"spec {self.spec.name!r} is not nearest-neighbour: "
+                    f"forbidden support {sorted(f.support)}"
+                )
+        if enumerate_forbidden(self.spec, 4) != small:
+            raise PatternError(
+                f"spec {self.spec.name!r} has forbidden patterns beyond extent 2"
+            )
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.spec.alphabet
+
+
+def side_of_level(m: int) -> int:
+    return 2**m + 1
+
+
+def ring_cells(side: int) -> list[tuple[int, int]]:
+    """Border ring of a side x side square anchored at the origin, row-major."""
+    return [
+        (r, c)
+        for r in range(side)
+        for c in range(side)
+        if r in (0, side - 1) or c in (0, side - 1)
+    ]
+
+
+def _interior_cells(r0: int, c0: int, side: int, assigned) -> list[tuple[int, int]]:
+    return [
+        (r, c)
+        for r in range(r0 + 1, r0 + side - 1)
+        for c in range(c0 + 1, c0 + side - 1)
+        if (r, c) not in assigned
+    ]
+
+
+def choose_border(nn: NNSpec, k: int) -> Pattern:
+    """Lex-first completable border ring for the level-k square.
+
+    Backtracks over ring cells in row-major order; a full ring is accepted
+    only if its interior admits a locally admissible completion, so the
+    returned border is the lex-least *completable* one, not merely the
+    lex-least admissible one."""
+    if k < 0:
+        raise PatternError("k must be nonnegative")
+    side = side_of_level(k)
+    ring = ring_cells(side)
+    spec = nn.spec
+    state = _make_state(spec, (0, 0, side - 1, side - 1))
+
+    def certify(st) -> bool:
+        interior = _interior_cells(0, 0, side, st.cells)
+        if _search(st, interior, spec.alphabet.letters):
+            for cell in reversed(interior):
+                st.retract(cell)
+            return True
+        return False
+
+    if not _search(state, ring, spec.alphabet.letters, leaf_ok=certify):
+        raise InfeasibleError(f"no completable border at level {k} for {spec.name!r}")
+    return Pattern(spec.alphabet, {cell: state.cells[cell] for cell in ring})
+
+
+def standard_square(nn: NNSpec, border: Pattern, m: int) -> Pattern:
+    """The level-m standard square over a given border ring.
+
+    Deterministic: centerlines are filled lex-first (row cells left-to-right,
+    then column cells top-to-bottom, centre counted once) subject to local
+    admissibility and completability of the remaining interior, then the four
+    quadrants recurse with their borders now fixed."""
+    side = side_of_level(m)
+    expected = set(ring_cells(side))
+    if set(border.support) != expected:
+        raise PatternError(f"border support is not the level-{m} ring")
+    if contains_forbidden(border, nn.spec) is not None:
+        raise PatternError("border ring is not locally admissible")
+    spec = nn.spec
+    state = _make_state(spec, (0, 0, side - 1, side - 1))
+    state.load(border.cells)
+
+    def fill(r0: int, c0: int, size: int) -> None:
+        if size < 3:
+            return
+        mid = (size - 1) // 2
+        row_cells = [(r0 + mid, c0 + j) for j in range(size)]
+        col_cells = [(r0 + i, c0 + mid) for i in range(size)]
+        center = []
+        seen = set()
+        for cell in row_cells + col_cells:
+            if cell in state.cells or cell in seen:
+                continue
+            seen.add(cell)
+            center.append(cell)
+
+        def certify(st) -> bool:
+            rest = _interior_cells(r0, c0, size, st.cells)
+            if _search(st, rest, spec.alphabet.letters):
+                for cell in reversed(rest):
+                    st.retract(cell)
+                return True
+            return False
+
+        if not _search(state, center, spec.alphabet.letters, leaf_ok=certify):
+            raise InfeasibleError(
+                f"centerlines of the square at ({r0}, {c0}) size {size} "
+                "admit no completable assignment"
+            )
+        half = mid
+        for dr in (0, half):
+            for dc in (0, half):
+                fill(r0 + dr, c0 + dc, half + 1)
+
+    fill(0, 0, side)
+    return Pattern(spec.alphabet, state.cells)
+
+
+def build_Pk(nn: NNSpec, k: int) -> Pattern:
+    """The canonical level-k square: lex-first completable border, then the
+    deterministic recursive fill."""
+    return standard_square(nn, choose_border(nn, k), k)
+
+
+# ---------------------------------------------------------------------------
+# Sub-rectangle descriptions
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SquareDescription:
+    """A short description of a sub-rectangle of a standard square: the level
+    of the covering grid, up to 2x2 covering-square borders, and the offset
+    and shape of the rectangle inside the covering block."""
+
+    level: int
+    grid: tuple[int, int]  # covering squares: (rows, cols), each 1 or 2
+    offset: tuple[int, int]  # rectangle origin within the covering block
+    shape: tuple[int, int]  # (h, w)
+    borders: tuple[Pattern, ...]  # row-major over the covering squares
+
+
+def _min_level(n: int) -> int:
+    """The least m with 2^m + 1 >= n."""
+    if n <= 2:
+        return 0
+    return (n - 2).bit_length()
+
+
+def describe_subpattern(
+    nn: NNSpec, pk: Pattern, k: int, rect: tuple[int, int, int, int]
+) -> SquareDescription:
+    """Describe ``subpattern(pk, rect)`` by covering-square borders.
+
+    The covering grid has pitch 2^m where m is the least level whose square
+    side 2^m + 1 covers max(h, w); at most 2x2 grid-aligned squares are
+    needed.  Reconstruction rebuilds each covering square from its border and
+    cuts the rectangle out — the stored data is O(max(h, w)) bits.
+    """
+    r0, c0, h, w = rect
+    side_k = side_of_level(k)
+    if h < 1 or w < 1 or r0 < 0 or c0 < 0 or r0 + h > side_k or c0 + w > side_k:
+        raise PatternError(f"rect {rect} outside the level-{k} square")
+    m = _min_level(max(h, w))
+    g = 2**m
+    last = 2 ** (k - m) - 1  # topmost grid index keeping the square inside pk
+    i0 = min(r0 // g, last)
+    j0 = min(c0 // g, last)
+    rows = (i0,) if r0 + h - 1 <= i0 * g + g else (i0, i0 + 1)
+    cols = (j0,) if c0 + w - 1 <= j0 * g + g else (j0, j0 + 1)
+    side = side_of_level(m)
+    borders = []
+    for i in rows:
+        for j in cols:
+            cells = {
+                (r, c): pk.at(i * g + r, j * g + c) for (r, c) in ring_cells(side)
+            }
+            borders.append(Pattern(nn.alphabet, cells))
+    return SquareDescription(
+        level=m,
+        grid=(len(rows), len(cols)),
+        offset=(r0 - rows[0] * g, c0 - cols[0] * g),
+        shape=(h, w),
+        borders=tuple(borders),
+    )
+
+
+def reconstruct_subpattern(desc: SquareDescription, nn: NNSpec) -> Pattern:
+    """Rebuild the described rectangle from borders alone."""
+    g = 2**desc.level
+    di, dj = desc.grid
+    squares = [standard_square(nn, b, desc.level) for b in desc.borders]
+    cells: dict[tuple[int, int], str] = {}
+    for idx, sq in enumerate(squares):
+        gi, gj = divmod(idx, dj)
+        for (r, c), letter in sq.items():
+            cell = (gi * g + r, gj * g + c)
+            if cells.get(cell, letter) != letter:
+                raise PatternError("covering squares disagree on a shared line")
+            cells[cell] = letter
+    dr, dc = desc.offset
+    h, w = desc.shape
+    out = {(r, c): cells[(dr + r, dc + c)] for r in range(h) for c in range(w)}
+    return Pattern(nn.alphabet, out)
+
+
+def description_bits(desc: SquareDescription, alphabet: Alphabet) -> int:
+    """Measured size: gamma-coded header plus the border cells at
+    ceil(log2 |alphabet|) bits per cell."""
+    letter_width = (len(alphabet) - 1).bit_length()
+    dr, dc = desc.offset
+    h, w = desc.shape
+    header = sum(
+        len(gamma_encode(v))
+        for v in (desc.level + 1, desc.grid[0], desc.grid[1], dr + 1, dc + 1, h, w)
+    )
+    side = side_of_level(desc.level)
+    return header + len(desc.borders) * (4 * side - 4) * letter_width
+
+
+def description_constant(alphabet: Alphabet) -> int:
+    """Declared constant C with description_bits <= C * max(h, w)."""
+    letter_width = (len(alphabet) - 1).bit_length()
+    return 32 * letter_width + 16
+
+
+def save_description(desc: SquareDescription, dirpath: str) -> None:
+    os.makedirs(dirpath, exist_ok=True)
+    files = []
+    for ix, b in enumerate(desc.borders):
+        rel = f"border_{ix}.txt"
+        with open(os.path.join(dirpath, rel), "w", encoding="ascii") as fh:
+            fh.write(b.to_text())
+        files.append(rel)
+    head = {
+        "format_version": 1,
+        "level": desc.level,
+        "grid": list(desc.grid),
+        "offset": list(desc.offset),
+        "shape": list(desc.shape),
+        "border_files": files,
+    }
+    with open(os.path.join(dirpath, "description.json"), "w", encoding="ascii") as fh:
+        json.dump(head, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load_description(dirpath: str) -> SquareDescription:
+    with open(os.path.join(dirpath, "description.json"), "r", encoding="ascii") as fh:
+        head = json.load(fh)
+    borders = []
+    for rel in head["border_files"]:
+        with open(os.path.join(dirpath, rel), "r", encoding="ascii") as fh:
+            borders.append(Pattern.from_text(fh.read()))
+    return SquareDescription(
+        level=head["level"],
+        grid=tuple(head["grid"]),
+        offset=tuple(head["offset"]),
+        shape=tuple(head["shape"]),
+        borders=tuple(borders),
+    )
+
+
+def lowcfg_roundtrip(
+    nn: NNSpec, pk: Pattern, k: int, rects: list[tuple[int, int, int, int]]
+) -> list[dict]:
+    """Describe/reconstruct each rectangle and compare against the direct
+    restriction; returns one report entry per rectangle."""
+    out = []
+    for rect in rects:
+        desc = describe_subpattern(nn, pk, k, rect)
+        rebuilt = reconstruct_subpattern(desc, nn)
+        direct = subpattern(pk, rect)
+        bits = description_bits(desc, nn.alphabet)
+        bound = description_constant(nn.alphabet) * max(rect[2], rect[3])
+        out.append(
+            {
+                "rect": list(rect),
+                "ok": rebuilt == direct,
+                "bits": bits,
+                "bound": bound,
+                "within_bound": bits <= bound,
+            }
+        )
+    return out
+
+
+__all__ = [
+    "NNSpec",
+    "SquareDescription",
+    "build_Pk",
+    "choose_border",
+    "describe_subpattern",
+    "description_bits",
+    "description_constant",
+    "lowcfg_roundtrip",
+    "load_description",
+    "reconstruct_subpattern",
+    "ring_cells",
+    "save_description",
+    "side_of_level",
+    "standard_square",
+]
