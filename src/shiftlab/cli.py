@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .admissibility import WORKERS_ENV, count_admissible
+from .admissibility import count_admissible
 from .complexity import (
     StepMeter,
     ctime,
@@ -92,8 +92,6 @@ def _int_list(text: str) -> list[int]:
 
 
 def _cmd_block_count(args):
-    if args.workers is not None:
-        os.environ[WORKERS_ENV] = str(args.workers)
     spec = get_spec(args.spec)
     count = count_admissible(spec, args.n, args.margin)
     return {"count": count}, True, None
@@ -326,7 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("spec")
     q.add_argument("n", type=int)
     q.add_argument("--margin", type=int, default=0)
-    q.add_argument("--workers", type=int, default=None)
     q.set_defaults(func=_cmd_block_count)
 
     q = sub.add_parser("census", help="count simple patterns by enumeration")

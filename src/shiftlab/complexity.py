@@ -34,7 +34,6 @@ Enumeration order everywhere: programs by length ascending, then numerically
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import zlib
@@ -87,7 +86,6 @@ def _bits_of(program: MachineProgram | str) -> str:
     return program
 
 
-@functools.lru_cache(maxsize=1 << 18)
 def _run(bits: str, budget: int) -> RunOutcome:
     if budget < 0:
         raise ValueError("budget must be nonnegative")

@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -321,24 +322,35 @@ class ShiftSpec:
     (the list for a smaller extent is a prefix of the list for a larger one).
     ``forbidden_index`` values refer to positions in this list.
 
-    ``finder`` is an optional fast occurrence scanner with semantics identical
-    to the generic enumerate-and-scan; built-in families whose forbidden lists
-    grow too fast to materialize supply one.
+    ``kernel`` is an optional fast path for families whose forbidden lists
+    grow too fast to materialize.  It must give the answers of
+    ``GenericKernel``, which derives them from ``enumerator`` when ``kernel``
+    is None: ``scan(p)``, the occurrence ``contains_forbidden`` returns;
+    ``state(bbox)``, an incremental oracle with ``cells``, ``load(cells)``,
+    ``assign(cell, letter)`` (False, assigning nothing, when the letter
+    completes a forbidden pattern) and ``retract(cell)``; and
+    ``window_compat(n, margin, annulus, candidates)``, the boolean numpy
+    matrix saying whether annulus coloring i (digit t of i in base |alphabet|
+    is the letter at ``annulus[t]``) and n x n candidate j at offset
+    (margin, margin) form a locally admissible window.
     """
 
     name: str
     alphabet: Alphabet
     enumerator: Callable[[int], tuple[Pattern, ...]] = field(repr=False)
-    finder: Callable[[Pattern], Occurrence | None] | None = field(default=None, repr=False)
+    kernel: object | None = field(default=None, repr=False)
 
     def __hash__(self):
         return hash(self.name)
 
+    @functools.cached_property
+    def _generic_kernel(self) -> "GenericKernel":
+        return GenericKernel(self.alphabet, self.enumerator)
 
-def enumerate_forbidden(spec: ShiftSpec, max_extent: int) -> tuple[Pattern, ...]:
-    """The forbidden patterns of extent <= max_extent, in canonical order."""
-    forb = spec.enumerator(max_extent)
-    return forb
+
+def kernel_of(spec: ShiftSpec):
+    """The spec's own kernel, or the generic one derived from its enumerator."""
+    return spec._generic_kernel if spec.kernel is None else spec.kernel  # noqa: SLF001
 
 
 def contains_forbidden(p: Pattern, spec: ShiftSpec) -> Occurrence | None:
@@ -347,18 +359,12 @@ def contains_forbidden(p: Pattern, spec: ShiftSpec) -> Occurrence | None:
     pattern is locally admissible."""
     if p.alphabet.letters != spec.alphabet.letters:
         raise PatternError(f"pattern alphabet does not match spec {spec.name!r}")
-    if spec.finder is not None:
-        return spec.finder(p)
-    return generic_scan(p, enumerate_forbidden(spec, p.extent))
+    return kernel_of(spec).scan(p)
 
 
-def generic_scan(p: Pattern, forbidden: Iterable[Pattern]) -> Occurrence | None:
-    """Reference occurrence scan used when no fast finder is installed."""
+def _scan_plan(p: Pattern, plan) -> Occurrence | None:
     if p.bbox is None:
         return None
-    plan = []
-    for idx, f in enumerate(forbidden):
-        plan.append((idx, tuple(f.items())))
     r0, c0, r1, c1 = p.bbox
     cells = p._cells  # noqa: SLF001 - hot loop on our own type
     for ar in range(r0, r1 + 1):
@@ -372,11 +378,88 @@ def generic_scan(p: Pattern, forbidden: Iterable[Pattern]) -> Occurrence | None:
     return None
 
 
-def run_mask(mask: int, length: int) -> int:
-    """Bit i set iff bits i..i+length-1 are all set in ``mask``."""
+class _IndexedState:
+    """Incremental oracle over a materialized forbidden list.
+
+    Forbidden cells are indexed by letter: assigning letter ``a`` tests only
+    the forbidden patterns with an ``a``-cell, each at the anchor that puts
+    that cell on the assigned one.
+    """
+
+    def __init__(self, plan: list):
+        self.cells: dict[tuple[int, int], str] = {}
+        self._by_letter: dict[str, list] = {}
+        for _, fcells in plan:
+            for offset, letter in fcells:
+                self._by_letter.setdefault(letter, []).append((offset, fcells))
+
+    def load(self, cells: dict[tuple[int, int], str]) -> None:
+        self.cells.update(cells)
+
+    def assign(self, cell: tuple[int, int], letter: str) -> bool:
+        cells = self.cells
+        cells[cell] = letter
+        r, c = cell
+        for (dr, dc), fcells in self._by_letter.get(letter, ()):
+            ar, ac = r - dr, c - dc
+            for (er, ec), el in fcells:
+                if cells.get((ar + er, ac + ec)) != el:
+                    break
+            else:
+                del cells[cell]
+                return False
+        return True
+
+    def retract(self, cell: tuple[int, int]) -> None:
+        del self.cells[cell]
+
+
+class GenericKernel:
+    """The kernel of a spec that brings none: every answer comes from the
+    forbidden list ``enumerator`` materializes up to the extent at hand.
+    Enumerators are deterministic, so each extent's list is read once."""
+
+    def __init__(self, alphabet: Alphabet, enumerator: Callable[[int], tuple[Pattern, ...]]):
+        self.alphabet = alphabet
+        self.enumerator = enumerator
+        self._plans: dict[int, list] = {}
+
+    def _plan(self, max_extent: int) -> list:
+        if max_extent not in self._plans:
+            forbidden = self.enumerator(max_extent)
+            self._plans[max_extent] = [(idx, tuple(f.items())) for idx, f in enumerate(forbidden)]
+        return self._plans[max_extent]
+
+    def scan(self, p: Pattern) -> Occurrence | None:
+        return _scan_plan(p, self._plan(p.extent))
+
+    def state(self, bbox: tuple[int, int, int, int]) -> _IndexedState:
+        r0, c0, r1, c1 = bbox
+        return _IndexedState(self._plan(max(r1 - r0 + 1, c1 - c0 + 1)))
+
+    def window_compat(self, n: int, margin: int, annulus, candidates):
+        import numpy as np
+
+        plan = self._plan(n + 2 * margin)
+        letters = self.alphabet.letters
+        compat = np.empty((len(letters) ** len(annulus), len(candidates)), dtype=bool)
+        # product varies its last position fastest: annulus[0] is digit 0
+        for i, assignment in enumerate(itertools.product(letters, repeat=len(annulus))):
+            base = dict(zip(reversed(annulus), assignment))
+            for j, q in enumerate(candidates):
+                cells = dict(base)
+                for (r, c), letter in q.items():
+                    cells[(r + margin, c + margin)] = letter
+                compat[i, j] = _scan_plan(Pattern(self.alphabet, cells), plan) is None
+        return compat
+
+
+def run_mask(mask, length: int):
+    """Bit i set iff bits i..i+length-1 are all set in ``mask`` (a Python int
+    or a numpy array of an unsigned dtype)."""
     out = mask
     for k in range(1, length):
-        out &= mask >> k
+        out = out & (mask >> k)
     return out
 
 
@@ -433,7 +516,7 @@ def _red_black_enumerator(max_extent: int) -> tuple[Pattern, ...]:
     interior, sizes ascending, interiors in lexicographic (base-3) order.
 
     The count at size s is 3^(s(s-2)); callers needing large extents should go
-    through the installed finder instead of this list.
+    through the spec's kernel instead of this list.
     """
     out = []
     for s in range(2, max_extent + 1):
@@ -442,50 +525,165 @@ def _red_black_enumerator(max_extent: int) -> tuple[Pattern, ...]:
     return tuple(out)
 
 
-def _red_black_finder(p: Pattern) -> Occurrence | None:
-    if p.bbox is None:
-        return None
-    r0, c0, r1, c1 = p.bbox
-    h, w = r1 - r0 + 1, c1 - c0 + 1
-    red = [0] * h
-    black = [0] * h
-    filled = [0] * h
-    for (r, c), letter in p.items():
-        bit = 1 << (c - c0)
-        rr = r - r0
-        filled[rr] |= bit
+def _square_hits(red, black, filled, top: int, s: int, colmask: int | None = None, run=run_mask):
+    """Bit c is set iff the s x s square with top-left cell (top, c) has an
+    all-red top row, an all-black bottom row and every cell filled, for the
+    columns set in ``colmask``.  ``red``, ``black`` and ``filled`` hold one
+    int bitmask per row; an empty partial result returns early.  The numpy
+    entry point passes row keys, a caching ``run`` and ``filled=None``."""
+    m = run(red[top], s)
+    if colmask is not None:
+        m &= colmask
+    if not isinstance(m, int) or m:
+        m = m & run(black[top + s - 1], s)
+    if filled is not None and m:
+        acc = filled[top]
+        for r in range(top + 1, top + s):
+            acc &= filled[r]
+        m &= run_mask(acc, s)
+    return m
+
+
+class _RunMaskState:
+    """Incremental oracle of the red-black family over per-row red, black and
+    filled bitmasks (bit c of row r is cell (r0 + r, c0 + c)).  An assignment
+    completes a forbidden square iff some square holding the new cell
+    satisfies ``_square_hits``: O(extent^3) run-mask steps at worst instead of
+    materializing 3^(s(s-2)) patterns."""
+
+    def __init__(self, bbox: tuple[int, int, int, int]):
+        r0, c0, r1, c1 = bbox
+        self._r0, self._c0 = r0, c0
+        self.height = r1 - r0 + 1
+        self.width = c1 - c0 + 1
+        self.red, self.black, self.filled = ([0] * self.height for _ in range(3))
+        self.cells: dict[tuple[int, int], str] = {}
+
+    def load(self, cells: dict[tuple[int, int], str]) -> None:
+        for (r, c), letter in cells.items():
+            self._set(r, c, letter)
+        self.cells.update(cells)
+
+    def _set(self, r: int, c: int, letter: str) -> None:
+        bit = 1 << (c - self._c0)
+        rr = r - self._r0
+        self.filled[rr] |= bit
         if letter == "R":
-            red[rr] |= bit
+            self.red[rr] |= bit
         elif letter == "B":
-            black[rr] |= bit
-    max_s = min(h, w)
-    for ar in range(h):
-        best: tuple[int, int] | None = None  # (ac, size)
-        acc = filled[ar]
-        for s in range(2, max_s + 1):
-            if ar + s > h:
-                break
-            acc &= filled[ar + s - 1]
-            cand = run_mask(red[ar], s) & run_mask(black[ar + s - 1], s) & run_mask(acc, s)
-            if cand:
-                ac = (cand & -cand).bit_length() - 1
-                if best is None or ac < best[0]:
-                    best = (ac, s)
-                # smaller s wins ties at the same ac since we scan s ascending
-        if best is not None:
-            ac, s = best
-            rank = 0
-            for r in range(1, s - 1):
-                for c in range(s):
-                    rank = rank * 3 + BWR.index(p.at(r0 + ar + r, c0 + ac + c))
-            return Occurrence(red_black_index_offset(s) + rank, (r0 + ar, c0 + ac))
-    return None
+            self.black[rr] |= bit
+
+    def _clear(self, r: int, c: int) -> None:
+        bit = ~(1 << (c - self._c0))
+        rr = r - self._r0
+        self.filled[rr] &= bit
+        self.red[rr] &= bit
+        self.black[rr] &= bit
+
+    def assign(self, cell: tuple[int, int], letter: str) -> bool:
+        r, c = cell
+        self._set(r, c, letter)
+        if self._completes(r - self._r0, c - self._c0):
+            self._clear(r, c)
+            return False
+        self.cells[cell] = letter
+        return True
+
+    def retract(self, cell: tuple[int, int]) -> None:
+        r, c = cell
+        self._clear(r, c)
+        del self.cells[cell]
+
+    def _completes(self, r: int, c: int) -> bool:
+        red, black, filled = self.red, self.black, self.filled
+        h, w = self.height, self.width
+        for top in range(max(0, r - min(h, w) + 1), r + 1):
+            if not red[top]:
+                continue
+            # sizes whose square from row ``top`` reaches row r and fits
+            for s in range(max(2, r - top + 1), min(h - top, w) + 1):
+                lo_c = max(0, c - s + 1)
+                colmask = ((1 << (min(c, w - s) - lo_c + 1)) - 1) << lo_c
+                if _square_hits(red, black, filled, top, s, colmask):
+                    return True
+        return False
+
+
+class RunMaskKernel:
+    """The red-black family's kernel: the scan, the incremental state and
+    the batched window check all test ``_square_hits`` on row bitmasks."""
+
+    def scan(self, p: Pattern) -> Occurrence | None:
+        if p.bbox is None:
+            return None
+        st = self.state(p.bbox)
+        st.load(p._cells)  # noqa: SLF001 - read-only use of our own type
+        r0, c0, _, _ = p.bbox
+        for top in range(st.height):
+            if not st.red[top]:
+                continue
+            found = []  # (leftmost column, size): ties go to the smaller square
+            for s in range(2, min(st.height - top, st.width) + 1):
+                hits = _square_hits(st.red, st.black, st.filled, top, s)
+                if hits:
+                    found.append(((hits & -hits).bit_length() - 1, s))
+            if found:
+                ac, s = min(found)
+                rank = 0
+                for r in range(1, s - 1):
+                    for c in range(s):
+                        rank = rank * 3 + BWR.index(p.at(r0 + top + r, c0 + ac + c))
+                return Occurrence(red_black_index_offset(s) + rank, (r0 + top, c0 + ac))
+        return None
+
+    def state(self, bbox: tuple[int, int, int, int]) -> _RunMaskState:
+        return _RunMaskState(bbox)
+
+    def window_compat(self, n: int, margin: int, annulus, candidates):
+        """numpy entry point: the window is full, so only red and black rows
+        matter.  Row masks are arrays over the annulus colorings in the
+        narrowest unsigned dtype holding a row; their run masks are cached
+        by (letter, row, slot row, size), as candidates share slot rows."""
+        import numpy as np
+
+        side = n + 2 * margin
+        dtype = np.min_scalar_type((1 << side) - 1)
+        idx = np.arange(3 ** len(annulus))
+        ann = {a: [np.zeros(idx.shape, dtype) for _ in range(side)] for a in "RB"}
+        for t, (r, c) in enumerate(annulus):
+            digit = idx // 3**t % 3
+            for a in "RB":
+                ann[a][r] |= (digit == BWR.index(a)).astype(dtype) << c
+        runs: dict = {}
+
+        def run(key, s):
+            out = runs.get((key, s))
+            if out is None:
+                a, r, slot_row = key
+                bits = sum(1 << (margin + c) for c, x in enumerate(slot_row) if x == a)
+                out = runs[key, s] = run_mask(ann[a][r] | bits, s)
+            return out
+
+        compat = np.empty((len(ann["R"][0]), len(candidates)), dtype=bool)
+        for j, q in enumerate(candidates):
+            slot = [""] * margin + q.rows() + [""] * margin
+            red = [("R", r, slot[r]) for r in range(side)]
+            black = [("B", r, slot[r]) for r in range(side)]
+            forb = np.zeros(compat.shape[0], dtype=bool)
+            for s in range(2, side + 1):
+                for top in range(side - s + 1):
+                    forb |= _square_hits(red, black, None, top, s, run=run) != 0
+            compat[:, j] = ~forb
+        return compat
+
+
+RED_BLACK_KERNEL = RunMaskKernel()
 
 
 def red_black_spec() -> ShiftSpec:
     """Three-letter shift forbidding squares with red top row and black bottom
     row (any interior), one forbidden pattern per size >= 2 and interior."""
-    return ShiftSpec("red-black", BWR, _red_black_enumerator, _red_black_finder)
+    return ShiftSpec("red-black", BWR, _red_black_enumerator, RED_BLACK_KERNEL)
 
 
 def _mirror_enumerator(max_extent: int) -> tuple[Pattern, ...]:

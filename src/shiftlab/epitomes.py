@@ -31,10 +31,11 @@ from .core import (
     Pattern,
     PatternError,
     ShiftSpec,
+    RED_BLACK_KERNEL,
     contains_forbidden,
-    enumerate_forbidden,
-    generic_scan,
     iter_rect_patterns,
+    kernel_of,
+    mirror_spec,
     red_black_spec,
 )
 
@@ -379,66 +380,6 @@ def _annulus_cells(n: int, margin: int) -> list[tuple[int, int]]:
     ]
 
 
-def _compat_matrix_red_black(n, margin, annulus, candidates):
-    """Vectorized combo x candidate compatibility for the square-forbidding
-    family: per-row red/black bit masks, run masks per square size.  The
-    filled window covers the whole (n+2*margin)^2 square, so no support test
-    is needed."""
-    side = n + 2 * margin
-    combos = 3 ** len(annulus)
-    idx = np.arange(combos, dtype=np.int64)
-    ann_red = [np.zeros(combos, dtype=np.int64) for _ in range(side)]
-    ann_black = [np.zeros(combos, dtype=np.int64) for _ in range(side)]
-    for t, (r, c) in enumerate(annulus):
-        digit = (idx // (3**t)) % 3
-        ann_red[r] |= (digit == 2).astype(np.int64) << c
-        ann_black[r] |= (digit == 0).astype(np.int64) << c
-    compat = np.empty((combos, len(candidates)), dtype=bool)
-    for jc, q in enumerate(candidates):
-        slot_red = [0] * side
-        slot_black = [0] * side
-        for (r, c), letter in q.items():
-            bit = 1 << (c + margin)
-            if letter == "R":
-                slot_red[r + margin] |= bit
-            elif letter == "B":
-                slot_black[r + margin] |= bit
-        forb = np.zeros(combos, dtype=bool)
-        for s in range(2, side + 1):
-            for top in range(side - s + 1):
-                runs_red = ann_red[top] | slot_red[top]
-                shifted = runs_red
-                for sh in range(1, s):
-                    runs_red = runs_red & (shifted >> sh)
-                bot = top + s - 1
-                runs_black = ann_black[bot] | slot_black[bot]
-                shifted_b = runs_black
-                for sh in range(1, s):
-                    runs_black = runs_black & (shifted_b >> sh)
-                forb |= (runs_red & runs_black) != 0
-        compat[:, jc] = ~forb
-    return compat
-
-
-def _compat_matrix_generic(spec, n, margin, annulus, candidates):
-    side = n + 2 * margin
-    forb = enumerate_forbidden(spec, side)
-    letters = spec.alphabet.letters
-    combos = len(letters) ** len(annulus)
-    rows = []
-    for assignment in itertools.product(letters, repeat=len(annulus)):
-        base = dict(zip(annulus, assignment))
-        row = []
-        for q in candidates:
-            cells = dict(base)
-            for (r, c), letter in q.items():
-                cells[(r + margin, c + margin)] = letter
-            row.append(generic_scan(Pattern(spec.alphabet, cells), forb) is None)
-        rows.append(row)
-    assert len(rows) == combos
-    return rows
-
-
 def _annulus_pattern(spec, annulus, combo_index):
     letters = spec.alphabet.letters
     base = len(letters)
@@ -460,12 +401,7 @@ def _check_generic(spec, fam, n, margin) -> PropertyReport:
         )
     candidates = list(iter_rect_patterns(spec.alphabet, n, n))
     values = [fam.evaluate(q) for q in candidates]
-    if spec.name == "red-black":
-        compat = _compat_matrix_red_black(n, margin, annulus, candidates)
-    else:
-        compat = np.asarray(
-            _compat_matrix_generic(spec, n, margin, annulus, candidates), dtype=bool
-        )
+    compat = kernel_of(spec).window_compat(n, margin, annulus, candidates)
 
     undef_cols = [j for j, v in enumerate(values) if v is None]
     undef_any = (
@@ -480,10 +416,10 @@ def _check_generic(spec, fam, n, margin) -> PropertyReport:
         for j, v in enumerate(values):
             if v is not None:
                 by_value.setdefault(v, []).append(j)
-        value_hits = np.stack(
-            [compat[:, cols].any(axis=1) for cols in by_value.values()]
-        )
-        unique_ok = (value_hits.sum(axis=0) == 1) & ~undef_any
+        value_hits = np.zeros(compat.shape[0], dtype=np.int64)
+        for cols in by_value.values():
+            value_hits += compat[:, cols].any(axis=1)
+        unique_ok = (value_hits == 1) & ~undef_any
 
     def good_mask(j: int):
         cj = compat[:, j]
@@ -632,14 +568,15 @@ def epitome_property_check(
 ) -> PropertyReport:
     """Exhaustively test the enforcement property of a family at size n.
 
-    Route selection: the profile family over the square-forbidding spec uses
-    its enforcer windows; the mirror family uses the red-line window builder;
-    anything else sweeps every annulus coloring of the given margin (with a
-    feasibility guard).
+    Route selection: the profile family over a spec with the square-forbidding
+    kernel uses its enforcer windows; the mirror family over a spec with the
+    mirror enumerator uses the red-line window builder; anything else sweeps
+    every annulus coloring of the given margin (with a feasibility guard).
+    A spec's name never selects a route.
     """
-    if fam.strategy == "red-black-enforcer" and spec.name == "red-black":
+    if fam.strategy == "red-black-enforcer" and spec.kernel is RED_BLACK_KERNEL:
         return _check_red_black_profiles(spec, fam, n, window_margin)
-    if fam.strategy == "mirror-line" and spec.name == "mirror":
+    if fam.strategy == "mirror-line" and spec.enumerator is mirror_spec().enumerator:
         return _check_mirror(spec, fam, n, window_margin)
     return _check_generic(spec, fam, n, window_margin)
 

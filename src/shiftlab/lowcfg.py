@@ -19,7 +19,7 @@ import json
 import os
 from dataclasses import dataclass
 
-from .admissibility import _make_state, _search
+from .admissibility import _search
 from .core import (
     Alphabet,
     InfeasibleError,
@@ -27,7 +27,7 @@ from .core import (
     PatternError,
     ShiftSpec,
     contains_forbidden,
-    enumerate_forbidden,
+    kernel_of,
     subpattern,
 )
 from .deepshift import gamma_encode
@@ -52,14 +52,14 @@ class NNSpec:
     spec: ShiftSpec
 
     def __post_init__(self):
-        small = enumerate_forbidden(self.spec, 2)
+        small = self.spec.enumerator(2)
         for f in small:
             if frozenset(f.support) not in _NN_SUPPORTS:
                 raise PatternError(
                     f"spec {self.spec.name!r} is not nearest-neighbour: "
                     f"forbidden support {sorted(f.support)}"
                 )
-        if enumerate_forbidden(self.spec, 4) != small:
+        if self.spec.enumerator(4) != small:
             raise PatternError(
                 f"spec {self.spec.name!r} has forbidden patterns beyond extent 2"
             )
@@ -104,7 +104,7 @@ def choose_border(nn: NNSpec, k: int) -> Pattern:
     side = side_of_level(k)
     ring = ring_cells(side)
     spec = nn.spec
-    state = _make_state(spec, (0, 0, side - 1, side - 1))
+    state = kernel_of(spec).state((0, 0, side - 1, side - 1))
 
     def certify(st) -> bool:
         interior = _interior_cells(0, 0, side, st.cells)
@@ -133,7 +133,7 @@ def standard_square(nn: NNSpec, border: Pattern, m: int) -> Pattern:
     if contains_forbidden(border, nn.spec) is not None:
         raise PatternError("border ring is not locally admissible")
     spec = nn.spec
-    state = _make_state(spec, (0, 0, side - 1, side - 1))
+    state = kernel_of(spec).state((0, 0, side - 1, side - 1))
     state.load(border.cells)
 
     def fill(r0: int, c0: int, size: int) -> None:

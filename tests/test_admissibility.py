@@ -1,16 +1,13 @@
 """Margin-bounded extendability, lex-first completions, counting."""
 
 import itertools
-import os
 
 import pytest
 
 from shiftlab.admissibility import (
-    WORKERS_ENV,
     CompletionRegion,
     count_admissible,
     extendable,
-    first_violation,
     lex_first_completion,
 )
 from shiftlab.core import (
@@ -259,22 +256,3 @@ def test_count_nonincreasing_in_margin():
 def test_hard_square_margin_does_not_drop_counts():
     # every locally admissible hard-square pattern extends by all-0 rings
     assert count_admissible(HS, 2, 1) == 7
-
-
-def test_worker_partitioning_matches_serial():
-    serial = count_admissible(HS, 3, 1)
-    old = os.environ.get(WORKERS_ENV)
-    os.environ[WORKERS_ENV] = "3"
-    try:
-        assert count_admissible(HS, 3, 1) == serial
-    finally:
-        if old is None:
-            del os.environ[WORKERS_ENV]
-        else:
-            os.environ[WORKERS_ENV] = old
-
-
-def test_first_violation_alias():
-    p = make_pattern(["11"])
-    assert first_violation(p, HS) == contains_forbidden(p, HS)
-    assert first_violation(make_pattern(["10"]), HS) is None

@@ -107,12 +107,11 @@ def test_block_count_hard_square(capsys):
     assert report["result"] == {"count": 7}
 
 
-def test_block_count_workers_agree(capsys):
-    _, solo, _ = run_json(capsys, "block-count", "hard-square", "3", "--margin", "1")
-    _, duo, _ = run_json(
-        capsys, "block-count", "hard-square", "3", "--margin", "1", "--workers", "2"
-    )
-    assert solo["result"] == duo["result"]
+def test_block_count_negative_n_exits_1(capsys):
+    rc, out, err = run_cli(capsys, "block-count", "hard-square", "-1")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("shiftlab:") and err.count("\n") == 1
 
 
 def test_kc_exact_reports_machine_steps(capsys):

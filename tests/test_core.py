@@ -13,8 +13,7 @@ from shiftlab.core import (
     Pattern,
     PatternError,
     contains_forbidden,
-    enumerate_forbidden,
-    generic_scan,
+    GenericKernel,
     get_spec,
     hard_square_spec,
     invert,
@@ -176,7 +175,7 @@ def test_run_mask_matches_naive(mask, length):
 def test_hard_square_forbidden_is_two_dominoes():
     hs = hard_square_spec()
     for extent in (2, 3, 7):
-        forb = enumerate_forbidden(hs, extent)
+        forb = hs.enumerator(extent)
         assert len(forb) == 2
         assert forb[0].cells == {(0, 0): "1", (0, 1): "1"}
         assert forb[1].cells == {(0, 0): "1", (1, 0): "1"}
@@ -185,20 +184,20 @@ def test_hard_square_forbidden_is_two_dominoes():
 def test_red_black_counts_per_size():
     assert [red_black_square_count(s) for s in (2, 3, 4)] == [1, 27, 6561]
     rb = red_black_spec()
-    assert len(enumerate_forbidden(rb, 2)) == 1
-    assert len(enumerate_forbidden(rb, 3)) == 28
-    assert len(enumerate_forbidden(rb, 4)) == 6589
+    assert len(rb.enumerator(2)) == 1
+    assert len(rb.enumerator(3)) == 28
+    assert len(rb.enumerator(4)) == 6589
 
 
 def test_red_black_size2_square():
     rb = red_black_spec()
-    (sq,) = enumerate_forbidden(rb, 2)
+    (sq,) = rb.enumerator(2)
     assert sq.rows() == ["RR", "BB"]
 
 
 def test_red_black_interior_free_all_letters():
     rb = red_black_spec()
-    forb = enumerate_forbidden(rb, 3)
+    forb = rb.enumerator(3)
     threes = [f for f in forb if f.extent == 3]
     assert len(threes) == 27
     interiors = {f.at(1, 1) for f in threes}
@@ -223,11 +222,11 @@ def test_enumerators_prefix_closed_and_deterministic():
         (red_black_spec(), 4),
         (mirror_spec(), 5),
     ):
-        small = enumerate_forbidden(spec, 3)
-        big = enumerate_forbidden(spec, big_extent)
+        small = spec.enumerator(3)
+        big = spec.enumerator(big_extent)
         assert list(big[: len(small)]) == list(small)
-        assert [f.to_text() for f in enumerate_forbidden(spec, 4)] == [
-            f.to_text() for f in enumerate_forbidden(spec, 4)
+        assert [f.to_text() for f in spec.enumerator(4)] == [
+            f.to_text() for f in spec.enumerator(4)
         ]
         for f in big:
             assert f.extent <= big_extent
@@ -235,10 +234,10 @@ def test_enumerators_prefix_closed_and_deterministic():
 
 def test_mirror_enumerator_counts():
     mi = mirror_spec()
-    assert len(enumerate_forbidden(mi, 2)) == 5
-    assert len(enumerate_forbidden(mi, 3)) == 12
+    assert len(mi.enumerator(2)) == 5
+    assert len(mi.enumerator(3)) == 12
     # extent 4 adds only the {R, R} column at distance 3
-    assert len(enumerate_forbidden(mi, 4)) == 13
+    assert len(mi.enumerator(4)) == 13
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +305,7 @@ def test_red_black_finder_agrees_with_independent_scan(seeds):
     )
     rb = red_black_spec()
     occ = contains_forbidden(p, rb)
-    hits = _independent_embed_scan(p, enumerate_forbidden(rb, 3))
+    hits = _independent_embed_scan(p, rb.enumerator(3))
     if occ is None:
         assert hits == []
     else:
@@ -319,7 +318,7 @@ def test_finder_matches_generic_scan_on_window():
     rb = red_black_spec()
     p = make_pattern(["WRRW", "WBBW", "WWWW", "RRRW"])
     occ_fast = contains_forbidden(p, rb)
-    occ_slow = generic_scan(p, enumerate_forbidden(rb, p.extent))
+    occ_slow = GenericKernel(rb.alphabet, rb.enumerator).scan(p)
     assert occ_fast == occ_slow
 
 
@@ -345,8 +344,8 @@ def test_spec_from_patterns_orders_by_extent():
     big = Pattern(BINARY, {(0, 0): "1", (2, 2): "1"})
     small = Pattern(BINARY, {(0, 0): "1", (0, 1): "0"})
     spec = spec_from_patterns("user", BINARY, [big, small])
-    assert [f.extent for f in enumerate_forbidden(spec, 3)] == [2, 3]
-    assert enumerate_forbidden(spec, 2) == (small,)
+    assert [f.extent for f in spec.enumerator(3)] == [2, 3]
+    assert spec.enumerator(2) == (small,)
 
 
 def test_get_spec_names():
@@ -361,7 +360,7 @@ def test_get_spec_from_file(tmp_path):
     f = tmp_path / "pat.txt"
     f.write_text(Pattern(BINARY, {(0, 0): "1", (0, 1): "1"}).to_text())
     spec = get_spec(f"file:{f}")
-    assert len(enumerate_forbidden(spec, 2)) == 1
+    assert len(spec.enumerator(2)) == 1
 
 
 @given(

@@ -1,0 +1,146 @@
+"""Spec kernels.
+
+A spec's name never selects a fast path: user specs named like the built-in
+families get the answers of their own forbidden list.  The red-black
+run-mask kernel agrees with the generic kernel built from the materialized
+red-black list.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shiftlab.admissibility import count_admissible, extendable
+from shiftlab.core import (
+    BWR,
+    RED_BLACK_KERNEL,
+    GenericKernel,
+    Pattern,
+    contains_forbidden,
+    make_pattern,
+    red_black_index_offset,
+    red_black_spec,
+    spec_from_patterns,
+)
+from shiftlab.epitomes import (
+    _annulus_cells,
+    epitome_property_check,
+    identity_family,
+    mirror_family,
+    profile_family,
+)
+
+BB = Pattern(BWR, {(0, 0): "B", (0, 1): "B"})
+RB_FORBIDDEN = red_black_spec().enumerator(4)
+
+
+def _domino_spec(name):
+    return spec_from_patterns(name, BWR, [BB])
+
+
+def _capped_generic(cap):
+    """Generic kernel over the red-black list, leaving out squares larger
+    than ``cap``, which cannot occur in a box whose shorter side is ``cap``."""
+    return GenericKernel(
+        BWR, lambda e: RB_FORBIDDEN[: red_black_index_offset(min(e, cap) + 1)]
+    )
+
+
+# ---------------------------------------------------------------------------
+# No routing on spec names
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, routed", [("red-black", profile_family), ("mirror", mirror_family)])
+def test_spec_name_selects_no_fast_path(name, routed):
+    named, user = _domino_spec(name), _domino_spec("user")
+    host = make_pattern(["BW", "WB"])
+    witness = extendable(host, named, 1)
+    assert witness == extendable(host, user, 1)
+    assert contains_forbidden(witness, user) is None
+    assert count_admissible(named, 2, 1) == count_admissible(user, 2, 1)
+    for fam in (identity_family(), routed()):
+        got = epitome_property_check(named, fam, 1)
+        want = epitome_property_check(user, fam, 1)
+        assert (got.ok, got.entries, got.counterexample) == (
+            want.ok,
+            want.entries,
+            want.counterexample,
+        )
+    rep = epitome_property_check(named, identity_family(), 1)
+    assert [e["pass"] for e in rep.entries] == [False, False, False]
+
+
+# ---------------------------------------------------------------------------
+# Run-mask kernel against the generic kernel
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def planted_coloring(draw, squares):
+    """A box of at most 5 x 5 cells but not 5 x 5 (that would need the 3^15
+    forbidden squares of size 5), colored at random, with ``squares``
+    planted squares of red top row and black bottom row (none in a box one
+    cell thin), and the cells of the planted interiors."""
+    h = draw(st.integers(min_value=1, max_value=5))
+    w = draw(st.integers(min_value=1, max_value=4 if h == 5 else 5))
+    coloring = {(r, c): draw(st.sampled_from(BWR.letters)) for r in range(h) for c in range(w)}
+    interiors = []
+    for _ in range(squares):
+        s = draw(st.integers(min_value=min(2, h, w), max_value=min(h, w)))
+        top = draw(st.integers(min_value=0, max_value=h - s))
+        left = draw(st.integers(min_value=0, max_value=w - s))
+        if s > 1:
+            for c in range(left, left + s):
+                coloring[(top, c)] = "R"
+                coloring[(top + s - 1, c)] = "B"
+                interiors += [(r, c) for r in range(top + 1, top + s - 1)]
+    return h, w, coloring, interiors
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_coloring(1), st.data())
+def test_run_mask_state_matches_generic_state(box, data):
+    # The coloring is assigned cell by cell in a drawn order, so the planted
+    # square completes with its interior full or with holes; random
+    # retracts (letter None) and reassignments follow.
+    h, w, coloring, _ = box
+    order = data.draw(st.permutations(sorted(coloring)))
+    loaded = data.draw(st.integers(min_value=0, max_value=len(order) // 3))
+    ops = [(cell, coloring[cell]) for cell in order[loaded:]]
+    ops += data.draw(
+        st.lists(st.tuples(st.sampled_from(order), st.sampled_from(BWR.letters + (None,))), max_size=40)
+    )
+    bbox = (0, 0, h - 1, w - 1)
+    fast = RED_BLACK_KERNEL.state(bbox)
+    slow = _capped_generic(min(h, w)).state(bbox)
+    for oracle in (fast, slow):
+        oracle.load({cell: coloring[cell] for cell in order[:loaded]})
+    for cell, letter in ops:
+        if letter is None:
+            if cell in fast.cells:
+                fast.retract(cell)
+                slow.retract(cell)
+        elif cell not in fast.cells:
+            assert fast.assign(cell, letter) == slow.assign(cell, letter)
+        assert fast.cells == slow.cells
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_coloring(3), st.data())
+def test_run_mask_scan_matches_generic_scan(box, data):
+    # holes inside a planted square keep it from being forbidden
+    h, w, coloring, interiors = box
+    holes = data.draw(st.sets(st.sampled_from(interiors or sorted(coloring)), max_size=1))
+    p = Pattern(BWR, {cell: a for cell, a in coloring.items() if cell not in holes})
+    assert RED_BLACK_KERNEL.scan(p) == _capped_generic(min(h, w)).scan(p)
+
+
+def test_run_mask_window_compat_matches_generic_exhaustive():
+    annulus = _annulus_cells(1, 1)
+    candidates = [make_pattern([a], BWR) for a in BWR.letters]
+    fast = RED_BLACK_KERNEL.window_compat(1, 1, annulus, candidates)
+    slow = _capped_generic(3).window_compat(1, 1, annulus, candidates)
+    assert fast.shape == slow.shape == (3**8, 3)
+    assert (fast == slow).all()
+    assert 0 < fast.sum() < fast.size
