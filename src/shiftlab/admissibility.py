@@ -18,6 +18,7 @@ from .core import (
     contains_forbidden,
     iter_rect_patterns,
     kernel_of,
+    lex_assignments,
 )
 
 
@@ -40,38 +41,6 @@ class CompletionRegion:
             raise PatternError("free cells overlap the host support")
 
 
-def _search(state, free: list[tuple[int, int]], letters: tuple[str, ...], leaf_ok=None) -> bool:
-    """Depth-first lexicographic search; leaves the winning assignment in
-    ``state.cells`` and returns True, or exhausts and returns False.
-
-    ``leaf_ok(state)``, when given, vets every full assignment; a rejected
-    leaf is treated as a dead end and the search continues."""
-    n = len(free)
-    if n == 0:
-        return leaf_ok is None or leaf_ok(state)
-    choice = [-1] * n
-    i = 0
-    while True:
-        if i == n:
-            if leaf_ok is None or leaf_ok(state):
-                return True
-            i -= 1
-            state.retract(free[i])
-            continue
-        nxt = choice[i] + 1
-        if nxt >= len(letters):
-            choice[i] = -1
-            i -= 1
-            if i < 0:
-                return False
-            state.retract(free[i])
-            continue
-        choice[i] = nxt
-        if state.assign(free[i], letters[nxt]):
-            i += 1
-    # not reached
-
-
 def lex_first_completion(region: CompletionRegion, spec: ShiftSpec) -> Pattern | None:
     """Lex-first locally admissible filling of the region's free cells.
 
@@ -92,7 +61,7 @@ def lex_first_completion(region: CompletionRegion, spec: ShiftSpec) -> Pattern |
     bbox = (min(rs), min(cs), max(rs), max(cs))
     state = kernel_of(spec).state(bbox)
     state.load(host.cells)
-    if _search(state, free, spec.alphabet.letters):
+    for _ in lex_assignments(state, free, spec.alphabet.letters):
         return Pattern(spec.alphabet, state.cells)
     return None
 
@@ -107,10 +76,6 @@ def extendable(p: Pattern, spec: ShiftSpec, margin: int) -> Pattern | None:
         raise PatternError("extendable requires a rectangular pattern")
     if margin < 0:
         raise PatternError("margin must be nonnegative")
-    if contains_forbidden(p, spec) is not None:
-        return None
-    if margin == 0:
-        return p
     host = p.translate(margin, margin)
     height = p.height + 2 * margin
     width = p.width + 2 * margin
@@ -124,10 +89,8 @@ def extendable(p: Pattern, spec: ShiftSpec, margin: int) -> Pattern | None:
 
 
 def count_admissible(spec: ShiftSpec, n: int, margin: int) -> int:
-    """Number of n x n patterns with an admissible margin extension,
-    exhaustive over all |alphabet|^(n*n) candidates."""
+    """Number of n x n patterns with an admissible margin extension; the
+    margin search runs on the locally admissible patterns only."""
     if n < 1:
         raise PatternError("n must be positive")
-    return sum(
-        1 for q in iter_rect_patterns(spec.alphabet, n, n) if extendable(q, spec, margin) is not None
-    )
+    return sum(1 for q in iter_rect_patterns(spec, n, n) if extendable(q, spec, margin) is not None)

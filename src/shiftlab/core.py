@@ -289,13 +289,6 @@ def invert(p: Pattern) -> Pattern:
     return Pattern(p.alphabet, {cell: flip[a] for cell, a in p.items()})
 
 
-def iter_rect_patterns(alphabet: Alphabet, h: int, w: int) -> Iterator[Pattern]:
-    """All h x w patterns in canonical (row-major lexicographic) order."""
-    coords = [(r, c) for r in range(h) for c in range(w)]
-    for letters in itertools.product(alphabet.letters, repeat=h * w):
-        yield Pattern(alphabet, dict(zip(coords, letters)))
-
-
 # ---------------------------------------------------------------------------
 # Shift specifications
 # ---------------------------------------------------------------------------
@@ -317,9 +310,10 @@ class Occurrence:
 class ShiftSpec:
     """A shift of finite (or countable, extent-bounded) type.
 
-    ``enumerator(max_extent)`` returns the forbidden patterns of extent at
-    most ``max_extent`` as a tuple; it must be deterministic and prefix-closed
-    (the list for a smaller extent is a prefix of the list for a larger one).
+    ``enumerator(max_extent)`` returns the nonempty forbidden patterns of
+    extent at most ``max_extent``, each anchored at the origin, as a tuple;
+    it must be deterministic and prefix-closed (the list for a smaller extent
+    is a prefix of the list for a larger one).
     ``forbidden_index`` values refer to positions in this list.
 
     ``kernel`` is an optional fast path for families whose forbidden lists
@@ -360,6 +354,45 @@ def contains_forbidden(p: Pattern, spec: ShiftSpec) -> Occurrence | None:
     if p.alphabet.letters != spec.alphabet.letters:
         raise PatternError(f"pattern alphabet does not match spec {spec.name!r}")
     return kernel_of(spec).scan(p)
+
+
+def lex_assignments(state, free: list[tuple[int, int]], letters: tuple[str, ...]) -> Iterator[None]:
+    """Depth-first search over ``free`` (filled in the given order, letters in
+    the given order) on an incremental ``state``: yields once per admissible
+    assignment, in lexicographic order, with the assignment in
+    ``state.cells`` while suspended.  The consumer may change the state
+    between yields if it restores it."""
+    assign, retract, k = state.assign, state.retract, len(letters)
+    n = len(free)
+    choice = [-1] * n
+    i = 0
+    while True:
+        if i < n:
+            nxt = choice[i] + 1
+            if nxt < k:
+                choice[i] = nxt
+                if assign(free[i], letters[nxt]):
+                    i += 1
+                continue
+            choice[i] = -1
+        else:
+            yield
+        i -= 1
+        if i < 0:
+            return
+        retract(free[i])
+
+
+def iter_rect_patterns(spec: ShiftSpec, h: int, w: int) -> Iterator[Pattern]:
+    """The locally admissible h x w patterns of ``spec`` in canonical
+    (row-major lexicographic) order: all |alphabet|^(h*w) of them when the
+    spec forbids nothing."""
+    if h < 0 or w < 0:
+        raise PatternError(f"negative rectangle size {h} x {w}")
+    state = kernel_of(spec).state((0, 0, h - 1, w - 1))
+    cells = [(r, c) for r in range(h) for c in range(w)]
+    letters = spec.alphabet.letters
+    return (Pattern(spec.alphabet, state.cells) for _ in lex_assignments(state, cells, letters))
 
 
 def _scan_plan(p: Pattern, plan) -> Occurrence | None:
@@ -727,13 +760,16 @@ BUILTIN_SPECS: dict[str, Callable[[], ShiftSpec]] = {
 def spec_from_patterns(name: str, alphabet: Alphabet, patterns: Iterable[Pattern]) -> ShiftSpec:
     """A user-defined shift from explicit forbidden patterns.
 
-    Patterns are ordered by extent (stable within equal extents), making the
-    enumerator prefix-closed by construction.
+    Patterns are re-anchored at the origin (a forbidden pattern is forbidden
+    at every translate) and ordered by extent (stable within equal extents),
+    making the enumerator prefix-closed by construction.
     """
-    pats = sorted(patterns, key=lambda q: q.extent)
+    pats = sorted((q.reanchored() for q in patterns), key=lambda q: q.extent)
     for q in pats:
         if q.alphabet.letters != alphabet.letters:
             raise PatternError("forbidden pattern alphabet mismatch")
+        if not len(q):
+            raise PatternError("empty forbidden pattern")
 
     def enumerator(max_extent: int) -> tuple[Pattern, ...]:
         return tuple(q for q in pats if q.extent <= max_extent)

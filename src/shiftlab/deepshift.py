@@ -524,9 +524,7 @@ def two_part_code(p: Pattern, k: int, spec: ShiftSpec, margin: int = 0) -> TwoPa
     if k < 1 or p.height % k:
         raise PatternError(f"side {p.height} is not a multiple of k={k}")
     N = p.height // k
-    dictionary = [
-        q for q in iter_rect_patterns(spec.alphabet, k, k) if extendable(q, spec, margin) is not None
-    ]
+    dictionary = [q for q in iter_rect_patterns(spec, k, k) if extendable(q, spec, margin) is not None]
     L = len(dictionary)
     if L == 0:
         raise InfeasibleError("no admissible blocks at this size")

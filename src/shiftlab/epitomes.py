@@ -399,7 +399,7 @@ def _check_generic(spec, fam, n, margin) -> PropertyReport:
             f"annulus search over {combos} colorings is infeasible; "
             "use a family with a dedicated window builder"
         )
-    candidates = list(iter_rect_patterns(spec.alphabet, n, n))
+    candidates = list(iter_rect_patterns(spec, n, n))
     values = [fam.evaluate(q) for q in candidates]
     compat = kernel_of(spec).window_compat(n, margin, annulus, candidates)
 
@@ -528,7 +528,7 @@ def _check_mirror(spec, fam, n, margin) -> PropertyReport:
     entries = []
     ok = True
     counterexample = None
-    candidates = list(iter_rect_patterns(BWR, n, n))
+    candidates = list(iter_rect_patterns(spec, n, n))
     for p in candidates:
         if extendable(p, spec, margin) is None:
             continue
@@ -574,6 +574,8 @@ def epitome_property_check(
     every annulus coloring of the given margin (with a feasibility guard).
     A spec's name never selects a route.
     """
+    if n < 1:
+        raise PatternError("n must be positive")
     if fam.strategy == "red-black-enforcer" and spec.kernel is RED_BLACK_KERNEL:
         return _check_red_black_profiles(spec, fam, n, window_margin)
     if fam.strategy == "mirror-line" and spec.enumerator is mirror_spec().enumerator:
@@ -627,6 +629,8 @@ def border_epitome_consistency(
 ) -> ConsistencyReport:
     """Group the locally admissible n x n cover patterns by border ring and
     test whether the ring determines the projected pattern's epitome."""
+    if n < 1:
+        raise PatternError("n must be positive")
     ring = [
         (r, c)
         for r in range(n)
@@ -634,9 +638,7 @@ def border_epitome_consistency(
         if r in (0, n - 1) or c in (0, n - 1)
     ]
     groups: dict[str, list] = {}
-    for q in iter_rect_patterns(spec.alphabet, n, n):
-        if contains_forbidden(q, spec) is not None:
-            continue
+    for q in iter_rect_patterns(spec, n, n):
         key = "".join(q.at(r, c) for r, c in ring)
         groups.setdefault(key, []).append(fam.evaluate(_project(q, projection)))
     out = []

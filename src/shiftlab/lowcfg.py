@@ -19,7 +19,6 @@ import json
 import os
 from dataclasses import dataclass
 
-from .admissibility import _search
 from .core import (
     Alphabet,
     InfeasibleError,
@@ -28,6 +27,7 @@ from .core import (
     ShiftSpec,
     contains_forbidden,
     kernel_of,
+    lex_assignments,
     subpattern,
 )
 from .deepshift import gamma_encode
@@ -92,6 +92,16 @@ def _interior_cells(r0: int, c0: int, side: int, assigned) -> list[tuple[int, in
     ]
 
 
+def _completable(state, cells: list[tuple[int, int]], letters: tuple[str, ...]) -> bool:
+    """Whether ``cells`` admit a locally admissible filling; leaves the state
+    as it found it."""
+    for _ in lex_assignments(state, cells, letters):
+        for cell in reversed(cells):
+            state.retract(cell)
+        return True
+    return False
+
+
 def choose_border(nn: NNSpec, k: int) -> Pattern:
     """Lex-first completable border ring for the level-k square.
 
@@ -104,19 +114,12 @@ def choose_border(nn: NNSpec, k: int) -> Pattern:
     side = side_of_level(k)
     ring = ring_cells(side)
     spec = nn.spec
+    letters = spec.alphabet.letters
     state = kernel_of(spec).state((0, 0, side - 1, side - 1))
-
-    def certify(st) -> bool:
-        interior = _interior_cells(0, 0, side, st.cells)
-        if _search(st, interior, spec.alphabet.letters):
-            for cell in reversed(interior):
-                st.retract(cell)
-            return True
-        return False
-
-    if not _search(state, ring, spec.alphabet.letters, leaf_ok=certify):
-        raise InfeasibleError(f"no completable border at level {k} for {spec.name!r}")
-    return Pattern(spec.alphabet, {cell: state.cells[cell] for cell in ring})
+    for _ in lex_assignments(state, ring, letters):
+        if _completable(state, _interior_cells(0, 0, side, state.cells), letters):
+            return Pattern(spec.alphabet, {cell: state.cells[cell] for cell in ring})
+    raise InfeasibleError(f"no completable border at level {k} for {spec.name!r}")
 
 
 def standard_square(nn: NNSpec, border: Pattern, m: int) -> Pattern:
@@ -133,6 +136,7 @@ def standard_square(nn: NNSpec, border: Pattern, m: int) -> Pattern:
     if contains_forbidden(border, nn.spec) is not None:
         raise PatternError("border ring is not locally admissible")
     spec = nn.spec
+    letters = spec.alphabet.letters
     state = kernel_of(spec).state((0, 0, side - 1, side - 1))
     state.load(border.cells)
 
@@ -150,15 +154,10 @@ def standard_square(nn: NNSpec, border: Pattern, m: int) -> Pattern:
             seen.add(cell)
             center.append(cell)
 
-        def certify(st) -> bool:
-            rest = _interior_cells(r0, c0, size, st.cells)
-            if _search(st, rest, spec.alphabet.letters):
-                for cell in reversed(rest):
-                    st.retract(cell)
-                return True
-            return False
-
-        if not _search(state, center, spec.alphabet.letters, leaf_ok=certify):
+        for _ in lex_assignments(state, center, letters):
+            if _completable(state, _interior_cells(r0, c0, size, state.cells), letters):
+                break
+        else:
             raise InfeasibleError(
                 f"centerlines of the square at ({r0}, {c0}) size {size} "
                 "admit no completable assignment"

@@ -17,7 +17,6 @@ from shiftlab.core import (
     PatternError,
     contains_forbidden,
     hard_square_spec,
-    iter_rect_patterns,
     make_pattern,
     red_black_spec,
     spec_from_patterns,
@@ -59,7 +58,8 @@ def test_witness_contains_centered_input():
 
 
 def test_success_at_larger_margin_implies_smaller():
-    for p in iter_rect_patterns(BINARY, 2, 2):
+    for bits in itertools.product("01", repeat=4):
+        p = make_pattern(["".join(bits[:2]), "".join(bits[2:])])
         if extendable(p, HS, 2) is not None:
             assert extendable(p, HS, 1) is not None
             assert extendable(p, HS, 0) is not None

@@ -114,6 +114,20 @@ def test_block_count_negative_n_exits_1(capsys):
     assert err.startswith("shiftlab:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("border-consistency", "--n", "0"),
+        ("epitome-verify", "--family", "identity", "--n", "0"),
+    ],
+)
+def test_sizes_below_range_exit_1(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("shiftlab:") and err.count("\n") == 1
+
+
 def test_kc_exact_reports_machine_steps(capsys):
     rc, report, _ = run_json(capsys, "kc-exact", "11", "--max-len", "8", "--budget", "64")
     assert rc == 0

@@ -136,9 +136,76 @@ def test_invert_requires_binary():
 
 
 def test_iter_rect_patterns_order_and_count():
-    pats = list(iter_rect_patterns(BINARY, 1, 2))
+    pats = list(iter_rect_patterns(spec_from_patterns("free", BINARY, ()), 1, 2))
     assert [p.rows() for p in pats] == [["00"], ["01"], ["10"], ["11"]]
-    assert sum(1 for _ in iter_rect_patterns(BWR, 2, 1)) == 9
+    assert sum(1 for _ in iter_rect_patterns(spec_from_patterns("free", BWR, ()), 2, 1)) == 9
+
+
+@pytest.mark.parametrize("h, w", [(-1, -1), (-1, 2), (2, -1)])
+def test_iter_rect_patterns_rejects_negative_sizes(h, w):
+    with pytest.raises(PatternError):
+        iter_rect_patterns(hard_square_spec(), h, w)
+
+
+def _filtered_product(spec, h, w):
+    # every h x w pattern in canonical order, kept when the scan finds nothing
+    coords = [(r, c) for r in range(h) for c in range(w)]
+    out = []
+    for letters in itertools.product(spec.alphabet.letters, repeat=h * w):
+        q = Pattern(spec.alphabet, dict(zip(coords, letters)))
+        if contains_forbidden(q, spec) is None:
+            out.append(q)
+    return out
+
+
+@st.composite
+def _user_specs(draw):
+    alphabet = draw(st.sampled_from([BINARY, BWR]))
+    patterns = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        support = draw(
+            st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=4)
+        )
+        cells = {cell: draw(st.sampled_from(alphabet.letters)) for cell in sorted(support)}
+        patterns.append(Pattern(alphabet, cells))
+    return spec_from_patterns("user", alphabet, patterns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_user_specs(), st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
+def test_iter_rect_patterns_matches_filtered_product(spec, h, w):
+    assert list(iter_rect_patterns(spec, h, w)) == _filtered_product(spec, h, w)
+
+
+# mirror 3x3: 2^9 without red, 2^6 with the red row on top or at the
+# bottom, 2^3 with it in the middle (rows 0 and 2 agree)
+@pytest.mark.parametrize("spec, expected", [(red_black_spec(), 18748), (mirror_spec(), 648)])
+def test_iter_rect_patterns_exhaustive_3x3(spec, expected):
+    got = list(iter_rect_patterns(spec, 3, 3))
+    assert got == _filtered_product(spec, 3, 3)
+    assert len(got) == expected
+
+
+def _hard_square_transfer_count(n):
+    # rows are bitmasks without adjacent 1s; stacked rows share no 1 bit
+    rows = [m for m in range(1 << n) if not m & (m >> 1)]
+    ways = dict.fromkeys(rows, 1)
+    for _ in range(n - 1):
+        ways = {b: sum(k for a, k in ways.items() if not a & b) for b in rows}
+    return sum(ways.values())
+
+
+# OEIS A006506: n x n binary matrices with no two adjacent 1s, n = 0..7
+A006506 = (1, 2, 7, 63, 1234, 55447, 5598861, 1280128950)
+
+
+def test_hard_square_transfer_matrix_matches_oeis():
+    assert tuple(_hard_square_transfer_count(n) for n in range(8)) == A006506
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_iter_rect_patterns_hard_square_matches_transfer_matrix(n):
+    assert sum(1 for _ in iter_rect_patterns(hard_square_spec(), n, n)) == A006506[n]
 
 
 def test_lex_key_row_major():
@@ -346,6 +413,15 @@ def test_spec_from_patterns_orders_by_extent():
     spec = spec_from_patterns("user", BINARY, [big, small])
     assert [f.extent for f in spec.enumerator(3)] == [2, 3]
     assert spec.enumerator(2) == (small,)
+
+
+def test_spec_from_patterns_reanchors_and_rejects_empty():
+    shifted = Pattern(BINARY, {(1, 1): "1", (1, 2): "1"})
+    spec = spec_from_patterns("user", BINARY, [shifted])
+    assert spec.enumerator(2) == (make_pattern(["11"]),)
+    assert contains_forbidden(make_pattern(["11"]), spec) is not None
+    with pytest.raises(PatternError):
+        spec_from_patterns("user", BINARY, [Pattern(BINARY, {})])
 
 
 def test_get_spec_names():

@@ -335,3 +335,10 @@ def test_border_consistency_ordered_kind():
 def test_border_consistency_projection_alphabet_guard():
     with pytest.raises(PatternError):
         border_epitome_consistency(HS, {"0": "x", "1": "y"}, constant_family(), 2)
+
+
+def test_sizes_below_one_rejected():
+    with pytest.raises(PatternError):
+        border_epitome_consistency(HS, IDENTITY, constant_family(), 0)
+    with pytest.raises(PatternError):
+        epitome_property_check(RB, identity_family(), 0)
