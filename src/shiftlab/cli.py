@@ -445,7 +445,8 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         _emit(args, {"command": args.command, "error": str(exc), "infeasible": True})
         return 3
-    except PatternError as exc:
+    except (OSError, ValueError) as exc:
+        # PatternError and json.JSONDecodeError are ValueErrors
         print(f"shiftlab: {exc}", file=sys.stderr)
         return 1
 

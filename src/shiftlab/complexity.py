@@ -37,23 +37,11 @@ from __future__ import annotations
 import itertools
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import BINARY, InfeasibleError, Pattern
+from .core import BINARY, InfeasibleError, Pattern, PatternError
 
 OUT0, OUT1, INC, DEC, WHILE, ENDW, SWAP, HALT = range(8)
-
-
-@dataclass(frozen=True)
-class MachineProgram:
-    bits: str
-
-    def __post_init__(self):
-        if set(self.bits) - {"0", "1"}:
-            raise ValueError(f"program must be a bit string, got {self.bits!r}")
-
-    def __len__(self) -> int:
-        return len(self.bits)
 
 
 @dataclass(frozen=True)
@@ -76,14 +64,6 @@ class StepMeter:
 
     def add(self, n: int) -> None:
         self.steps += n
-
-
-def _bits_of(program: MachineProgram | str) -> str:
-    if isinstance(program, MachineProgram):
-        return program.bits
-    if set(program) - {"0", "1"}:
-        raise ValueError(f"program must be a bit string, got {program!r}")
-    return program
 
 
 def _run(bits: str, budget: int) -> RunOutcome:
@@ -146,9 +126,11 @@ def _run(bits: str, budget: int) -> RunOutcome:
     return RunOutcome(True, "".join(out), steps)
 
 
-def run_program(program: MachineProgram | str, budget: int, meter: StepMeter | None = None) -> RunOutcome:
+def run_program(program: str, budget: int, meter: StepMeter | None = None) -> RunOutcome:
     """Run a program for at most ``budget`` steps."""
-    outcome = _run(_bits_of(program), budget)
+    if set(program) - {"0", "1"}:
+        raise ValueError(f"program must be a bit string, got {program!r}")
+    outcome = _run(program, budget)
     if meter is not None:
         meter.add(outcome.steps)
     return outcome
@@ -178,6 +160,8 @@ class ComplexityResult:
 
 def ctime(x: str, max_len: int, budget: int, meter: StepMeter | None = None) -> ComplexityResult:
     """Exact time-bounded complexity of ``x`` by exhaustive enumeration."""
+    if max_len < 0:
+        raise PatternError("max_len must be nonnegative")
     for bits in iter_programs(max_len):
         outcome = run_program(bits, budget, meter)
         if outcome.halted and outcome.output == x:
@@ -221,6 +205,8 @@ def lex_first_incompressible(
     ``threshold <= n*n + 1`` is required: the literal program of length
     n*n + 1 prints every matrix, so higher thresholds are unsatisfiable.
     """
+    if n < 1:
+        raise PatternError("n must be positive")
     if threshold > n * n + 1:
         raise InfeasibleError(
             f"threshold {threshold} exceeds the literal bound {n * n + 1}"

@@ -20,8 +20,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .admissibility import extendable
 from .core import (
     BWR,
@@ -37,6 +35,7 @@ from .core import (
     kernel_of,
     mirror_spec,
     red_black_spec,
+    spec_from_patterns,
 )
 
 # ---------------------------------------------------------------------------
@@ -104,31 +103,23 @@ def all_profiles(n: int):
         yield Profile(counts)
 
 
-def simple_pattern_census(n: int, chunk: int = 1 << 20) -> int:
-    """Exhaustive count of simple n x n patterns over all 3^(n^2) candidates.
+# The simple patterns are exactly the locally admissible patterns of the
+# shift forbidding red and a white cell directly left of a black one.
+_SIMPLE = spec_from_patterns(
+    "simple",
+    BWR,
+    (Pattern(BWR, {(0, 0): "R"}), Pattern(BWR, {(0, 0): "W", (0, 1): "B"})),
+)
 
-    Vectorized digit extraction keeps n = 4 (43M candidates) in seconds; the
-    count is produced by enumeration, not by a closed formula.
-    """
+
+def simple_pattern_census(n: int) -> int:
+    """Count of simple n x n patterns, produced by enumerating each one, not
+    by a closed formula."""
     if n < 1:
         raise PatternError("n must be positive")
     if n > 4:
-        raise InfeasibleError("census enumerates 3^(n^2) patterns; n > 4 is out of reach")
-    total = 3 ** (n * n)
-    powers = [3 ** (r * n + c) for r in range(n) for c in range(n)]
-    count = 0
-    for start in range(0, total, chunk):
-        arr = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        ok = np.ones(arr.shape, dtype=bool)
-        for r in range(n):
-            prev = (arr // powers[r * n]) % 3
-            ok &= prev <= 1
-            for c in range(1, n):
-                d = (arr // powers[r * n + c]) % 3
-                ok &= (d <= 1) & (d >= prev)
-                prev = d
-        count += int(ok.sum())
-    return count
+        raise InfeasibleError("census is limited to n <= 4")
+    return sum(1 for _ in iter_rect_patterns(_SIMPLE, n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +266,14 @@ class EpitomeFamily:
     annulus search."""
 
     name: str
-    kind: str  # "plain" | "ordered"
     evaluate: Callable[[Pattern], object]
     leq: Callable[[object, object], bool] | None = None
     strategy: str = "generic"
 
-    def __post_init__(self):
-        if self.kind not in ("plain", "ordered"):
-            raise PatternError(f"unknown kind {self.kind!r}")
-        if self.kind == "ordered" and self.leq is None:
-            raise PatternError("ordered families need a comparison")
+    @property
+    def kind(self) -> str:
+        """Ordered when the family carries a comparison, plain otherwise."""
+        return "plain" if self.leq is None else "ordered"
 
 
 def _total(evaluate):
@@ -303,7 +292,6 @@ def _total(evaluate):
 def profile_family() -> EpitomeFamily:
     return EpitomeFamily(
         name="profile",
-        kind="ordered",
         evaluate=_total(profile),
         leq=lambda a, b: profile_leq(a, b),
         strategy="red-black-enforcer",
@@ -313,7 +301,6 @@ def profile_family() -> EpitomeFamily:
 def mirror_family() -> EpitomeFamily:
     return EpitomeFamily(
         name="mirror",
-        kind="plain",
         evaluate=_total(mirror_epitome),
         strategy="mirror-line",
     )
@@ -325,17 +312,18 @@ def identity_family() -> EpitomeFamily:
     square-forbidding family."""
     return EpitomeFamily(
         name="identity",
-        kind="plain",
         evaluate=lambda p: tuple(p.rows()),
     )
 
 
 def constant_family(value: object = 0) -> EpitomeFamily:
-    return EpitomeFamily(name="constant", kind="plain", evaluate=lambda p: value)
+    return EpitomeFamily(name="constant", evaluate=lambda p: value)
 
 
 def interior_popcount_family(kind: str = "plain") -> EpitomeFamily:
     """Number of 1-cells strictly inside the bounding box (binary patterns)."""
+    if kind not in ("plain", "ordered"):
+        raise PatternError(f"unknown kind {kind!r}")
 
     def evaluate(p: Pattern):
         if p.alphabet.letters != BINARY.letters or not p.is_rectangular:
@@ -348,7 +336,6 @@ def interior_popcount_family(kind: str = "plain") -> EpitomeFamily:
 
     return EpitomeFamily(
         name="interior-popcount",
-        kind=kind,
         evaluate=evaluate,
         leq=(lambda a, b: a <= b) if kind == "ordered" else None,
     )
@@ -392,6 +379,8 @@ def _annulus_pattern(spec, annulus, combo_index):
 
 
 def _check_generic(spec, fam, n, margin) -> PropertyReport:
+    import numpy as np
+
     annulus = _annulus_cells(n, margin)
     combos = len(spec.alphabet) ** len(annulus)
     if combos > 2_000_000:
@@ -576,6 +565,8 @@ def epitome_property_check(
     """
     if n < 1:
         raise PatternError("n must be positive")
+    if window_margin < 0:
+        raise PatternError("window_margin must be nonnegative")
     if fam.strategy == "red-black-enforcer" and spec.kernel is RED_BLACK_KERNEL:
         return _check_red_black_profiles(spec, fam, n, window_margin)
     if fam.strategy == "mirror-line" and spec.enumerator is mirror_spec().enumerator:

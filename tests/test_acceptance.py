@@ -253,7 +253,7 @@ def test_criterion_05_lex_first_incompressible_double_enumeration():
     assert M.rows() == ["00", "00"]
 
 
-def test_criterion_06_standard_square_suite(tmp_path):
+def test_criterion_06_standard_square_suite(child_env):
     hs = hard_square_spec()
     nn = NNSpec(hs)
     squares = {}
@@ -273,7 +273,11 @@ def test_criterion_06_standard_square_suite(tmp_path):
     )
     runs = [
         subprocess.run(
-            [sys.executable, "-c", snippet], capture_output=True, text=True, timeout=300
+            [sys.executable, "-c", snippet],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=child_env,
         )
         for _ in range(2)
     ]

@@ -119,9 +119,21 @@ def test_block_count_negative_n_exits_1(capsys):
     [
         ("border-consistency", "--n", "0"),
         ("epitome-verify", "--family", "identity", "--n", "0"),
+        ("epitome-verify", "--family", "identity", "--n", "1", "--margin", "-1"),
+        ("kc-incompressible", "--side", "0", "--threshold", "1", "--budget", "10"),
+        ("kc-exact", "11", "--max-len", "-3", "--budget", "5"),
+        ("kc-exact", "11", "--max-len", "3", "--budget", "-5"),
+        ("border-consistency", "--projection", "0=B,1"),
+        ("render", "{tmp}/missing.txt"),
+        ("two-part-code", "--pattern", "{tmp}/missing.txt", "--k", "2"),
+        ("deep-member", "--family", "{tmp}/missing", "--pattern", "x"),
+        ("verify-archive", "{tmp}"),
     ],
 )
-def test_sizes_below_range_exit_1(capsys, argv):
+def test_sizes_below_range_exit_1(capsys, tmp_path, argv):
+    """Sizes below range and unreadable inputs: exit 1, one stderr line."""
+    (tmp_path / "manifest.json").write_text("{")  # a malformed archive at {tmp}
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 1
     assert out == ""
@@ -407,13 +419,18 @@ def test_render_prints_raw_grid(tmp_path, capsys):
     assert out == "BW\nRW\n"
 
 
-def test_console_entry_point_subprocess(tmp_path):
+def test_console_entry_point_subprocess(child_env):
+    # the CLI and a census stay off numpy, so start-up does not pay for it
+    snippet = (
+        "import sys; from shiftlab.cli import main; rc = main(['census', '2']); "
+        "assert 'numpy' not in sys.modules; sys.exit(rc)"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from shiftlab.cli import main; sys.exit(main(['census', '2']))"],
+        [sys.executable, "-c", snippet],
         capture_output=True,
         text=True,
         timeout=120,
+        env=child_env,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"] == {"simple_patterns": 9}
