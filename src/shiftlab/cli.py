@@ -3,9 +3,10 @@
 Every subcommand prints a JSON report carrying the package version, the
 effective configuration, the results, and a timing block in which wall-clock
 seconds and simulated machine steps are kept strictly apart (``render`` is
-the one plain-text exception).  Exit codes: 0 success, 1 bad usage or bad
-input, 2 a verification or consistency check failed, 3 the request is
-infeasible at the attempted scale.
+the one plain-text exception).  Commands that run the description machine
+add a ``metrics`` block of work counters, kept out of the results.  Exit
+codes: 0 success, 1 bad usage or bad input, 2 a verification or consistency
+check failed, 3 the request is infeasible at the attempted scale.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ def _int_list(text: str) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each returns (payload, ok, machine_steps | None).
+# Subcommand handlers.  Each returns (payload, ok, machine_steps | None),
+# optionally followed by a metrics dict.
 # ---------------------------------------------------------------------------
 
 
@@ -124,7 +126,12 @@ def _cmd_deep_build(args):
             rel for lv in manifest["levels"] for rel in lv["block_files"]
         ),
     }
-    return payload, True, fam.measured_steps
+    metrics = {
+        "levels": [
+            {"level": i, **meter.counters()} for i, meter in enumerate(fam.meters, 1)
+        ]
+    }
+    return payload, True, fam.measured_steps, metrics
 
 
 def _cmd_deep_member(args):
@@ -195,7 +202,7 @@ def _cmd_kc_exact(args):
         "value": res.value,
         "witness": res.witness,
     }
-    return payload, True, meter.steps
+    return payload, True, meter.steps, meter.counters()
 
 
 def _cmd_kc_incompressible(args):
@@ -217,7 +224,7 @@ def _cmd_kc_incompressible(args):
             "permutations": [list(p) for p in perms],
             "encoding": encode_rank_tuple(tuple(ranks), args.length),
         }
-    return payload, True, meter.steps
+    return payload, True, meter.steps, meter.counters()
 
 
 def _cmd_epitome_verify(args):
@@ -253,7 +260,12 @@ def _cmd_border_consistency(args):
     if args.projection == "identity":
         projection = {a: a for a in spec.alphabet.letters}
     else:
-        projection = dict(pair.split("=", 1) for pair in args.projection.split(","))
+        projection = {}
+        for entry in args.projection.split(","):
+            src, eq, dst = entry.partition("=")
+            if not (src and eq and dst):
+                raise PatternError(f"projection entry {entry!r} is not of the form a=b")
+            projection[src] = dst
     rep = border_epitome_consistency(spec, projection, fam, args.n)
     payload = {
         "groups": len(rep.groups),
@@ -454,7 +466,7 @@ def main(argv=None) -> int:
         sys.stdout.write(out)
         return 0
 
-    payload, ok, machine_steps = out
+    payload, ok, machine_steps, *metrics = out
     timing = {"wall_seconds": round(time.perf_counter() - t0, 6)}
     if machine_steps is not None:
         # simulated cost, never mixed into the wall clock
@@ -467,6 +479,8 @@ def main(argv=None) -> int:
         "result": payload,
         "timing": timing,
     }
+    if metrics:
+        report["metrics"] = metrics[0]
     _emit(args, report)
     return 0 if ok else 2
 

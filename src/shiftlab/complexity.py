@@ -38,17 +38,18 @@ import itertools
 import math
 import zlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import BINARY, InfeasibleError, Pattern, PatternError
 
 OUT0, OUT1, INC, DEC, WHILE, ENDW, SWAP, HALT = range(8)
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(NamedTuple):
     """Result of one bounded run.  ``halted=False`` always reports
     ``steps == budget`` (the run was cut off, or the program was statically
-    non-halting and charged its whole budget)."""
+    non-halting and charged its whole budget).  Immutable, so programs with
+    the same opcode list can share one."""
 
     halted: bool
     output: str
@@ -58,15 +59,36 @@ class RunOutcome:
 @dataclass
 class StepMeter:
     """Accumulates machine steps actually executed; used to make the
-    higher-level time budgets depend deterministically on measured work."""
+    higher-level time budgets depend deterministically on measured work.
+
+    It also counts the runs it was charged for, the runs answered by an
+    earlier program with the same opcode list (``memo_reuses``), and the
+    loops proven periodic and skipped by whole periods (``cycle_cutoffs``).
+    None of these counts changes a run's outcome or its steps."""
 
     steps: int = 0
+    runs: int = 0
+    memo_reuses: int = 0
+    cycle_cutoffs: int = 0
 
-    def add(self, n: int) -> None:
-        self.steps += n
+    def counters(self) -> dict[str, int]:
+        return {
+            "runs": self.runs,
+            "memo_reuses": self.memo_reuses,
+            "cycle_cutoffs": self.cycle_cutoffs,
+        }
 
 
-def _run(bits: str, budget: int) -> RunOutcome:
+# Outcomes of VM opcode lists at one budget, keyed by the opcode bits.  A
+# search runs all its programs at one budget, so the memo holds at most one
+# search's opcode lists; it is emptied whenever the budget changes.
+_memo: dict[str, RunOutcome] = {}
+_memo_budget = -1
+_rejected = RunOutcome(False, "", 0)  # shared by unbalanced lists at _memo_budget
+
+
+def _run(bits: str, budget: int, meter: StepMeter | None = None) -> RunOutcome:
+    global _memo_budget, _rejected
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     if not bits:
@@ -76,8 +98,31 @@ def _run(bits: str, budget: int) -> RunOutcome:
         if budget >= need:
             return RunOutcome(True, bits[1:], need)
         return RunOutcome(False, bits[1 : max(1, budget)], budget)
-    body = bits[1:]
-    ops = [int(body[i : i + 3], 2) for i in range(0, len(body) - 2, 3)]
+    if budget != _memo_budget:
+        _memo.clear()
+        _memo_budget = budget
+        _rejected = RunOutcome(False, "", budget)
+    code = bits[1 : len(bits) - (len(bits) - 1) % 3]
+    outcome = _memo.get(code)
+    if outcome is None:
+        outcome = _memo[code] = _interpret(code, budget, meter)
+    elif meter is not None:
+        meter.memo_reuses += 1
+    return outcome
+
+
+def _interpret(code: str, budget: int, meter: StepMeter | None) -> RunOutcome:
+    """Run a VM opcode list (a multiple of 3 bits) from A = B = 0.
+
+    The state at every ENDW back-jump is checked for an exact repeat of
+    ``(pc, A, B)`` against the state saved at the 1st, 2nd, 4th, 8th, ...
+    back-jump (Brent's cycle finding, constant memory).  A repeat proves
+    the run periodic from the saved state on: whole periods, with their
+    output, are skipped up to the budget and the rest is stepped, so the
+    outcome equals plain stepping's.  Loops whose counters grow never
+    repeat and are stepped throughout.
+    """
+    ops = [int(code[i : i + 3], 2) for i in range(0, len(code), 3)]
     match: dict[int, int] = {}
     stack = []
     for i, op in enumerate(ops):
@@ -85,17 +130,22 @@ def _run(bits: str, budget: int) -> RunOutcome:
             stack.append(i)
         elif op == ENDW:
             if not stack:
-                return RunOutcome(False, "", budget)
+                return _rejected
             j = stack.pop()
             match[i] = j
             match[j] = i
     if stack:
-        return RunOutcome(False, "", budget)
+        return _rejected
     a = b = 0
     pc = 0
     steps = 0
     out: list[str] = []
     n_ops = len(ops)
+    watch = True
+    jumps = 0
+    next_save = 1
+    saved_pc = -1  # no state saved yet
+    saved_a = saved_b = saved_steps = saved_len = 0
     while pc < n_ops:
         if steps >= budget:
             return RunOutcome(False, "".join(out), budget)
@@ -118,6 +168,21 @@ def _run(bits: str, budget: int) -> RunOutcome:
             pc = match[pc] + 1 if a == 0 else pc + 1
         elif op == ENDW:
             pc = match[pc]
+            if watch:
+                if a == saved_a and pc == saved_pc and b == saved_b:
+                    period = steps - saved_steps
+                    laps = (budget - steps) // period
+                    out.append("".join(out[saved_len:]) * laps)
+                    steps += laps * period
+                    watch = False  # under one period is left, and out holds a chunk
+                    if meter is not None:
+                        meter.cycle_cutoffs += 1
+                else:
+                    jumps += 1
+                    if jumps == next_save:
+                        saved_pc, saved_a, saved_b = pc, a, b
+                        saved_steps, saved_len = steps, len(out)
+                        next_save *= 2
         elif op == SWAP:
             a, b = b, a
             pc += 1
@@ -128,11 +193,12 @@ def _run(bits: str, budget: int) -> RunOutcome:
 
 def run_program(program: str, budget: int, meter: StepMeter | None = None) -> RunOutcome:
     """Run a program for at most ``budget`` steps."""
-    if set(program) - {"0", "1"}:
+    if program.strip("01"):
         raise ValueError(f"program must be a bit string, got {program!r}")
-    outcome = _run(program, budget)
+    outcome = _run(program, budget, meter)
     if meter is not None:
-        meter.add(outcome.steps)
+        meter.runs += 1
+        meter.steps += outcome.steps
     return outcome
 
 
@@ -140,8 +206,7 @@ def iter_programs(max_len: int):
     """All programs of length <= max_len, length ascending then numeric."""
     yield ""
     for length in range(1, max_len + 1):
-        for v in range(1 << length):
-            yield format(v, f"0{length}b")
+        yield from map(f"{{:0{length}b}}".format, range(1 << length))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable
 
 from . import __version__
@@ -100,6 +100,8 @@ class StandardBlockFamily:
     params: DeepParams
     levels: list[LevelBlocks]
     measured_steps: tuple[int, ...]
+    # the search counters of levels 1..depth; empty for a loaded archive
+    meters: tuple[StepMeter, ...] = field(default=(), repr=False, compare=False)
     _array_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -282,6 +284,7 @@ def build_family(params: DeepParams, budgets_final: bool = False) -> StandardBlo
         level0 = LevelBlocks(0, blocks0)
     levels = [level0]
     measured = [0]
+    meters = []
     final_budgets = [params.budgets[0]]
     cumulative = 0
     for i in range(1, params.depth + 1):
@@ -310,12 +313,14 @@ def build_family(params: DeepParams, budgets_final: bool = False) -> StandardBlo
             raise InfeasibleError(f"level {i} blocks are not pairwise distinct")
         levels.append(entry)
         measured.append(meter.steps)
+        meters.append(meter)
         cumulative += meter.steps
         final_budgets.append(LevelBudget(lb.T, lb.t_prime, t_final))
     return StandardBlockFamily(
         params=replace(params, budgets=tuple(final_budgets)),
         levels=levels,
         measured_steps=tuple(measured),
+        meters=tuple(meters),
     )
 
 
@@ -375,13 +380,18 @@ def member(p: Pattern, fam: StandardBlockFamily) -> MemberResult:
             "outside the decidable range for the built depth"
         )
     N = fam.params.N[level]
-    p_rows = p.rows()
-    h, w = p.height, p.width
+    first, *rest = p.rows()
+    # scan order: arrangement, then row, then column, so the witness is the
+    # first window in that order; str.find jumps to the columns where the
+    # probe's first row matches
     for ids, arows in _level_arrays(fam, level):
-        for a in range(2 * N - h + 1):
-            for b in range(2 * N - w + 1):
-                if all(arows[a + i][b : b + w] == p_rows[i] for i in range(h)):
+        for a in range(2 * N - p.height + 1):
+            row = arows[a]
+            b = row.find(first)
+            while b >= 0:
+                if all(arows[a + i].startswith(r, b) for i, r in enumerate(rest, 1)):
                     return MemberResult(True, level, ids, (a, b))
+                b = row.find(first, b + 1)
     return MemberResult(False, level, None, None)
 
 
@@ -612,7 +622,18 @@ def params_to_dict(params: DeepParams) -> dict:
     }
 
 
+def _require(d, keys: Iterable[str], what: str) -> None:
+    """Refuse a manifest part that is not an object or lacks a key, naming
+    every missing key."""
+    if not isinstance(d, dict):
+        raise PatternError(f"{what} is not a JSON object")
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise PatternError(f"{what} lacks {', '.join(map(repr, missing))}")
+
+
 def params_from_dict(d: dict) -> DeepParams:
+    _require(d, [f.name for f in fields(DeepParams)], "params")
     return DeepParams(
         n0=d["n0"],
         c=d["c"],
@@ -673,10 +694,21 @@ def save_family(fam: StandardBlockFamily, dirpath: str) -> dict:
     return manifest
 
 
-def load_family(dirpath: str) -> StandardBlockFamily:
-    """Read an archive back without rebuilding (no searches re-run)."""
+def _read_manifest(dirpath: str) -> dict:
+    """The archive's manifest, with every key the readers use checked."""
     with open(os.path.join(dirpath, "manifest.json"), "r", encoding="ascii") as fh:
         manifest = json.load(fh)
+    _require(manifest, ("params", "measured_steps", "levels"), "manifest")
+    if not isinstance(manifest["levels"], list):
+        raise PatternError("manifest levels is not a JSON list")
+    for le in manifest["levels"]:
+        _require(le, ("level", "block_files"), "manifest level entry")
+    return manifest
+
+
+def load_family(dirpath: str) -> StandardBlockFamily:
+    """Read an archive back without rebuilding (no searches re-run)."""
+    manifest = _read_manifest(dirpath)
     params = params_from_dict(manifest["params"])
     levels = []
     for le in manifest["levels"]:
@@ -704,8 +736,8 @@ def verify_archive(dirpath: str, expected_params: DeepParams | None = None) -> A
     """Rebuild the family from the manifest alone (budgets taken verbatim)
     and bit-compare every stored file; optionally first diff the manifest's
     parameters against an expected configuration."""
-    with open(os.path.join(dirpath, "manifest.json"), "r", encoding="ascii") as fh:
-        manifest = json.load(fh)
+    manifest = _read_manifest(dirpath)
+    params = params_from_dict(manifest["params"])
     diffs: list[str] = []
     if expected_params is not None:
         got = manifest["params"]
@@ -713,7 +745,6 @@ def verify_archive(dirpath: str, expected_params: DeepParams | None = None) -> A
         for key in sorted(want):
             if got.get(key) != want[key]:
                 diffs.append(f"params.{key}: manifest={got.get(key)!r} expected={want[key]!r}")
-    params = params_from_dict(manifest["params"])
     rebuilt = build_family(params, budgets_final=True)
     mismatches: list[str] = []
     for le in manifest["levels"]:

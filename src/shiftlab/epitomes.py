@@ -622,6 +622,12 @@ def border_epitome_consistency(
     test whether the ring determines the projected pattern's epitome."""
     if n < 1:
         raise PatternError("n must be positive")
+    missing = [a for a in spec.alphabet.letters if a not in projection]
+    if missing:
+        raise PatternError(
+            f"projection leaves out {', '.join(map(repr, missing))} "
+            f"of the {spec.name} alphabet"
+        )
     ring = [
         (r, c)
         for r in range(n)

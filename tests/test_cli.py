@@ -54,11 +54,19 @@ def test_census_report_shape(capsys):
     assert report["version"]
 
 
-def test_reports_identical_modulo_timing(capsys):
-    _, a, _ = run_json(capsys, "census", "3")
-    _, b, _ = run_json(capsys, "census", "3")
-    del a["timing"], b["timing"]
-    assert a == b
+def test_reports_identical_modulo_timing(capsys, tmp_path):
+    # metrics count work, which a warm memo in the same process changes
+    out = str(tmp_path / "fam")
+    for argv in (
+        ("census", "3"),
+        ("deep-build", "--n0", "2", "--depth", "2", "--override", "2,2,2", "--out", out),
+    ):
+        _, a, _ = run_json(capsys, *argv)
+        _, b, _ = run_json(capsys, *argv)
+        for report in (a, b):
+            report.pop("timing")
+            report.pop("metrics", None)
+        assert a == b
 
 
 def test_out_file_writes_report(tmp_path, capsys):
@@ -124,20 +132,37 @@ def test_block_count_negative_n_exits_1(capsys):
         ("kc-exact", "11", "--max-len", "-3", "--budget", "5"),
         ("kc-exact", "11", "--max-len", "3", "--budget", "-5"),
         ("border-consistency", "--projection", "0=B,1"),
+        ("border-consistency", "--projection", "0=B"),
         ("render", "{tmp}/missing.txt"),
         ("two-part-code", "--pattern", "{tmp}/missing.txt", "--k", "2"),
         ("deep-member", "--family", "{tmp}/missing", "--pattern", "x"),
         ("verify-archive", "{tmp}"),
+        ("verify-archive", "{tmp}/partial"),
+        ("deep-member", "--family", "{tmp}/partial", "--pattern", "x"),
     ],
 )
 def test_sizes_below_range_exit_1(capsys, tmp_path, argv):
     """Sizes below range and unreadable inputs: exit 1, one stderr line."""
     (tmp_path / "manifest.json").write_text("{")  # a malformed archive at {tmp}
+    # an archive at {tmp}/partial whose manifest lacks measured_steps
+    (tmp_path / "partial").mkdir()
+    partial = {"params": params_to_dict(schedule_params(2, 3, 1)), "levels": []}
+    (tmp_path / "partial" / "manifest.json").write_text(json.dumps(partial))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 1
     assert out == ""
     assert err.startswith("shiftlab:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "projection, named",
+    [("0=B", "leaves out '1'"), ("0=B,1", "'1' is not of the form a=b"), ("=B,1=W", "'=B'")],
+)
+def test_projection_errors_name_the_problem(capsys, projection, named):
+    rc, out, err = run_cli(capsys, "border-consistency", "--projection", projection)
+    assert rc == 1 and out == ""
+    assert named in err
 
 
 def test_kc_exact_reports_machine_steps(capsys):
@@ -192,6 +217,16 @@ def test_deep_build_payload(archive):
     assert [lv["side"] for lv in res["levels"]] == [2, 4, 8, 16]
     assert "level_1/Q_0.txt" in res["manifest_files"]
     assert report["timing"]["machine_steps"] == [0, 17, 17, 17]
+
+
+def test_deep_build_reports_search_counters_in_metrics(archive):
+    _, report = archive
+    levels = report["metrics"]["levels"]
+    assert [lv["level"] for lv in levels] == [1, 2, 3]
+    for lv in levels:
+        assert set(lv) == {"level", "runs", "memo_reuses", "cycle_cutoffs"}
+        assert lv["runs"] == 15  # the programs of at most 3 bits
+    assert "metrics" not in report["result"]
 
 
 def test_deep_member_accept_and_reject(archive, tmp_path, capsys):

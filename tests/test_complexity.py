@@ -5,9 +5,13 @@ written directly from the opcode table without looking at the library
 implementation; the agreement tests treat it as an oracle.
 """
 
+import hashlib
+import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shiftlab.complexity import (
     ComplexityResult,
@@ -82,21 +86,23 @@ def _match_backward(names, i):
 
 
 def reference_run(bits, budget):
-    """(halted, output, steps) for a program under a step budget."""
+    """(halted, output, steps) for a program under a step budget; a run cut
+    off by the budget reports the output written before the cutoff."""
     if bits == "":
         return (True, "", 0)
     if bits[0] == "1":
         if budget < len(bits):
-            return (False, None, budget)
+            # the marker takes the first step, each later step writes a bit
+            return (False, bits[1:budget] if budget else "", budget)
         return (True, bits[1:], len(bits))
     names = _decode(bits[1:])
     if not _brackets_balanced(names):
-        return (False, None, budget)
+        return (False, "", budget)
     regs = {"A": 0, "B": 0}
     pc, steps, written = 0, 0, []
     while pc < len(names):
         if steps == budget:
-            return (False, None, budget)
+            return (False, "".join(written), budget)
         steps += 1
         t = names[pc]
         if t == "HALT":
@@ -240,17 +246,116 @@ def test_iter_programs_order_and_count():
     assert len(set(progs)) == len(progs)
 
 
+def _outcome(bits, budget, meter=None):
+    mine = run_program(bits, budget, meter)
+    return (mine.halted, mine.output, mine.steps)
+
+
 def test_library_agrees_with_reference_interpreter():
-    budgets = (0, 1, 3, 17, 64)
-    for bits in iter_programs(9):
-        for budget in budgets:
-            mine = run_program(bits, budget)
-            halted, out, steps = reference_run(bits, budget)
-            assert mine.halted == halted, (bits, budget)
-            if halted:
-                assert (mine.output, mine.steps) == (out, steps), (bits, budget)
-            else:
-                assert mine.steps == budget
+    # every program of at most 15 bits, full outcomes including the output
+    # written before a cutoff; budget-major order, so each budget's memo is
+    # filled and then reused by the trailing-bit variants
+    programs = list(iter_programs(15))
+    for budget in (0, 1, 2, 3, 17, 64, 448):
+        for bits in programs:
+            assert _outcome(bits, budget) == reference_run(bits, budget), (bits, budget)
+
+
+def _looping_programs():
+    """Programs of at most 15 bits with balanced brackets that still run at
+    448 steps, by the reference interpreter."""
+    return [
+        bits
+        for bits in iter_programs(15)
+        if bits[:1] == "0"
+        and _brackets_balanced(_decode(bits[1:]))
+        and not reference_run(bits, 448)[0]
+    ]
+
+
+@pytest.mark.parametrize("budget", [28689, 10**6])
+def test_looping_programs_agree_at_large_budgets(budget):
+    # the loops the cycle cut skips through, cut off mid-period at budgets
+    # far beyond the exhaustive test's; the reference runs once per opcode
+    # list, since it decodes trailing-bit variants to the same list
+    loopers = _looping_programs()
+    assert len(loopers) == 119
+    meter = StepMeter()
+    reference = {}
+    for bits in loopers:
+        names = tuple(_decode(bits[1:]))
+        if names not in reference:
+            reference[names] = reference_run(bits, budget)
+        assert _outcome(bits, budget, meter) == reference[names], bits
+    assert meter.cycle_cutoffs > 0
+    assert any(out for _, out, _ in reference.values())
+
+
+_PLAIN_OPS = ("000", "001", "010", "011", "110", "111")  # no brackets
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(alphabet="01", min_size=16, max_size=40),
+    st.integers(min_value=0, max_value=5000),
+)
+def test_random_programs_agree_with_reference(bits, budget):
+    assert _outcome(bits, budget) == reference_run(bits, budget)
+
+
+_plain = st.lists(st.sampled_from(_PLAIN_OPS), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _plain,
+    _plain,
+    st.none() | _plain,
+    _plain,
+    _plain,
+    st.text(alphabet="01", max_size=2),
+    st.integers(min_value=0, max_value=8000),
+)
+@example([], ["000"], ["011", "110"], ["010", "010"], [], "", 600)
+def test_random_loops_agree_with_reference(head, pre, inner, post, tail, trailing, budget):
+    # INC WHILE pre [WHILE inner ENDW] post ENDW between plain opcodes:
+    # loops that halt, repeat a state (cut by whole periods) or grow their
+    # counters.  The example repeats (pc, A) at its outer ENDW with B
+    # different, so a cut that ignored B would go wrong.
+    loop = "".join(pre)
+    if inner is not None:
+        loop += "100" + "".join(inner) + "101"
+    loop += "".join(post)
+    bits = "0" + "".join(head) + "010100" + loop + "101" + "".join(tail) + trailing
+    assert _outcome(bits, budget) == reference_run(bits, budget)
+
+
+def test_memo_is_per_budget_and_shared_by_trailing_bits():
+    # INC WHILE OUT1 ENDW: loops forever, printing a 1 every 3 steps
+    code = "0" + "010" + "100" + "001" + "101"
+    variants = [code + tail for tail in ("", "0", "1", "00", "01", "10", "11")]
+    for budget in (1000, 1001, 1000, 1001):  # each change empties the memo
+        meter = StepMeter()
+        for bits in variants:
+            assert _outcome(bits, budget, meter) == reference_run(bits, budget), (bits, budget)
+        assert (meter.runs, meter.memo_reuses, meter.cycle_cutoffs) == (7, 6, 1)
+        assert meter.steps == 7 * budget
+
+
+def test_cycle_cut_finds_periods_of_several_back_jumps():
+    # INC INC SWAP INC WHILE SWAP OUT1 ENDW: (A, B) alternates between (2, 1)
+    # and (1, 2), so the state repeats every second back-jump
+    bits = "0" + "010" + "010" + "110" + "010" + "100" + "110" + "001" + "101"
+    meter = StepMeter()
+    assert _outcome(bits, 100_003, meter) == reference_run(bits, 100_003)
+    assert meter.cycle_cutoffs == 1
+
+
+def test_unbalanced_lists_share_one_outcome():
+    a = run_program("0" + "100", 37)
+    b = run_program("0" + "101100", 37)
+    assert a is b
+    assert (a.halted, a.output, a.steps) == (False, "", 37)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +412,20 @@ def test_counting_invariant_small():
             if (ctime(format(v, f"0{n}b"), n, 64).value or n) < n
         )
         assert short < 2 ** n
+
+
+def test_printable_strings_frozen_at_seed_values():
+    # the level-1 search of `deep-build --override 2,4`, frozen from the
+    # step-by-step interpreter the machine had before the memo and the cut
+    meter = StepMeter()
+    assert printable_strings(15, 3584, 16, meter) == {}
+    assert meter.steps == 73400181
+    meter = StepMeter()
+    table = printable_strings(15, 3584, meter=meter)
+    assert len(table) == 32767
+    digest = hashlib.sha256(json.dumps(sorted(table.items())).encode()).hexdigest()
+    assert digest == "77b795d2628cf85d0356bc364878dfeecc5f2e5e2aa6de12a5d8e3e808399bbc"
+    assert meter.steps == 73400181 and meter.runs == 65535
 
 
 def test_printable_strings_filter():

@@ -1,6 +1,7 @@
 """Hierarchical block families: scheduling, construction, membership,
 reconstruction, the two-part code, and archives."""
 
+import itertools
 import json
 import random
 
@@ -58,6 +59,12 @@ def structural_fam():
 def multi_fam():
     params = schedule_params(2, 3, 1, mode=MULTI_BLOCK, structural_override=(2, 2, 2))
     return build_family(params)
+
+
+@pytest.fixture(scope="module")
+def fam_24():
+    # `deep-build --n0 2 --depth 1 --override 2,4`: a non-constant level-1 R
+    return build_family(schedule_params(2, 3, 1, structural_override=(2, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +269,16 @@ def test_multi_block_perms_frozen(multi_fam):
     )
 
 
+def test_search_steps_frozen_at_seed_values(fam_24, multi_fam):
+    # the machine steps of the exact searches, as recorded when every
+    # program was stepped one instruction at a time; the archived budgets
+    # fold them in, so they must never drift
+    assert fam_24.measured_steps == (0, 73400181)
+    assert multi_fam.measured_steps == (0, 42185051)
+    meter = fam_24.meters[0]
+    assert (meter.steps, meter.runs) == (73400181, 65535)
+
+
 def test_proxy_oracle_builds_the_default_parameters():
     # the exact oracle cannot search 2^64 programs; proxy mode runs the
     # full-scale parameters with the compressor bound instead
@@ -339,6 +356,55 @@ def test_member_range_and_type_guards(structural_fam):
         member(Pattern(BINARY, {(0, 0): "0", (2, 2): "0"}), structural_fam)
     with pytest.raises(PatternError):
         member(make_pattern(["BW"]), structural_fam)
+
+
+def _brute_member(p, fam):
+    """(level, corner_ids, offset) of the first window equal to ``p`` in
+    scan order -- arrangement, then row, then column -- slicing every window
+    of every 2x2 arrangement of the level's blocks."""
+    h, w = p.height, p.width
+    level = min(i for i in range(fam.depth + 1) if fam.params.N[i] >= max(h, w))
+    N = fam.params.N[level]
+    rows = [b.rows() for b in fam.blocks(level)]
+    want = p.rows()
+    for i00, i01, i10, i11 in itertools.product(range(len(rows)), repeat=4):
+        grid = [rows[i00][r] + rows[i01][r] for r in range(N)]
+        grid += [rows[i10][r] + rows[i11][r] for r in range(N)]
+        for a in range(2 * N - h + 1):
+            for b in range(2 * N - w + 1):
+                if [row[b : b + w] for row in grid[a : a + h]] == want:
+                    return level, ((i00, i01), (i10, i11)), (a, b)
+    return level, None, None
+
+
+@pytest.mark.parametrize("which", ["fam_24", "multi_fam"])
+def test_member_witness_is_first_in_scan_order(which, request):
+    fam = request.getfixturevalue(which)
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(80):
+        level = rng.randrange(fam.depth + 1)
+        N = fam.params.N[level]
+        h, w = rng.randrange(1, N + 1), rng.randrange(1, N + 1)
+        if rng.random() < 0.5:
+            # a window cut from a random arrangement: accepted
+            rows = [q.rows() for q in fam.blocks(level)]
+            ids = [rng.randrange(len(rows)) for _ in range(4)]
+            grid = [
+                rows[ids[2 * (r >= N)]][r % N] + rows[ids[2 * (r >= N) + 1]][r % N]
+                for r in range(2 * N)
+            ]
+            a, b = rng.randrange(2 * N - h + 1), rng.randrange(2 * N - w + 1)
+            source = [row[b : b + w] for row in grid[a : a + h]]
+        else:
+            # random bits: mostly rejected
+            source = ["".join(rng.choice("01") for _ in range(w)) for _ in range(h)]
+        probe = make_pattern(source)
+        level_got, ids_got, offset_got = _brute_member(probe, fam)
+        res = member(probe, fam)
+        assert res == MemberResult(ids_got is not None, level_got, ids_got, offset_got)
+        seen.add((res.accepted, h == w))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_member_deterministic_with_cache(structural_fam):
@@ -570,3 +636,24 @@ def test_verify_archive_params_diff(structural_fam, tmp_path):
     assert not report.ok
     assert any(diff.startswith("params.budgets") for diff in report.manifest_diff)
     assert report.mismatches == ()  # files themselves still match the manifest
+
+
+@pytest.mark.parametrize(
+    "drop, named",
+    [
+        (lambda m: m.pop("measured_steps"), "'measured_steps'"),
+        (lambda m: m["params"].pop("N"), "'N'"),
+        (lambda m: [m["params"].pop(k) for k in ("oracle", "budgets")], "'oracle', 'budgets'"),
+        (lambda m: m["levels"][1].pop("block_files"), "'block_files'"),
+    ],
+)
+def test_manifest_missing_key_refused_at_load(structural_fam, tmp_path, drop, named):
+    d = str(tmp_path / "fam")
+    save_family(structural_fam, d)
+    mpath = tmp_path / "fam" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    drop(manifest)
+    mpath.write_text(json.dumps(manifest))
+    for reader in (load_family, verify_archive):
+        with pytest.raises(PatternError, match=named):
+            reader(d)

@@ -359,3 +359,10 @@ def test_sizes_below_one_rejected():
         border_epitome_consistency(HS, IDENTITY, constant_family(), 0)
     with pytest.raises(PatternError):
         epitome_property_check(RB, identity_family(), 0)
+
+
+def test_projection_must_cover_the_alphabet():
+    with pytest.raises(PatternError, match="leaves out '1' of the hard-square"):
+        border_epitome_consistency(HS, {"0": "B"}, constant_family(), 2)
+    with pytest.raises(PatternError, match="leaves out 'B', 'R'"):
+        border_epitome_consistency(RB, {"W": "W"}, constant_family(), 1)
