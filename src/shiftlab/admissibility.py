@@ -10,13 +10,13 @@ order — so every witness returned is the lexicographically first one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import (
     Pattern,
     PatternError,
     ShiftSpec,
     contains_forbidden,
-    iter_rect_patterns,
     kernel_of,
     lex_assignments,
 )
@@ -88,9 +88,41 @@ def extendable(p: Pattern, spec: ShiftSpec, margin: int) -> Pattern | None:
     return lex_first_completion(CompletionRegion(host, free), spec)
 
 
-def count_admissible(spec: ShiftSpec, n: int, margin: int) -> int:
-    """Number of n x n patterns with an admissible margin extension; the
-    margin search runs on the locally admissible patterns only."""
+def _extendable_blocks(
+    spec: ShiftSpec, n: int, margin: int
+) -> Iterator[dict[tuple[int, int], str]]:
+    """The locally admissible n x n patterns of ``spec`` that extend by a
+    ``margin`` ring, in canonical order: yields ``state.cells`` holding the
+    pattern at the origin, under the ``lex_assignments`` contract.
+
+    One state covers the whole box, ring at negative and >= n coordinates.
+    The interior is filled first, then the ring; a state rejects an
+    occurrence when its last cell is assigned, so the ring search succeeds
+    iff ``extendable`` finds a witness.
+    """
     if n < 1:
         raise PatternError("n must be positive")
-    return sum(1 for q in iter_rect_patterns(spec, n, n) if extendable(q, spec, margin) is not None)
+    if margin < 0:
+        raise PatternError("margin must be nonnegative")
+    state = kernel_of(spec).state((-margin, -margin, n + margin - 1, n + margin - 1))
+    interior = [(r, c) for r in range(n) for c in range(n)]
+    ring = [
+        (r, c)
+        for r in range(-margin, n + margin)
+        for c in range(-margin, n + margin)
+        if not (0 <= r < n and 0 <= c < n)
+    ]
+    letters = spec.alphabet.letters
+    for _ in lex_assignments(state, interior, letters):
+        # a failed ring search has retracted its cells; a found one is
+        # abandoned at its first yield and retracted here
+        if any(True for _ in lex_assignments(state, ring, letters)):
+            for cell in ring:
+                state.retract(cell)
+            yield state.cells
+
+
+def count_admissible(spec: ShiftSpec, n: int, margin: int) -> int:
+    """Number of locally admissible n x n patterns with an admissible margin
+    extension."""
+    return sum(1 for _ in _extendable_blocks(spec, n, margin))

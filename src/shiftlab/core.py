@@ -558,15 +558,13 @@ def _red_black_enumerator(max_extent: int) -> tuple[Pattern, ...]:
     return tuple(out)
 
 
-def _square_hits(red, black, filled, top: int, s: int, colmask: int | None = None, run=run_mask):
+def _square_hits(red, black, filled, top: int, s: int, run=run_mask):
     """Bit c is set iff the s x s square with top-left cell (top, c) has an
-    all-red top row, an all-black bottom row and every cell filled, for the
-    columns set in ``colmask``.  ``red``, ``black`` and ``filled`` hold one
-    int bitmask per row; an empty partial result returns early.  The numpy
-    entry point passes row keys, a caching ``run`` and ``filled=None``."""
+    all-red top row, an all-black bottom row and every cell filled.
+    ``red``, ``black`` and ``filled`` hold one int bitmask per row; an empty
+    partial result returns early.  The numpy entry point passes row keys, a
+    caching ``run`` and ``filled=None``."""
     m = run(red[top], s)
-    if colmask is not None:
-        m &= colmask
     if not isinstance(m, int) or m:
         m = m & run(black[top + s - 1], s)
     if filled is not None and m:
@@ -577,12 +575,32 @@ def _square_hits(red, black, filled, top: int, s: int, colmask: int | None = Non
     return m
 
 
+def _square_plan(h: int, w: int, r: int, c: int) -> list[list]:
+    """One ``[top, None]`` entry per top row of a square of side >= 2 in an
+    h x w box that can hold cell (r, c).  ``_RunMaskState`` puts
+    ``_squares_at(h, w, top, r, c)`` in place of None when it first needs
+    that row, so rows never red at column c cost nothing."""
+    return [[top, None] for top in range(max(0, r - min(h, w) + 1), min(r, h - 2) + 1)]
+
+
+def _squares_at(h: int, w: int, top: int, r: int, c: int) -> tuple[tuple[int, int], ...]:
+    """``(bottom, column bits)`` of each square of side >= 2 in an h x w box
+    with top row ``top`` that holds cell (r, c)."""
+    return tuple(
+        (top + s - 1, ((1 << s) - 1) << left)
+        for s in range(max(2, r - top + 1), min(h - top, w) + 1)
+        for left in range(max(0, c - s + 1), min(c, w - s) + 1)
+    )
+
+
 class _RunMaskState:
     """Incremental oracle of the red-black family over per-row red, black and
     filled bitmasks (bit c of row r is cell (r0 + r, c0 + c)).  An assignment
-    completes a forbidden square iff some square holding the new cell
-    satisfies ``_square_hits``: O(extent^3) run-mask steps at worst instead of
-    materializing 3^(s(s-2)) patterns."""
+    completes a forbidden square iff some square holding the new cell has an
+    all-red top row, an all-black bottom row and every row between filled.
+    The squares holding a cell come from ``_square_plan``, built on the
+    cell's first assignment and kept by the state, so a scan that only
+    loads builds none."""
 
     def __init__(self, bbox: tuple[int, int, int, int]):
         r0, c0, r1, c1 = bbox
@@ -591,6 +609,7 @@ class _RunMaskState:
         self.width = c1 - c0 + 1
         self.red, self.black, self.filled = ([0] * self.height for _ in range(3))
         self.cells: dict[tuple[int, int], str] = {}
+        self._plans: dict[tuple[int, int], list] = {}
 
     def load(self, cells: dict[tuple[int, int], str]) -> None:
         for (r, c), letter in cells.items():
@@ -628,23 +647,32 @@ class _RunMaskState:
         del self.cells[cell]
 
     def _completes(self, r: int, c: int) -> bool:
+        plan = self._plans.get((r, c))
+        if plan is None:
+            plan = self._plans[r, c] = _square_plan(self.height, self.width, r, c)
         red, black, filled = self.red, self.black, self.filled
-        h, w = self.height, self.width
-        for top in range(max(0, r - min(h, w) + 1), r + 1):
-            if not red[top]:
+        cbit = 1 << c
+        for entry in plan:
+            top, squares = entry
+            rt = red[top]
+            if not rt & cbit:  # column c is in the top row of each square
                 continue
-            # sizes whose square from row ``top`` reaches row r and fits
-            for s in range(max(2, r - top + 1), min(h - top, w) + 1):
-                lo_c = max(0, c - s + 1)
-                colmask = ((1 << (min(c, w - s) - lo_c + 1)) - 1) << lo_c
-                if _square_hits(red, black, filled, top, s, colmask):
-                    return True
+            if squares is None:
+                squares = entry[1] = _squares_at(self.height, self.width, top, r, c)
+            for bottom, bits in squares:
+                if rt & bits == bits and black[bottom] & bits == bits:
+                    for row in range(top + 1, bottom):
+                        if filled[row] & bits != bits:
+                            break
+                    else:
+                        return True
         return False
 
 
 class RunMaskKernel:
-    """The red-black family's kernel: the scan, the incremental state and
-    the batched window check all test ``_square_hits`` on row bitmasks."""
+    """The red-black family's kernel: the scan and the batched window check
+    test ``_square_hits`` on row bitmasks, the incremental state tests the
+    squares of ``_square_plan``."""
 
     def scan(self, p: Pattern) -> Occurrence | None:
         if p.bbox is None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable
 
 from . import __version__
-from .admissibility import extendable
+from .admissibility import _extendable_blocks
 from .complexity import (
     StepMeter,
     incompressible_permutations,
@@ -45,7 +45,6 @@ from .core import (
     PatternError,
     ShiftSpec,
     invert,
-    iter_rect_patterns,
     subpattern,
 )
 
@@ -534,7 +533,7 @@ def two_part_code(p: Pattern, k: int, spec: ShiftSpec, margin: int = 0) -> TwoPa
     if k < 1 or p.height % k:
         raise PatternError(f"side {p.height} is not a multiple of k={k}")
     N = p.height // k
-    dictionary = [q for q in iter_rect_patterns(spec, k, k) if extendable(q, spec, margin) is not None]
+    dictionary = [Pattern(spec.alphabet, cells) for cells in _extendable_blocks(spec, k, margin)]
     L = len(dictionary)
     if L == 0:
         raise InfeasibleError("no admissible blocks at this size")

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .admissibility import extendable
+from .admissibility import _extendable_blocks
 from .core import (
     BWR,
     BINARY,
@@ -518,9 +518,8 @@ def _check_mirror(spec, fam, n, margin) -> PropertyReport:
     ok = True
     counterexample = None
     candidates = list(iter_rect_patterns(spec, n, n))
-    for p in candidates:
-        if extendable(p, spec, margin) is None:
-            continue
+    for cells in _extendable_blocks(spec, n, margin):
+        p = Pattern(spec.alphabet, cells)
         value = fam.evaluate(p)
         window = _mirror_window(p)
         compatible = []

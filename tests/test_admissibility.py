@@ -3,9 +3,12 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shiftlab.admissibility import (
     CompletionRegion,
+    _extendable_blocks,
     count_admissible,
     extendable,
     lex_first_completion,
@@ -17,13 +20,21 @@ from shiftlab.core import (
     PatternError,
     contains_forbidden,
     hard_square_spec,
+    iter_rect_patterns,
     make_pattern,
+    mirror_spec,
     red_black_spec,
     spec_from_patterns,
 )
 
 HS = hard_square_spec()
 RB = red_black_spec()
+MIRROR = mirror_spec()
+# no 0 below a 1 and no 1 below a 1: a block with a 1 in its bottom row is
+# locally admissible but has no row to extend into
+DEAD_END = spec_from_patterns(
+    "dead-end", BINARY, [make_pattern(["1", "0"]), make_pattern(["1", "1"])]
+)
 
 
 # ---------------------------------------------------------------------------
@@ -256,3 +267,102 @@ def test_count_nonincreasing_in_margin():
 def test_hard_square_margin_does_not_drop_counts():
     # every locally admissible hard-square pattern extends by all-0 rings
     assert count_admissible(HS, 2, 1) == 7
+
+
+def test_negative_margin_is_refused_before_enumerating():
+    # no 2 x 2 block of this spec is locally admissible, so the check
+    # cannot be left to a per-block search
+    both = spec_from_patterns("x", BINARY, [make_pattern(["0"]), make_pattern(["1"])])
+    with pytest.raises(PatternError):
+        count_admissible(both, 2, -3)
+
+
+def test_hard_square_5_margin_1_frozen():
+    assert count_admissible(HS, 5, 1) == 55447
+
+
+@pytest.mark.parametrize("n, total", [(1, 3), (2, 80), (3, 18748)])
+def test_red_black_margin_never_drops_counts(n, total):
+    """An all-W ring extends every locally admissible block: a square that
+    meets the ring has a ring cell in its top or bottom row, so that row is
+    neither all R nor all B."""
+    for margin in (0, 1, 2):
+        assert count_admissible(RB, n, margin) == total
+
+
+def _extendable_oracle(spec, n, margin):
+    return [q for q in iter_rect_patterns(spec, n, n) if extendable(q, spec, margin) is not None]
+
+
+def _assert_matches_oracle(spec, n, margin):
+    want = _extendable_oracle(spec, n, margin)
+    got = [Pattern(spec.alphabet, cells) for cells in _extendable_blocks(spec, n, margin)]
+    assert got == want
+    assert count_admissible(spec, n, margin) == len(want)
+
+
+def _random_pattern(draw, alphabet):
+    box = [(r, c) for r in range(2) for c in range(2)]
+    support = draw(st.sets(st.sampled_from(box), min_size=1, max_size=3))
+    return Pattern(alphabet, {cell: draw(st.sampled_from(alphabet.letters)) for cell in support})
+
+
+@st.composite
+def user_specs_and_sizes(draw):
+    """A spec of one to three forbidden patterns of at most three cells in a
+    2 x 2 box, over BINARY or BWR, and a block size n <= 3 (n <= 2 over BWR,
+    where the oracle would make 3^9 completion searches).  Patterns that
+    reach further let a failed ring search backtrack over whole rows and
+    take seconds.  Half the draws
+    plant a dead end: a letter ``a`` and a neighbouring offset (diagonals
+    included) such that every letter allowed at all is forbidden at that
+    offset from ``a`` (over BWR one letter is forbidden outright), so a
+    block with ``a`` on the matching edge or corner is locally admissible
+    but does not extend."""
+    alphabet = draw(st.sampled_from((BINARY, BWR)))
+    letters = alphabet.letters
+    forbidden = []
+    if draw(st.booleans()):
+        allowed = letters
+        if alphabet is BWR:
+            banned = draw(st.sampled_from(letters))
+            forbidden.append(Pattern(alphabet, {(0, 0): banned}))
+            allowed = tuple(x for x in letters if x != banned)
+        a = draw(st.sampled_from(allowed))
+        steps = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc]
+        step = draw(st.sampled_from(steps))
+        forbidden += [Pattern(alphabet, {(0, 0): a, step: b}) for b in allowed]
+    while len(forbidden) < 3 and (not forbidden or draw(st.booleans())):
+        forbidden.append(_random_pattern(draw, alphabet))
+    n = draw(st.integers(min_value=1, max_value=3 if alphabet is BINARY else 2))
+    return spec_from_patterns("user", alphabet, forbidden), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(user_specs_and_sizes(), st.integers(min_value=0, max_value=2))
+@example((DEAD_END, 2), 1)
+def test_extendable_blocks_match_filtered_enumeration(spec_and_n, margin):
+    _assert_matches_oracle(*spec_and_n, margin)
+
+
+def test_dead_end_spec_drops_blocks_at_positive_margin():
+    # the differential test above sees blocks that fail to extend
+    assert count_admissible(DEAD_END, 2, 1) < count_admissible(DEAD_END, 2, 0)
+
+
+# red-black at n = 3 and margin >= 1 is left to the margin test above: the
+# oracle costs seconds there, and since every block extends, the pinned
+# count already fixes the yields
+@pytest.mark.parametrize(
+    "spec, n, margin",
+    [
+        (spec, n, m)
+        for spec in (HS, RB, MIRROR)
+        for n in (1, 2, 3)
+        for m in (0, 1, 2)
+        if not (spec is RB and n == 3 and m)
+    ],
+    ids=lambda x: getattr(x, "name", None),
+)
+def test_builtin_extendable_blocks_match_filtered_enumeration(spec, n, margin):
+    _assert_matches_oracle(spec, n, margin)

@@ -16,6 +16,8 @@ from shiftlab.core import (
     RED_BLACK_KERNEL,
     GenericKernel,
     Pattern,
+    _square_plan,
+    _squares_at,
     contains_forbidden,
     make_pattern,
     red_black_index_offset,
@@ -124,6 +126,29 @@ def test_run_mask_state_matches_generic_state(box, data):
         elif cell not in fast.cells:
             assert fast.assign(cell, letter) == slow.assign(cell, letter)
         assert fast.cells == slow.cells
+
+
+def _squares_holding(h, w, r, c):
+    return sorted(
+        (top, top + s - 1, sum(1 << col for col in range(left, left + s)))
+        for s in range(2, min(h, w) + 1)
+        for top in range(h - s + 1)
+        for left in range(w - s + 1)
+        if top <= r < top + s and left <= c < left + s
+    )
+
+
+@pytest.mark.parametrize("h", range(1, 8))
+def test_square_plan_lists_the_squares_holding_each_cell(h):
+    for w in range(1, 8 if h < 7 else 7):
+        for r in range(h):
+            for c in range(w):
+                plan = [
+                    (top, bottom, bits)
+                    for top, _ in _square_plan(h, w, r, c)
+                    for bottom, bits in _squares_at(h, w, top, r, c)
+                ]
+                assert sorted(plan) == _squares_holding(h, w, r, c)
 
 
 @settings(max_examples=80, deadline=None)
