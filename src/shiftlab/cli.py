@@ -4,9 +4,10 @@ Every subcommand prints a JSON report carrying the package version, the
 effective configuration, the results, and a timing block in which wall-clock
 seconds and simulated machine steps are kept strictly apart (``render`` is
 the one plain-text exception).  Commands that run the description machine
-add a ``metrics`` block of work counters, kept out of the results.  Exit
-codes: 0 success, 1 bad usage or bad input, 2 a verification or consistency
-check failed, 3 the request is infeasible at the attempted scale.
+or an epitome check add a ``metrics`` block of work counters, kept out of
+the results.  Exit codes: 0 success, 1 bad usage or bad input or a reader
+that closed stdout early, 2 a verification or consistency check failed, 3
+the request is infeasible at the attempted scale.
 """
 
 from __future__ import annotations
@@ -239,7 +240,7 @@ def _cmd_epitome_verify(args):
             "converse_leq_implies_compatible": rep.converse,
             "cases": len(rep.cases),
         }
-        return payload, rep.ok, None
+        return payload, rep.ok, None, {"window_scans": len(rep.cases)}
     fam = _FAMILY_FACTORIES[args.family](args)
     rep = epitome_property_check(spec, fam, args.n, window_margin=args.margin)
     payload = {
@@ -251,7 +252,7 @@ def _cmd_epitome_verify(args):
     }
     if rep.counterexample is not None:
         payload["counterexample"] = rep.counterexample
-    return payload, rep.ok, None
+    return payload, rep.ok, None, rep.work
 
 
 def _cmd_border_consistency(args):
@@ -278,7 +279,8 @@ def _cmd_border_consistency(args):
             {"border": g.border, "size": g.size, "values": list(g.values), "flagged": g.flagged}
             for g in rep.groups
         ]
-    return payload, True, None
+    metrics = {"candidates": sum(g.size for g in rep.groups), "groups": len(rep.groups)}
+    return payload, True, None, metrics
 
 
 def _cmd_two_part_code(args):
@@ -429,13 +431,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, report: dict) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+def _write_stdout(text: str) -> bool:
+    """Write and flush ``text``; False when the reader has closed stdout."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # What is still buffered would fail again in the interpreter's exit
+        # flush, which prints "Exception ignored": point the descriptor at
+        # devnull so that flush succeeds quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
+
+
+def _emit(args, report: dict) -> bool:
+    """Write the report; False when stdout was closed before it was."""
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if getattr(args, "out_file", None):
         with open(args.out_file, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+            fh.write(text)
+        return True
+    return _write_stdout(text)
 
 
 def _config_of(args) -> dict:
@@ -455,16 +474,15 @@ def main(argv=None) -> int:
     try:
         out = args.func(args)
     except InfeasibleError as exc:
-        _emit(args, {"command": args.command, "error": str(exc), "infeasible": True})
-        return 3
+        report = {"command": args.command, "error": str(exc), "infeasible": True}
+        return 3 if _emit(args, report) else 1
     except (OSError, ValueError) as exc:
         # PatternError and json.JSONDecodeError are ValueErrors
         print(f"shiftlab: {exc}", file=sys.stderr)
         return 1
 
     if isinstance(out, str):
-        sys.stdout.write(out)
-        return 0
+        return 0 if _write_stdout(out) else 1
 
     payload, ok, machine_steps, *metrics = out
     timing = {"wall_seconds": round(time.perf_counter() - t0, 6)}
@@ -481,7 +499,8 @@ def main(argv=None) -> int:
     }
     if metrics:
         report["metrics"] = metrics[0]
-    _emit(args, report)
+    if not _emit(args, report):
+        return 1
     return 0 if ok else 2
 
 

@@ -320,13 +320,18 @@ class ShiftSpec:
     grow too fast to materialize.  It must give the answers of
     ``GenericKernel``, which derives them from ``enumerator`` when ``kernel``
     is None: ``scan(p)``, the occurrence ``contains_forbidden`` returns;
-    ``state(bbox)``, an incremental oracle with ``cells``, ``load(cells)``,
-    ``assign(cell, letter)`` (False, assigning nothing, when the letter
-    completes a forbidden pattern) and ``retract(cell)``; and
+    ``state(bbox)``, an incremental oracle over cells inside ``bbox`` with
+    ``cells``, ``load(cells)`` (no check), ``assign(cell, letter)`` (False,
+    assigning nothing, when the letter completes a forbidden pattern),
+    ``retract(cell)`` and ``scan()``, the occurrence ``contains_forbidden``
+    returns on a pattern of ``cells``, so a window loaded once can be
+    scanned with each of many fillings of a slot; and
     ``window_compat(n, margin, annulus, candidates)``, the boolean numpy
-    matrix saying whether annulus coloring i (digit t of i in base |alphabet|
-    is the letter at ``annulus[t]``) and n x n candidate j at offset
-    (margin, margin) form a locally admissible window.
+    matrix whose entry [i, j] says whether annulus coloring i (digit t of i
+    in base |alphabet| is the letter at ``annulus[t]``) and n x n candidate
+    j at offset (margin, margin) form a locally admissible window.  It is
+    stored candidate-major: the matrix is the transpose of a C-ordered
+    array, so ``compat.T[j]`` is candidate j's column as one contiguous row.
     """
 
     name: str
@@ -395,11 +400,12 @@ def iter_rect_patterns(spec: ShiftSpec, h: int, w: int) -> Iterator[Pattern]:
     return (Pattern(spec.alphabet, state.cells) for _ in lex_assignments(state, cells, letters))
 
 
-def _scan_plan(p: Pattern, plan) -> Occurrence | None:
-    if p.bbox is None:
+def _scan_plan(cells: dict[tuple[int, int], str], bbox, plan) -> Occurrence | None:
+    """The first occurrence of a plan entry in ``cells``, whose bounding box
+    is ``bbox`` (None when there are no cells)."""
+    if bbox is None:
         return None
-    r0, c0, r1, c1 = p.bbox
-    cells = p._cells  # noqa: SLF001 - hot loop on our own type
+    r0, c0, r1, c1 = bbox
     for ar in range(r0, r1 + 1):
         for ac in range(c0, c1 + 1):
             for idx, fcells in plan:
@@ -421,6 +427,7 @@ class _IndexedState:
 
     def __init__(self, plan: list):
         self.cells: dict[tuple[int, int], str] = {}
+        self._plan = plan
         self._by_letter: dict[str, list] = {}
         for _, fcells in plan:
             for offset, letter in fcells:
@@ -446,6 +453,16 @@ class _IndexedState:
     def retract(self, cell: tuple[int, int]) -> None:
         del self.cells[cell]
 
+    def scan(self) -> Occurrence | None:
+        # The plan is for the extent of the state's box.  Enumerators are
+        # prefix-closed, so the plan of the cells' own extent comes first
+        # and the rest cannot fit in the cells' box: the answers agree.
+        if not self.cells:
+            return None
+        rows = [r for r, _ in self.cells]
+        cols = [c for _, c in self.cells]
+        return _scan_plan(self.cells, (min(rows), min(cols), max(rows), max(cols)), self._plan)
+
 
 class GenericKernel:
     """The kernel of a spec that brings none: every answer comes from the
@@ -464,7 +481,7 @@ class GenericKernel:
         return self._plans[max_extent]
 
     def scan(self, p: Pattern) -> Occurrence | None:
-        return _scan_plan(p, self._plan(p.extent))
+        return _scan_plan(p._cells, p.bbox, self._plan(p.extent))  # noqa: SLF001
 
     def state(self, bbox: tuple[int, int, int, int]) -> _IndexedState:
         r0, c0, r1, c1 = bbox
@@ -473,9 +490,8 @@ class GenericKernel:
     def window_compat(self, n: int, margin: int, annulus, candidates):
         import numpy as np
 
-        plan = self._plan(n + 2 * margin)
         letters = self.alphabet.letters
-        compat = np.empty((len(letters) ** len(annulus), len(candidates)), dtype=bool)
+        compat = np.empty((len(candidates), len(letters) ** len(annulus)), dtype=bool)
         # product varies its last position fastest: annulus[0] is digit 0
         for i, assignment in enumerate(itertools.product(letters, repeat=len(annulus))):
             base = dict(zip(reversed(annulus), assignment))
@@ -483,8 +499,8 @@ class GenericKernel:
                 cells = dict(base)
                 for (r, c), letter in q.items():
                     cells[(r + margin, c + margin)] = letter
-                compat[i, j] = _scan_plan(Pattern(self.alphabet, cells), plan) is None
-        return compat
+                compat[j, i] = self.scan(Pattern(self.alphabet, cells)) is None
+        return compat.T
 
 
 def run_mask(mask, length: int):
@@ -600,7 +616,8 @@ class _RunMaskState:
     all-red top row, an all-black bottom row and every row between filled.
     The squares holding a cell come from ``_square_plan``, built on the
     cell's first assignment and kept by the state, so a scan that only
-    loads builds none."""
+    loads builds none: ``scan`` tests every square of the box with
+    ``_square_hits``."""
 
     def __init__(self, bbox: tuple[int, int, int, int]):
         r0, c0, r1, c1 = bbox
@@ -646,6 +663,26 @@ class _RunMaskState:
         self._clear(r, c)
         del self.cells[cell]
 
+    def scan(self) -> Occurrence | None:
+        red, black, filled = self.red, self.black, self.filled
+        for top in range(self.height):
+            if not red[top]:
+                continue
+            found = []  # (leftmost column, size): ties go to the smaller square
+            for s in range(2, min(self.height - top, self.width) + 1):
+                hits = _square_hits(red, black, filled, top, s)
+                if hits:
+                    found.append(((hits & -hits).bit_length() - 1, s))
+            if found:
+                ac, s = min(found)
+                ar, ac = self._r0 + top, self._c0 + ac
+                rank = 0
+                for r in range(ar + 1, ar + s - 1):
+                    for c in range(ac, ac + s):
+                        rank = rank * 3 + BWR.letters.index(self.cells[r, c])
+                return Occurrence(red_black_index_offset(s) + rank, (ar, ac))
+        return None
+
     def _completes(self, r: int, c: int) -> bool:
         plan = self._plans.get((r, c))
         if plan is None:
@@ -670,32 +707,16 @@ class _RunMaskState:
 
 
 class RunMaskKernel:
-    """The red-black family's kernel: the scan and the batched window check
-    test ``_square_hits`` on row bitmasks, the incremental state tests the
-    squares of ``_square_plan``."""
+    """The red-black family's kernel: the state's scan and the batched
+    window check test ``_square_hits`` on row bitmasks, the state's
+    ``assign`` tests the squares of ``_square_plan``."""
 
     def scan(self, p: Pattern) -> Occurrence | None:
         if p.bbox is None:
             return None
         st = self.state(p.bbox)
         st.load(p._cells)  # noqa: SLF001 - read-only use of our own type
-        r0, c0, _, _ = p.bbox
-        for top in range(st.height):
-            if not st.red[top]:
-                continue
-            found = []  # (leftmost column, size): ties go to the smaller square
-            for s in range(2, min(st.height - top, st.width) + 1):
-                hits = _square_hits(st.red, st.black, st.filled, top, s)
-                if hits:
-                    found.append(((hits & -hits).bit_length() - 1, s))
-            if found:
-                ac, s = min(found)
-                rank = 0
-                for r in range(1, s - 1):
-                    for c in range(s):
-                        rank = rank * 3 + BWR.index(p.at(r0 + top + r, c0 + ac + c))
-                return Occurrence(red_black_index_offset(s) + rank, (r0 + top, c0 + ac))
-        return None
+        return st.scan()
 
     def state(self, bbox: tuple[int, int, int, int]) -> _RunMaskState:
         return _RunMaskState(bbox)
@@ -725,17 +746,17 @@ class RunMaskKernel:
                 out = runs[key, s] = run_mask(ann[a][r] | bits, s)
             return out
 
-        compat = np.empty((len(ann["R"][0]), len(candidates)), dtype=bool)
+        compat = np.empty((len(candidates), len(idx)), dtype=bool)
         for j, q in enumerate(candidates):
             slot = [""] * margin + q.rows() + [""] * margin
             red = [("R", r, slot[r]) for r in range(side)]
             black = [("B", r, slot[r]) for r in range(side)]
-            forb = np.zeros(compat.shape[0], dtype=bool)
+            hits = np.zeros(len(idx), dtype)
             for s in range(2, side + 1):
                 for top in range(side - s + 1):
-                    forb |= _square_hits(red, black, None, top, s, run=run) != 0
-            compat[:, j] = ~forb
-        return compat
+                    hits |= _square_hits(red, black, None, top, s, run=run)
+            np.equal(hits, 0, out=compat[j])
+        return compat.T
 
 
 RED_BLACK_KERNEL = RunMaskKernel()

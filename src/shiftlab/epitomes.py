@@ -86,16 +86,18 @@ def profile_leq(a: Profile, b: Profile) -> bool:
     return all(x <= y for x, y in zip(a.counts, b.counts))
 
 
-def simple_pattern(prof: Profile) -> Pattern:
+def _simple_cells(prof: Profile, r0: int = 0, c0: int = 0) -> dict[tuple[int, int], str]:
+    """The cells of ``simple_pattern(prof)`` translated by (r0, c0)."""
     n = len(prof)
-    return Pattern(
-        BWR,
-        {
-            (r, c): "B" if c < k else "W"
-            for r, k in enumerate(prof.counts)
-            for c in range(n)
-        },
-    )
+    return {
+        (r0 + r, c0 + c): "B" if c < k else "W"
+        for r, k in enumerate(prof.counts)
+        for c in range(n)
+    }
+
+
+def simple_pattern(prof: Profile) -> Pattern:
+    return Pattern(BWR, _simple_cells(prof))
 
 
 def all_profiles(n: int):
@@ -235,12 +237,24 @@ class EnforcerReport:
 
 
 def verify_enforcer(prof: Profile, spec: ShiftSpec | None = None) -> EnforcerReport:
+    """Sweep every simple slot pattern through the enforcer window of
+    ``prof``.  The window is loaded once into a state of ``spec``'s kernel;
+    each case loads its slot cells, scans, and retracts them, so its
+    occurrence is the one ``contains_forbidden`` finds in
+    ``place_in_slot(win, simple_pattern(cand))``."""
     spec = spec or red_black_spec()
     win = build_enforcer(prof)
+    if spec.alphabet.letters != BWR.letters:
+        raise PatternError(f"pattern alphabet does not match spec {spec.name!r}")
+    state = kernel_of(spec).state(win.window.bbox)
+    state.load(win.window.cells)
     cases = []
     for cand in all_profiles(len(prof)):
-        full = place_in_slot(win, simple_pattern(cand))
-        occ = contains_forbidden(full, spec)
+        slot = _simple_cells(cand, *win.slot_origin)
+        state.load(slot)
+        occ = state.scan()
+        for cell in slot:
+            state.retract(cell)
         cases.append(
             EnforcerCase(cand.counts, occ is None, profile_leq(cand, prof), occ)
         )
@@ -351,6 +365,8 @@ class PropertyReport:
     entries: tuple[dict, ...]
     ok: bool
     counterexample: dict | None
+    # work counts of the route taken, kept apart from the answer
+    work: dict
     note: str = (
         "compatibility means local admissibility of the filled window; "
         "extension to the full plane is approximated by the margin"
@@ -390,14 +406,18 @@ def _check_generic(spec, fam, n, margin) -> PropertyReport:
         )
     candidates = list(iter_rect_patterns(spec, n, n))
     values = [fam.evaluate(q) for q in candidates]
-    compat = kernel_of(spec).window_compat(n, margin, annulus, candidates)
+    # rows[j] is candidate j's column of the compat matrix, one contiguous
+    # row of the candidate-major storage
+    rows = kernel_of(spec).window_compat(n, margin, annulus, candidates).T
 
-    undef_cols = [j for j, v in enumerate(values) if v is None]
-    undef_any = (
-        compat[:, undef_cols].any(axis=1)
-        if undef_cols
-        else np.zeros(compat.shape[0], dtype=bool)
-    )
+    def any_of(cols) -> np.ndarray:
+        """Colorings compatible with at least one candidate of ``cols``."""
+        acc = np.zeros(combos, dtype=bool)
+        for jj in cols:
+            acc |= rows[jj]
+        return acc
+
+    undef_any = any_of(j for j, v in enumerate(values) if v is None)
     if fam.kind == "plain":
         # A witness coloring for P works iff exactly one distinct value is
         # compatible with it (necessarily P's own) and nothing undefined is.
@@ -405,22 +425,20 @@ def _check_generic(spec, fam, n, margin) -> PropertyReport:
         for j, v in enumerate(values):
             if v is not None:
                 by_value.setdefault(v, []).append(j)
-        value_hits = np.zeros(compat.shape[0], dtype=np.int64)
+        value_hits = np.zeros(combos, dtype=np.int64)
         for cols in by_value.values():
-            value_hits += compat[:, cols].any(axis=1)
+            value_hits += any_of(cols)
         unique_ok = (value_hits == 1) & ~undef_any
 
     def good_mask(j: int):
-        cj = compat[:, j]
         if fam.kind == "plain":
-            return cj & unique_ok
-        bad_cols = [
+            return rows[j] & unique_ok
+        bad = any_of(
             jj
             for jj, vv in enumerate(values)
             if vv is not None and not fam.leq(vv, values[j])
-        ]
-        bad = compat[:, bad_cols].any(axis=1) if bad_cols else 0
-        return cj & ~(bad | undef_any)
+        )
+        return rows[j] & ~(bad | undef_any)
 
     entries = []
     counterexample = None
@@ -428,19 +446,18 @@ def _check_generic(spec, fam, n, margin) -> PropertyReport:
     for j, (q, v) in enumerate(zip(candidates, values)):
         if v is None:
             continue
-        cj = compat[:, j]
-        if not cj.any():
+        if not rows[j].any():
             continue  # not margin-admissible; outside the contract
         passed = bool(good_mask(j).any())
         entries.append({"pattern": q.rows(), "value": repr(v), "pass": passed})
         if not passed:
             ok = False
             if counterexample is None:
-                r_ix = int(np.flatnonzero(cj)[0])
+                r_ix = int(rows[j].argmax())  # the first compatible coloring
                 conflict = next(
                     jj
                     for jj, vv in enumerate(values)
-                    if compat[r_ix, jj]
+                    if rows[jj, r_ix]
                     and (
                         vv is None
                         or (vv != v if fam.kind == "plain" else not fam.leq(vv, v))
@@ -461,14 +478,21 @@ def _check_generic(spec, fam, n, margin) -> PropertyReport:
         entries=tuple(entries),
         ok=ok,
         counterexample=counterexample,
+        work={
+            "annulus_colorings": combos,
+            "candidates": len(candidates),
+            "window_checks": combos * len(candidates),
+        },
     )
 
 
 def _check_red_black_profiles(spec, fam, n, margin) -> PropertyReport:
     entries = []
     ok = True
+    scans = 0
     for prof in all_profiles(n):
         rep = verify_enforcer(prof, spec)
+        scans += len(rep.cases)
         passed = rep.clause1 and rep.clause2
         ok = ok and passed
         entries.append(
@@ -487,6 +511,7 @@ def _check_red_black_profiles(spec, fam, n, margin) -> PropertyReport:
         entries=tuple(entries),
         ok=ok,
         counterexample=None if ok else {"detail": "see enforcer sweep"},
+        work={"window_scans": scans},
     )
 
 
@@ -548,6 +573,7 @@ def _check_mirror(spec, fam, n, margin) -> PropertyReport:
         entries=tuple(entries),
         ok=ok,
         counterexample=counterexample,
+        work={"window_scans": len(entries) * len(candidates)},
     )
 
 

@@ -1,6 +1,7 @@
 """The JSON-report command line: exit codes, payloads, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -60,6 +61,9 @@ def test_reports_identical_modulo_timing(capsys, tmp_path):
     for argv in (
         ("census", "3"),
         ("deep-build", "--n0", "2", "--depth", "2", "--override", "2,2,2", "--out", out),
+        ("epitome-verify", "--family", "identity", "--n", "1"),
+        ("epitome-verify", "--profile", "1,0"),
+        ("border-consistency",),
     ):
         _, a, _ = run_json(capsys, *argv)
         _, b, _ = run_json(capsys, *argv)
@@ -76,6 +80,26 @@ def test_out_file_writes_report(tmp_path, capsys):
     assert out == ""
     report = json.loads(path.read_text())
     assert report["result"] == {"simple_patterns": 2}
+
+
+def test_closed_stdout_exits_1_without_traceback(child_env):
+    # the reader is gone before the report is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "shiftlab.cli", "epitome-verify", "--spec", "mirror",
+             "--profile", "1,1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+            env=child_env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_usage_errors_exit_1(capsys):
@@ -352,6 +376,8 @@ def test_epitome_verify_profile_family(capsys):
     assert rc == 0
     assert report["result"]["checked"] == 9
     assert report["result"]["ok"] is True
+    # nine enforcer windows, each scanned with all nine simple slot patterns
+    assert report["metrics"] == {"window_scans": 81}
 
 
 def test_epitome_verify_single_profile(capsys):
@@ -362,6 +388,14 @@ def test_epitome_verify_single_profile(capsys):
     assert res["clause1_self_compatible"] is True
     assert res["clause2_compatible_implies_leq"] is True
     assert res["clause3_violations_witnessed"] is True
+    assert report["metrics"] == {"window_scans": 9}
+
+
+def test_epitome_verify_profile_needs_a_three_letter_spec(capsys):
+    rc, out, err = run_cli(capsys, "epitome-verify", "--spec", "hard-square", "--profile", "1,1")
+    assert rc == 1
+    assert out == ""
+    assert err.splitlines() == ["shiftlab: pattern alphabet does not match spec 'hard-square'"]
 
 
 def test_epitome_verify_mirror(capsys):
@@ -370,6 +404,8 @@ def test_epitome_verify_mirror(capsys):
     )
     assert rc == 0
     assert report["result"]["checked"] == 24
+    # each of the 24 witness windows against each of the 24 candidates
+    assert report["metrics"] == {"window_scans": 576}
 
 
 def test_epitome_verify_identity_rejected(capsys):
@@ -379,6 +415,11 @@ def test_epitome_verify_identity_rejected(capsys):
     assert rc == 2
     assert report["result"]["ok"] is False
     assert "counterexample" in report["result"]
+    assert report["metrics"] == {
+        "annulus_colorings": 3**12,
+        "candidates": 80,
+        "window_checks": 3**12 * 80,
+    }
 
 
 def test_epitome_verify_infeasible_scale(capsys):
@@ -396,6 +437,8 @@ def test_border_consistency_defaults(capsys):
     assert res["flagged"] == 16
     assert res["ledger_bits"] == 8
     assert len(res["flagged_borders"]) == 16
+    # the 63 admissible 3 x 3 hard-square patterns, in 47 border groups
+    assert report["metrics"] == {"candidates": 63, "groups": 47}
 
 
 def test_border_consistency_full_detail(capsys):

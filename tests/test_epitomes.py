@@ -1,6 +1,8 @@
 """Summary families and whether local windows can enforce them."""
 
+import functools
 import itertools
+import operator
 
 import pytest
 
@@ -18,7 +20,9 @@ from shiftlab.core import (
     red_black_spec,
 )
 from shiftlab.epitomes import (
+    EnforcerCase,
     EnforcerReport,
+    EpitomeFamily,
     Profile,
     all_profiles,
     border_epitome_consistency,
@@ -37,6 +41,7 @@ from shiftlab.epitomes import (
     simple_pattern_census,
     verify_enforcer,
     _SIMPLE,
+    _annulus_cells,
     _mirror_window,
 )
 
@@ -221,6 +226,39 @@ def test_verify_enforcer_full_sweep_n2():
             assert (case.occurrence is None) == case.compatible
 
 
+def _placed_window_report(prof, spec):
+    """verify_enforcer by its definition: one Pattern of the whole window
+    per case, scanned from scratch."""
+    win = build_enforcer(prof)
+    cases = []
+    for cand in all_profiles(len(prof)):
+        occ = contains_forbidden(place_in_slot(win, simple_pattern(cand)), spec)
+        cases.append(EnforcerCase(cand.counts, occ is None, profile_leq(cand, prof), occ))
+    return EnforcerReport(
+        prof,
+        tuple(cases),
+        any(c.counts == prof.counts and c.compatible for c in cases),
+        all(c.leq for c in cases if c.compatible),
+        all(c.occurrence is not None for c in cases if not c.leq),
+        all(c.compatible for c in cases if c.leq),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, n", [(RB, 1), (RB, 2), (RB, 3), (MI, 1), (MI, 2)], ids=lambda x: getattr(x, "name", x)
+)
+def test_verify_enforcer_matches_placed_window_scans(spec, n):
+    # the red-black kernel's run-mask state and the mirror spec's generic
+    # state both scan one loaded window with the slot refilled per case
+    for prof in all_profiles(n):
+        assert verify_enforcer(prof, spec) == _placed_window_report(prof, spec), prof
+
+
+def test_verify_enforcer_rejects_a_binary_spec():
+    with pytest.raises(PatternError, match="does not match spec 'hard-square'"):
+        verify_enforcer(Profile((1, 1)), HS)
+
+
 def test_violation_square_size_matches_line():
     # raising line i's count by one places a forbidden square of side
     # 3n - 2i + 2 between the stripes
@@ -262,9 +300,16 @@ def test_mirror_family_enforced_n2():
 def test_identity_family_rejected_with_counterexample():
     rep = epitome_property_check(RB, identity_family(), 2)
     assert not rep.ok
+    assert len(rep.entries) == 80 and not any(e["pass"] for e in rep.entries)
+    # the first failure: the first candidate, its first compatible annulus
+    # coloring, and the first other candidate that coloring admits
     cx = rep.counterexample
-    assert cx is not None
-    assert cx["pattern"] != cx["also_compatible"]
+    assert cx == {
+        "pattern": ["BB", "BB"],
+        "annulus": "BBBB\nB..B\nB..B\nBBBB\n",
+        "also_compatible": ["BB", "BW"],
+        "other_value": "('BB', 'BW')",
+    }
     # replay: both patterns really are compatible with the witness annulus
     ann = Pattern.from_text(
         f"{2 + 2 * rep.margin} {2 + 2 * rep.margin} 3\n" + cx["annulus"]
@@ -272,6 +317,126 @@ def test_identity_family_rejected_with_counterexample():
     for rows in (cx["pattern"], cx["also_compatible"]):
         p = make_pattern(rows, BWR).translate(rep.margin, rep.margin)
         assert contains_forbidden(ann.union(p), RB) is None
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_compatible(spec, n, margin):
+    """For each annulus coloring i (digit t of i in base |alphabet| is the
+    letter at annulus cell t), the candidates compatible with it, found by
+    one contains_forbidden scan per (coloring, candidate) pair."""
+    annulus = _annulus_cells(n, margin)
+    letters = spec.alphabet.letters
+    base = len(letters)
+    candidates = list(iter_rect_patterns(spec, n, n))
+    shifted = [q.translate(margin, margin) for q in candidates]
+    rings, compatible = [], []
+    for i in range(base ** len(annulus)):
+        ring = Pattern(
+            spec.alphabet, {cell: letters[i // base**t % base] for t, cell in enumerate(annulus)}
+        )
+        rings.append(ring)
+        compatible.append(
+            [j for j, q in enumerate(shifted) if contains_forbidden(ring.union(q), spec) is None]
+        )
+    return candidates, rings, compatible
+
+
+def _brute_generic(spec, fam, n, margin=1):
+    """The generic route's entries, ok and counterexample by definition: a
+    coloring witnesses P when P is compatible with it and every compatible
+    candidate has a defined value equal to P's (plain) or below it
+    (ordered)."""
+    candidates, rings, compatible = _brute_compatible(spec, n, margin)
+    values = [fam.evaluate(q) for q in candidates]
+
+    def conflicts(k, v):
+        vk = values[k]
+        return vk is None or (vk != v if fam.leq is None else not fam.leq(vk, v))
+
+    entries, counterexample = [], None
+    for j, (q, v) in enumerate(zip(candidates, values)):
+        rings_j = [i for i, comp in enumerate(compatible) if j in comp]
+        if v is None or not rings_j:
+            continue
+        passed = any(not any(conflicts(k, v) for k in compatible[i]) for i in rings_j)
+        entries.append({"pattern": q.rows(), "value": repr(v), "pass": passed})
+        if not passed and counterexample is None:
+            i = rings_j[0]
+            k = next(k for k in compatible[i] if conflicts(k, v))
+            counterexample = {
+                "pattern": q.rows(),
+                "annulus": rings[i].render(),
+                "also_compatible": candidates[k].rows(),
+                "other_value": repr(values[k]),
+            }
+    return entries, all(e["pass"] for e in entries), counterexample
+
+
+def _ones(p):
+    return sum(a == "1" for _, a in p.items())
+
+
+def _ones_unless_corner(p):
+    return None if p.at(0, 0) == "1" else _ones(p)
+
+
+def _positive_ones(p):
+    return _ones(p) or None
+
+
+def _letter_counts(p):
+    return (_ones(p), len(p) - _ones(p))
+
+
+def _coordinatewise(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+_ORACLE_CASES = {
+    "popcount-plain": (HS, interior_popcount_family("plain"), 2),
+    "popcount-ordered": (HS, interior_popcount_family("ordered"), 2),
+    "identity-hard-square": (HS, identity_family(), 2),
+    "ones-plain": (HS, EpitomeFamily("ones", _ones), 2),
+    "ones-ordered": (HS, EpitomeFamily("ones", _ones, operator.le), 2),
+    "ones-reversed": (HS, EpitomeFamily("ones", _ones, operator.ge), 2),
+    # undefined whenever the top-left cell is 1
+    "ones-partial": (HS, EpitomeFamily("ones", _ones_unless_corner), 2),
+    # undefined on the all-0 pattern, which every annulus admits
+    "ones-positive": (HS, EpitomeFamily("ones", _positive_ones), 2),
+    "ones-positive-ordered": (HS, EpitomeFamily("ones", _positive_ones, operator.le), 2),
+    # a partial order under which distinct values are incomparable
+    "counts-ordered": (HS, EpitomeFamily("counts", _letter_counts, _coordinatewise), 2),
+    "identity-red-black": (RB, identity_family(), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_generic_route_matches_brute_force(case):
+    spec, fam, n = _ORACLE_CASES[case]
+    rep = epitome_property_check(spec, fam, n)
+    entries, ok, counterexample = _brute_generic(spec, fam, n)
+    assert list(rep.entries) == entries
+    assert (rep.ok, rep.counterexample) == (ok, counterexample)
+    candidates, rings, _ = _brute_compatible(spec, n, 1)
+    assert rep.work == {
+        "annulus_colorings": len(rings),
+        "candidates": len(candidates),
+        "window_checks": len(rings) * len(candidates),
+    }
+
+
+def test_brute_force_oracle_cases_cover_both_answers():
+    # the oracle cases are only as strong as their answers are mixed
+    answers = {case: _brute_generic(*args) for case, args in _ORACLE_CASES.items()}
+    passes = {case: {e["pass"] for e in entries} for case, (entries, _, _) in answers.items()}
+    mixed = ("ones-plain", "ones-reversed", "ones-partial", "counts-ordered", "identity-red-black")
+    for case in mixed:
+        assert passes[case] == {True, False}, case
+    assert passes["popcount-ordered"] == passes["ones-ordered"] == {True}
+    # an undefined value alone sinks every witness, in both kinds
+    for case in ("ones-positive", "ones-positive-ordered"):
+        assert passes[case] == {False}
+        assert answers[case][2]["other_value"] == "None"
 
 
 def test_constant_family_trivially_enforced():

@@ -33,7 +33,8 @@ from shiftlab.epitomes import (
 )
 
 BB = Pattern(BWR, {(0, 0): "B", (0, 1): "B"})
-RB_FORBIDDEN = red_black_spec().enumerator(4)
+RB_SPEC = red_black_spec()
+RB_FORBIDDEN = RB_SPEC.enumerator(4)
 
 
 def _domino_spec(name):
@@ -159,6 +160,41 @@ def test_run_mask_scan_matches_generic_scan(box, data):
     holes = data.draw(st.sets(st.sampled_from(interiors or sorted(coloring)), max_size=1))
     p = Pattern(BWR, {cell: a for cell, a in coloring.items() if cell not in holes})
     assert RED_BLACK_KERNEL.scan(p) == _capped_generic(min(h, w)).scan(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_coloring(2), st.data())
+def test_state_scan_matches_contains_forbidden(box, data):
+    # A partial box at a drawn offset is loaded whole, then a drawn sub-box
+    # is retracted and loaded again, as an enforcer sweep refills its slot.
+    h, w, coloring, interiors = box
+    dr, dc = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    holes = data.draw(st.sets(st.sampled_from(interiors or sorted(coloring)), max_size=2))
+    holes |= data.draw(st.sets(st.sampled_from(sorted(coloring)), max_size=3))
+    cells = {(r + dr, c + dc): a for (r, c), a in coloring.items() if (r, c) not in holes}
+    r0 = data.draw(st.integers(0, h - 1))
+    r1 = data.draw(st.integers(r0, h - 1))
+    c0 = data.draw(st.integers(0, w - 1))
+    c1 = data.draw(st.integers(c0, w - 1))
+    sub = {
+        (r, c): a for (r, c), a in cells.items() if r0 <= r - dr <= r1 and c0 <= c - dc <= c1
+    }
+    rest = {cell: a for cell, a in cells.items() if cell not in sub}
+
+    def reference(cells):
+        return contains_forbidden(Pattern(BWR, cells), RB_SPEC)
+
+    bbox = (dr, dc, dr + h - 1, dc + w - 1)
+    for kernel in (RED_BLACK_KERNEL, _capped_generic(min(h, w))):
+        state = kernel.state(bbox)
+        state.load(cells)
+        assert state.scan() == reference(cells)
+        for cell in sub:
+            state.retract(cell)
+        assert state.cells == rest
+        assert state.scan() == reference(rest)
+        state.load(sub)
+        assert state.scan() == reference(cells)
 
 
 def test_run_mask_window_compat_matches_generic_exhaustive():
