@@ -5,6 +5,16 @@ A pattern is *locally admissible* when it contains no forbidden occurrence;
 of a surrounding margin.  All searches are deterministic backtracking in a
 fixed order — variables row-major over the free cells, values in alphabet
 order — so every witness returned is the lexicographically first one.
+
+When the spec's kernel has a filler letter f for the extent of the margin
+box (``ShiftSpec`` defines it), every locally admissible block extends by
+every margin: fill the ring with f.  A forbidden occurrence that meets the
+ring either puts one of its non-f cells on a ring cell, where the letter is
+f, or has all its non-f cells in the block; they span its bounding box,
+which then lies in the block too.  ``count_admissible`` and the dictionaries
+of ``deepshift.two_part_code`` then need no ring search.  The lex-first
+witness of ``extendable`` is not the all-f ring in general, so
+``extendable`` always searches.
 """
 
 from __future__ import annotations
@@ -95,16 +105,21 @@ def _extendable_blocks(
     ``margin`` ring, in canonical order: yields ``state.cells`` holding the
     pattern at the origin, under the ``lex_assignments`` contract.
 
-    One state covers the whole box, ring at negative and >= n coordinates.
-    The interior is filled first, then the ring; a state rejects an
-    occurrence when its last cell is assigned, so the ring search succeeds
-    iff ``extendable`` finds a witness.
+    When the kernel has a filler for the box's extent every block extends
+    (see the module docstring), so the blocks are enumerated on an n x n
+    state alone.  Otherwise one state covers the whole box, ring at
+    negative and >= n coordinates.  The interior is filled first, then the
+    ring; a state rejects an occurrence when its last cell is assigned, so
+    the ring search succeeds iff ``extendable`` finds a witness.
     """
     if n < 1:
         raise PatternError("n must be positive")
     if margin < 0:
         raise PatternError("margin must be nonnegative")
-    state = kernel_of(spec).state((-margin, -margin, n + margin - 1, n + margin - 1))
+    kernel = kernel_of(spec)
+    if margin and kernel.filler(n + 2 * margin) is not None:
+        margin = 0  # every block extends
+    state = kernel.state((-margin, -margin, n + margin - 1, n + margin - 1))
     interior = [(r, c) for r in range(n) for c in range(n)]
     ring = [
         (r, c)
@@ -113,6 +128,9 @@ def _extendable_blocks(
         if not (0 <= r < n and 0 <= c < n)
     ]
     letters = spec.alphabet.letters
+    if not ring:  # nothing to extend into
+        yield from (state.cells for _ in lex_assignments(state, interior, letters))
+        return
     for _ in lex_assignments(state, interior, letters):
         # a failed ring search has retracted its cells; a found one is
         # abandoned at its first yield and retracted here
@@ -124,5 +142,9 @@ def _extendable_blocks(
 
 def count_admissible(spec: ShiftSpec, n: int, margin: int) -> int:
     """Number of locally admissible n x n patterns with an admissible margin
-    extension."""
+    extension.
+
+    When the spec's kernel has a filler for extent n + 2 * margin, every
+    locally admissible pattern extends (module docstring), so this is the
+    margin-0 count and no ring is searched."""
     return sum(1 for _ in _extendable_blocks(spec, n, margin))

@@ -3,11 +3,12 @@
 Every subcommand prints a JSON report carrying the package version, the
 effective configuration, the results, and a timing block in which wall-clock
 seconds and simulated machine steps are kept strictly apart (``render`` is
-the one plain-text exception).  Commands that run the description machine
-or an epitome check add a ``metrics`` block of work counters, kept out of
-the results.  Exit codes: 0 success, 1 bad usage or bad input or a reader
-that closed stdout early, 2 a verification or consistency check failed, 3
-the request is infeasible at the attempted scale.
+the one plain-text exception).  Commands that run the description machine,
+an epitome check or a block count add a ``metrics`` block of work counters
+(for ``block-count``, the filler letter that spared the ring searches, or
+null), kept out of the results.  Exit codes: 0 success, 1 bad usage or bad
+input or a reader that closed stdout early, 2 a verification or consistency
+check failed, 3 the request is infeasible at the attempted scale.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .complexity import (
     rank_width,
     tuple_threshold,
 )
-from .core import InfeasibleError, Pattern, PatternError, get_spec
+from .core import InfeasibleError, Pattern, PatternError, get_spec, kernel_of
 from .deepshift import (
     build_family,
     decode_two_part,
@@ -97,7 +98,9 @@ def _int_list(text: str) -> list[int]:
 def _cmd_block_count(args):
     spec = get_spec(args.spec)
     count = count_admissible(spec, args.n, args.margin)
-    return {"count": count}, True, None
+    # with a filler letter every block extends and no ring search ran
+    metrics = {"filler": kernel_of(spec).filler(args.n + 2 * args.margin)}
+    return {"count": count}, True, None, metrics
 
 
 def _cmd_census(args):
@@ -169,6 +172,8 @@ def _cmd_lowcfg_build(args):
 def _cmd_lowcfg_roundtrip(args):
     import random
 
+    if args.rects < 0:
+        raise PatternError("rects must be nonnegative")
     nn = NNSpec(get_spec(args.spec))
     pk = build_Pk(nn, args.k)
     side = pk.height

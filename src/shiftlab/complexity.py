@@ -203,7 +203,10 @@ def run_program(program: str, budget: int, meter: StepMeter | None = None) -> Ru
 
 
 def iter_programs(max_len: int):
-    """All programs of length <= max_len, length ascending then numeric."""
+    """All programs of length <= max_len, length ascending then numeric;
+    none when max_len is negative."""
+    if max_len < 0:
+        return
     yield ""
     for length in range(1, max_len + 1):
         yield from map(f"{{:0{length}b}}".format, range(1 << length))
@@ -272,6 +275,8 @@ def lex_first_incompressible(
     """
     if n < 1:
         raise PatternError("n must be positive")
+    if threshold < 0:
+        raise PatternError("threshold must be nonnegative")
     if threshold > n * n + 1:
         raise InfeasibleError(
             f"threshold {threshold} exceeds the literal bound {n * n + 1}"

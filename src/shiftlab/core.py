@@ -332,6 +332,13 @@ class ShiftSpec:
     j at offset (margin, margin) form a locally admissible window.  It is
     stored candidate-major: the matrix is the transpose of a C-ordered
     array, so ``compat.T[j]`` is candidate j's column as one contiguous row.
+    ``filler(max_extent)`` is a letter f such that, in every forbidden
+    pattern of extent at most ``max_extent``, the cells not labelled f are
+    nonempty and span the pattern's bounding box, or None when no letter
+    qualifies.  Filling every cell around a locally admissible rectangle with
+    f then completes no forbidden pattern: an occurrence that puts a non-f
+    cell outside fails there, and one whose non-f cells all lie inside has
+    its whole bounding box inside.
     """
 
     name: str
@@ -417,6 +424,19 @@ def _scan_plan(cells: dict[tuple[int, int], str], bbox, plan) -> Occurrence | No
     return None
 
 
+def _bbox_of(cells) -> tuple[int, int, int, int]:
+    rows = [r for r, _ in cells]
+    cols = [c for _, c in cells]
+    return (min(rows), min(cols), max(rows), max(cols))
+
+
+def _spans(fcells, f: str) -> bool:
+    """Whether the cells of ``fcells`` not labelled ``f`` are nonempty and
+    have the bounding box of all of ``fcells``."""
+    rest = [cell for cell, letter in fcells if letter != f]
+    return bool(rest) and _bbox_of(rest) == _bbox_of([cell for cell, _ in fcells])
+
+
 class _IndexedState:
     """Incremental oracle over a materialized forbidden list.
 
@@ -459,9 +479,7 @@ class _IndexedState:
         # and the rest cannot fit in the cells' box: the answers agree.
         if not self.cells:
             return None
-        rows = [r for r, _ in self.cells]
-        cols = [c for _, c in self.cells]
-        return _scan_plan(self.cells, (min(rows), min(cols), max(rows), max(cols)), self._plan)
+        return _scan_plan(self.cells, _bbox_of(self.cells), self._plan)
 
 
 class GenericKernel:
@@ -473,6 +491,7 @@ class GenericKernel:
         self.alphabet = alphabet
         self.enumerator = enumerator
         self._plans: dict[int, list] = {}
+        self._fillers: dict[int, str | None] = {}
 
     def _plan(self, max_extent: int) -> list:
         if max_extent not in self._plans:
@@ -482,6 +501,16 @@ class GenericKernel:
 
     def scan(self, p: Pattern) -> Occurrence | None:
         return _scan_plan(p._cells, p.bbox, self._plan(p.extent))  # noqa: SLF001
+
+    def filler(self, max_extent: int) -> str | None:
+        """The first letter, in alphabet order, that is a filler for the
+        plan of ``max_extent`` (see ``ShiftSpec``)."""
+        if max_extent not in self._fillers:
+            plan = self._plan(max_extent)
+            self._fillers[max_extent] = next(
+                (f for f in self.alphabet.letters if all(_spans(fc, f) for _, fc in plan)), None
+            )
+        return self._fillers[max_extent]
 
     def state(self, bbox: tuple[int, int, int, int]) -> _IndexedState:
         r0, c0, r1, c1 = bbox
@@ -720,6 +749,11 @@ class RunMaskKernel:
 
     def state(self, bbox: tuple[int, int, int, int]) -> _RunMaskState:
         return _RunMaskState(bbox)
+
+    def filler(self, max_extent: int) -> str | None:
+        """W at every extent: a square's top row is all R and its bottom row
+        all B, so its non-W cells hold both rows, which span the square."""
+        return "W"
 
     def window_compat(self, n: int, margin: int, annulus, candidates):
         """numpy entry point: the window is full, so only red and black rows

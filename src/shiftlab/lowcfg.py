@@ -11,6 +11,11 @@ exactly what a global lex-first-with-certification fill would produce, while
 any aligned sub-square of the result is itself a standard square of its own
 border — the property that makes O(side)-bit descriptions of arbitrary
 sub-rectangles possible.
+
+Completability needs a search only for specs without a filler letter (see
+``ShiftSpec``).  A filler f occurs in no domino or single-cell ban, since
+the cells not labelled f must span the pattern, so filling the rest of the
+square with f completes every locally admissible partial assignment.
 """
 
 from __future__ import annotations
@@ -115,9 +120,11 @@ def choose_border(nn: NNSpec, k: int) -> Pattern:
     ring = ring_cells(side)
     spec = nn.spec
     letters = spec.alphabet.letters
-    state = kernel_of(spec).state((0, 0, side - 1, side - 1))
+    kernel = kernel_of(spec)
+    state = kernel.state((0, 0, side - 1, side - 1))
+    always = kernel.filler(side) is not None  # every admissible ring completes
     for _ in lex_assignments(state, ring, letters):
-        if _completable(state, _interior_cells(0, 0, side, state.cells), letters):
+        if always or _completable(state, _interior_cells(0, 0, side, state.cells), letters):
             return Pattern(spec.alphabet, {cell: state.cells[cell] for cell in ring})
     raise InfeasibleError(f"no completable border at level {k} for {spec.name!r}")
 
@@ -137,8 +144,10 @@ def standard_square(nn: NNSpec, border: Pattern, m: int) -> Pattern:
         raise PatternError("border ring is not locally admissible")
     spec = nn.spec
     letters = spec.alphabet.letters
-    state = kernel_of(spec).state((0, 0, side - 1, side - 1))
+    kernel = kernel_of(spec)
+    state = kernel.state((0, 0, side - 1, side - 1))
     state.load(border.cells)
+    always = kernel.filler(side) is not None  # every admissible centerline completes
 
     def fill(r0: int, c0: int, size: int) -> None:
         if size < 3:
@@ -155,7 +164,9 @@ def standard_square(nn: NNSpec, border: Pattern, m: int) -> Pattern:
             center.append(cell)
 
         for _ in lex_assignments(state, center, letters):
-            if _completable(state, _interior_cells(r0, c0, size, state.cells), letters):
+            if always or _completable(
+                state, _interior_cells(r0, c0, size, state.cells), letters
+            ):
                 break
         else:
             raise InfeasibleError(

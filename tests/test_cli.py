@@ -64,6 +64,8 @@ def test_reports_identical_modulo_timing(capsys, tmp_path):
         ("epitome-verify", "--family", "identity", "--n", "1"),
         ("epitome-verify", "--profile", "1,0"),
         ("border-consistency",),
+        ("block-count", "hard-square", "3", "--margin", "1"),
+        ("block-count", "mirror", "2", "--margin", "1"),
     ):
         _, a, _ = run_json(capsys, *argv)
         _, b, _ = run_json(capsys, *argv)
@@ -137,6 +139,21 @@ def test_block_count_hard_square(capsys):
     rc, report, _ = run_json(capsys, "block-count", "hard-square", "2")
     assert rc == 0
     assert report["result"] == {"count": 7}
+    assert report["metrics"] == {"filler": "0"}
+
+
+def test_block_count_reports_the_filler_route(capsys, tmp_path):
+    rc, report, _ = run_json(capsys, "block-count", "red-black", "2", "--margin", "1")
+    assert (rc, report["result"], report["metrics"]) == (0, {"count": 80}, {"filler": "W"})
+    rc, report, _ = run_json(capsys, "block-count", "mirror", "2", "--margin", "1")
+    assert rc == 0 and report["metrics"] == {"filler": None}
+    # no 000 and no 111 in a row: a 1 x 1 block alone fits neither, but
+    # its margin box does, and there no letter is a filler
+    for name in ("000", "111"):
+        (tmp_path / name).write_text(f"3 1 2\n{name}\n")
+    spec = f"file:{tmp_path / '000'},{tmp_path / '111'}"
+    rc, report, _ = run_json(capsys, "block-count", spec, "1", "--margin", "1")
+    assert (rc, report["result"], report["metrics"]) == (0, {"count": 2}, {"filler": None})
 
 
 def test_block_count_negative_n_exits_1(capsys):
@@ -163,6 +180,8 @@ def test_block_count_negative_n_exits_1(capsys):
         ("verify-archive", "{tmp}"),
         ("verify-archive", "{tmp}/partial"),
         ("deep-member", "--family", "{tmp}/partial", "--pattern", "x"),
+        ("kc-incompressible", "--side", "2", "--threshold", "-3", "--budget", "10"),
+        ("lowcfg-roundtrip", "--k", "3", "--rects", "-5"),
     ],
 )
 def test_sizes_below_range_exit_1(capsys, tmp_path, argv):

@@ -29,7 +29,7 @@ from shiftlab.complexity import (
     run_program,
     tuple_threshold,
 )
-from shiftlab.core import InfeasibleError, make_pattern
+from shiftlab.core import InfeasibleError, PatternError, make_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +246,14 @@ def test_iter_programs_order_and_count():
     assert len(set(progs)) == len(progs)
 
 
+def test_iter_programs_negative_length_yields_nothing():
+    assert list(iter_programs(0)) == [""]
+    assert list(iter_programs(-1)) == []
+    meter = StepMeter()
+    assert printable_strings(-1, 16, meter=meter) == {}
+    assert meter.counters()["runs"] == 0
+
+
 def _outcome(bits, budget, meter=None):
     mine = run_program(bits, budget, meter)
     return (mine.halted, mine.output, mine.steps)
@@ -451,6 +459,10 @@ def test_lex_first_incompressible_threshold_guard():
         lex_first_incompressible(2, 256, 6)
     # the literal bound itself is fine
     lex_first_incompressible(2, 256, 5)
+    with pytest.raises(PatternError):
+        lex_first_incompressible(2, 10, -3)
+    # threshold 0 is vacuous: no program is shorter than 0 bits
+    assert lex_first_incompressible(2, 10, 0).rows() == ["00", "00"]
 
 
 def test_lex_first_incompressible_is_genuine():
