@@ -80,35 +80,21 @@ class StepMeter:
 
 
 # Outcomes of VM opcode lists at one budget, keyed by the opcode bits.  A
-# search runs all its programs at one budget, so the memo holds at most one
-# search's opcode lists; it is emptied whenever the budget changes.
+# search runs all its programs at one budget and starts with an empty memo,
+# so the memo holds at most one search's opcode lists; it is also emptied
+# whenever the budget changes.
 _memo: dict[str, RunOutcome] = {}
 _memo_budget = -1
 _rejected = RunOutcome(False, "", 0)  # shared by unbalanced lists at _memo_budget
+_EMPTY = RunOutcome(True, "", 0)
+_OPCODES = {format(op, "03b"): op for op in range(8)}
+_TAILS = tuple(format(v, "08b") for v in range(256))  # every 8-bit tail, in order
 
 
-def _run(bits: str, budget: int, meter: StepMeter | None = None) -> RunOutcome:
-    global _memo_budget, _rejected
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    if not bits:
-        return RunOutcome(True, "", 0)
-    if bits[0] == "1":
-        need = len(bits)
-        if budget >= need:
-            return RunOutcome(True, bits[1:], need)
-        return RunOutcome(False, bits[1 : max(1, budget)], budget)
-    if budget != _memo_budget:
-        _memo.clear()
-        _memo_budget = budget
-        _rejected = RunOutcome(False, "", budget)
-    code = bits[1 : len(bits) - (len(bits) - 1) % 3]
-    outcome = _memo.get(code)
-    if outcome is None:
-        outcome = _memo[code] = _interpret(code, budget, meter)
-    elif meter is not None:
-        meter.memo_reuses += 1
-    return outcome
+def _reset_memo() -> None:
+    global _memo_budget
+    _memo.clear()
+    _memo_budget = -1
 
 
 def _interpret(code: str, budget: int, meter: StepMeter | None) -> RunOutcome:
@@ -122,7 +108,9 @@ def _interpret(code: str, budget: int, meter: StepMeter | None) -> RunOutcome:
     outcome equals plain stepping's.  Loops whose counters grow never
     repeat and are stepped throughout.
     """
-    ops = [int(code[i : i + 3], 2) for i in range(0, len(code), 3)]
+    ops = [_OPCODES[code[i : i + 3]] for i in range(0, len(code), 3)]
+    if ops.count(WHILE) != ops.count(ENDW):
+        return _rejected
     match: dict[int, int] = {}
     stack = []
     for i, op in enumerate(ops):
@@ -134,8 +122,6 @@ def _interpret(code: str, budget: int, meter: StepMeter | None) -> RunOutcome:
             j = stack.pop()
             match[i] = j
             match[j] = i
-    if stack:
-        return _rejected
     a = b = 0
     pc = 0
     steps = 0
@@ -193,23 +179,50 @@ def _interpret(code: str, budget: int, meter: StepMeter | None) -> RunOutcome:
 
 def run_program(program: str, budget: int, meter: StepMeter | None = None) -> RunOutcome:
     """Run a program for at most ``budget`` steps."""
+    global _memo_budget, _rejected
     if program.strip("01"):
         raise ValueError(f"program must be a bit string, got {program!r}")
-    outcome = _run(program, budget, meter)
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    if not program:
+        outcome = _EMPTY
+    elif program[0] == "1":
+        need = len(program)
+        if budget >= need:
+            outcome = tuple.__new__(RunOutcome, (True, program[1:], need))
+        else:
+            outcome = tuple.__new__(RunOutcome, (False, program[1 : max(1, budget)], budget))
+    else:
+        if budget != _memo_budget:
+            _memo.clear()
+            _memo_budget = budget
+            _rejected = RunOutcome(False, "", budget)
+        n = len(program)
+        code = program[1 : n - (n - 1) % 3]
+        outcome = _memo.get(code)
+        if outcome is None:
+            outcome = _memo[code] = _interpret(code, budget, meter)
+        elif meter is not None:
+            meter.memo_reuses += 1
     if meter is not None:
         meter.runs += 1
-        meter.steps += outcome.steps
+        meter.steps += outcome[2]
     return outcome
 
 
 def iter_programs(max_len: int):
     """All programs of length <= max_len, length ascending then numeric;
-    none when max_len is negative."""
+    none when max_len is negative.  Past 8 bits each program is its high
+    bits followed by one of the 256 8-bit tails, so only the high bits are
+    formatted."""
     if max_len < 0:
         return
     yield ""
-    for length in range(1, max_len + 1):
+    for length in range(1, min(max_len, 8) + 1):
         yield from map(f"{{:0{length}b}}".format, range(1 << length))
+    for length in range(9, max_len + 1):
+        for head in map(f"{{:0{length - 8}b}}".format, range(1 << (length - 8))):
+            yield from map(head.__add__, _TAILS)
 
 
 @dataclass(frozen=True)
@@ -230,9 +243,10 @@ def ctime(x: str, max_len: int, budget: int, meter: StepMeter | None = None) -> 
     """Exact time-bounded complexity of ``x`` by exhaustive enumeration."""
     if max_len < 0:
         raise PatternError("max_len must be nonnegative")
+    _reset_memo()
     for bits in iter_programs(max_len):
-        outcome = run_program(bits, budget, meter)
-        if outcome.halted and outcome.output == x:
+        halted, output, _ = run_program(bits, budget, meter)
+        if halted and output == x:
             return ComplexityResult(len(bits), bits, budget, max_len)
     return ComplexityResult(None, None, budget, max_len)
 
@@ -246,13 +260,11 @@ def printable_strings(
     """Map output -> first producing program, over all programs of length
     <= max_len run within the budget.  ``length`` filters outputs."""
     out: dict[str, str] = {}
+    _reset_memo()
     for bits in iter_programs(max_len):
-        outcome = run_program(bits, budget, meter)
-        if not outcome.halted:
-            continue
-        if length is not None and len(outcome.output) != length:
-            continue
-        out.setdefault(outcome.output, bits)
+        halted, output, _ = run_program(bits, budget, meter)
+        if halted and (length is None or len(output) == length) and output not in out:
+            out[output] = bits
     return out
 
 

@@ -56,7 +56,6 @@ def test_census_report_shape(capsys):
 
 
 def test_reports_identical_modulo_timing(capsys, tmp_path):
-    # metrics count work, which a warm memo in the same process changes
     out = str(tmp_path / "fam")
     for argv in (
         ("census", "3"),
@@ -71,7 +70,6 @@ def test_reports_identical_modulo_timing(capsys, tmp_path):
         _, b, _ = run_json(capsys, *argv)
         for report in (a, b):
             report.pop("timing")
-            report.pop("metrics", None)
         assert a == b
 
 
@@ -377,6 +375,19 @@ def test_lowcfg_roundtrip_ok(tmp_path, capsys):
     assert len(res["rects"]) == 5
     assert all(e["ok"] and e["within_bound"] for e in res["rects"])
     assert (tmp_path / "desc" / "description.json").exists()
+
+
+@pytest.mark.parametrize("command", ["lowcfg-build", "lowcfg-roundtrip"])
+@pytest.mark.parametrize("k", ["12", "40"])
+def test_lowcfg_level_above_limit_exits_3(capsys, command, k):
+    rc, report, err = run_json(capsys, command, "--k", k)
+    assert rc == 3
+    assert report == {
+        "command": command,
+        "error": "lowcfg is limited to levels k <= 11",
+        "infeasible": True,
+    }
+    assert err == ""
 
 
 def test_lowcfg_rejects_non_nn_spec(capsys):

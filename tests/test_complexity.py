@@ -6,6 +6,7 @@ implementation; the agreement tests treat it as an oracle.
 """
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -239,11 +240,30 @@ def test_rejects_non_bit_strings():
         run_program("01a", 10)
 
 
+@pytest.mark.parametrize("program", ["", "10110", "0001001111"])
+def test_rejects_negative_budget(program):
+    # empty, literal and VM programs alike, and the meter is not charged
+    meter = StepMeter()
+    with pytest.raises(ValueError, match="nonnegative"):
+        run_program(program, -1, meter)
+    assert (meter.steps, meter.runs) == (0, 0)
+
+
 def test_iter_programs_order_and_count():
     progs = list(iter_programs(3))
     assert progs[:4] == ["", "0", "1", "00"]
     assert len(progs) == 1 + 2 + 4 + 8
     assert len(set(progs)) == len(progs)
+
+
+def test_iter_programs_matches_plain_formatting():
+    # lengths up to 18 cover both sides of the 8-bit tail boundary
+    expected = [""] + [
+        format(v, f"0{n}b") for n in range(1, 19) for v in range(1 << n)
+    ]
+    for max_len in range(19):
+        count = (1 << (max_len + 1)) - 1
+        assert list(iter_programs(max_len)) == expected[:count], max_len
 
 
 def test_iter_programs_negative_length_yields_nothing():
@@ -263,7 +283,11 @@ def test_library_agrees_with_reference_interpreter():
     # every program of at most 15 bits, full outcomes including the output
     # written before a cutoff; budget-major order, so each budget's memo is
     # filled and then reused by the trailing-bit variants
-    programs = list(iter_programs(15))
+    programs = [
+        "".join(bits)
+        for length in range(16)
+        for bits in itertools.product("01", repeat=length)
+    ]
     for budget in (0, 1, 2, 3, 17, 64, 448):
         for bits in programs:
             assert _outcome(bits, budget) == reference_run(bits, budget), (bits, budget)
@@ -434,6 +458,33 @@ def test_printable_strings_frozen_at_seed_values():
     digest = hashlib.sha256(json.dumps(sorted(table.items())).encode()).hexdigest()
     assert digest == "77b795d2628cf85d0356bc364878dfeecc5f2e5e2aa6de12a5d8e3e808399bbc"
     assert meter.steps == 73400181 and meter.runs == 65535
+
+
+@pytest.mark.parametrize(
+    "search, counters",
+    [
+        ((17, 448, 20), (42185051, 262143, 93622, 171)),
+        ((15, 3584, 16), (73400181, 65535, 28086, 16)),
+        ((15, 28689, 16), (584086091, 65535, 28086, 16)),
+    ],
+)
+def test_benchmark_search_counters_frozen(search, counters):
+    # each search starts from an empty memo, so a second run of the same
+    # search in this process reports the same counters, memo reuses included
+    for _ in range(2):
+        meter = StepMeter()
+        assert printable_strings(*search, meter=meter) == {}
+        assert (meter.steps, meter.runs, meter.memo_reuses, meter.cycle_cutoffs) == counters
+
+
+def test_ctime_starts_with_an_empty_memo():
+    counters = []
+    for _ in range(2):
+        meter = StepMeter()
+        assert ctime("0" * 9, 12, 448, meter).value == 10
+        counters.append(meter.counters())
+    assert counters[0] == counters[1]
+    assert counters[0]["memo_reuses"] > 0
 
 
 def test_printable_strings_filter():

@@ -18,6 +18,7 @@ from shiftlab.core import (
     subpattern,
 )
 from shiftlab.lowcfg import (
+    MAX_LEVEL,
     NNSpec,
     build_Pk,
     choose_border,
@@ -136,6 +137,19 @@ def test_border_certifies_completability(nn_no00):
 def test_choose_border_negative_level():
     with pytest.raises(PatternError):
         choose_border(NN_HS, -1)
+
+
+@pytest.mark.parametrize("k", [MAX_LEVEL + 1, 40])
+def test_levels_above_the_limit_refused(k):
+    # refused before the ring of side 2^k + 1 is listed
+    assert MAX_LEVEL == 11
+    with pytest.raises(InfeasibleError, match="k <= 11"):
+        choose_border(NN_HS, k)
+    with pytest.raises(InfeasibleError, match="k <= 11"):
+        build_Pk(NN_HS, k)
+    border = Pattern(BINARY, {cell: "0" for cell in ring_cells(3)})
+    with pytest.raises(InfeasibleError, match="k <= 11"):
+        standard_square(NN_HS, border, k)
 
 
 # ---------------------------------------------------------------------------
