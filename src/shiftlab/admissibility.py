@@ -26,6 +26,8 @@ from .core import (
     Pattern,
     PatternError,
     ShiftSpec,
+    _bbox_of,
+    completable,
     contains_forbidden,
     kernel_of,
     lex_assignments,
@@ -65,11 +67,7 @@ def lex_first_completion(region: CompletionRegion, spec: ShiftSpec) -> Pattern |
     free = sorted(region.free_cells)
     if not free:
         return host
-    pts = list(host.support) + free
-    rs = [r for r, _ in pts]
-    cs = [c for _, c in pts]
-    bbox = (min(rs), min(cs), max(rs), max(cs))
-    state = kernel_of(spec).state(bbox)
+    state = kernel_of(spec).state(_bbox_of(list(host.support) + free))
     state.load(host.cells)
     for _ in lex_assignments(state, free, spec.alphabet.letters):
         return Pattern(spec.alphabet, state.cells)
@@ -132,11 +130,7 @@ def _extendable_blocks(
         yield from (state.cells for _ in lex_assignments(state, interior, letters))
         return
     for _ in lex_assignments(state, interior, letters):
-        # a failed ring search has retracted its cells; a found one is
-        # abandoned at its first yield and retracted here
-        if any(True for _ in lex_assignments(state, ring, letters)):
-            for cell in ring:
-                state.retract(cell)
+        if completable(state, ring, letters):
             yield state.cells
 
 

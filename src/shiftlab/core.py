@@ -395,6 +395,16 @@ def lex_assignments(state, free: list[tuple[int, int]], letters: tuple[str, ...]
         retract(free[i])
 
 
+def completable(state, free: list[tuple[int, int]], letters: tuple[str, ...]) -> bool:
+    """Whether ``free`` admits a locally admissible filling on ``state``;
+    leaves the state as it found it."""
+    for _ in lex_assignments(state, free, letters):
+        for cell in reversed(free):
+            state.retract(cell)
+        return True
+    return False
+
+
 def iter_rect_patterns(spec: ShiftSpec, h: int, w: int) -> Iterator[Pattern]:
     """The locally admissible h x w patterns of ``spec`` in canonical
     (row-major lexicographic) order: all |alphabet|^(h*w) of them when the

@@ -495,9 +495,11 @@ def gamma_encode(v: int) -> str:
 
 def gamma_decode(bits: str, pos: int) -> tuple[int, int]:
     z = 0
-    while bits[pos + z] == "0":
+    while pos + z < len(bits) and bits[pos + z] == "0":
         z += 1
     end = pos + z + z + 1
+    if end > len(bits):
+        raise PatternError("truncated gamma code")
     return int(bits[pos + z : end], 2), end
 
 
@@ -569,7 +571,11 @@ def two_part_code(p: Pattern, k: int, spec: ShiftSpec, margin: int = 0) -> TwoPa
 
 
 def decode_two_part(bits: str) -> Pattern:
-    """Inverse of ``two_part_code`` (header is self-delimiting)."""
+    """Inverse of ``two_part_code`` (header is self-delimiting).  A code
+    whose length is not the one its header implies, or that names a letter
+    or block index out of range, is refused with ``PatternError``."""
+    if bits.strip("01"):
+        raise PatternError("a two-part code is a bit string")
     size, pos = gamma_decode(bits, 0)
     alphabet = _ALPHABET_BY_SIZE.get(size)
     if alphabet is None:
@@ -578,6 +584,10 @@ def decode_two_part(bits: str) -> Pattern:
     k, pos = gamma_decode(bits, pos)
     L, pos = gamma_decode(bits, pos)
     letter_width = (size - 1).bit_length()
+    index_width = (L - 1).bit_length() if L > 1 else 0
+    need = pos + L * k * k * letter_width + N * N * index_width
+    if len(bits) != need:
+        raise PatternError(f"the header implies a {need}-bit code, got {len(bits)} bits")
     dictionary = []
     for _ in range(L):
         cells = {}
@@ -585,14 +595,17 @@ def decode_two_part(bits: str) -> Pattern:
             for c in range(k):
                 ix = int(bits[pos : pos + letter_width], 2)
                 pos += letter_width
+                if ix >= size:
+                    raise PatternError(f"letter index {ix} is out of range")
                 cells[(r, c)] = alphabet.letters[ix]
         dictionary.append(Pattern(alphabet, cells))
-    index_width = (L - 1).bit_length() if L > 1 else 0
     cells = {}
     for I in range(N):
         for J in range(N):
             ix = int(bits[pos : pos + index_width], 2) if index_width else 0
             pos += index_width
+            if ix >= L:
+                raise PatternError(f"block index {ix} is not below L={L}")
             for (r, c), letter in dictionary[ix].items():
                 cells[(I * k + r, J * k + c)] = letter
     return Pattern(alphabet, cells)

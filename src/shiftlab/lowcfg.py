@@ -30,6 +30,7 @@ from .core import (
     Pattern,
     PatternError,
     ShiftSpec,
+    completable,
     contains_forbidden,
     kernel_of,
     lex_assignments,
@@ -109,16 +110,6 @@ def _interior_cells(r0: int, c0: int, side: int, assigned) -> list[tuple[int, in
     ]
 
 
-def _completable(state, cells: list[tuple[int, int]], letters: tuple[str, ...]) -> bool:
-    """Whether ``cells`` admit a locally admissible filling; leaves the state
-    as it found it."""
-    for _ in lex_assignments(state, cells, letters):
-        for cell in reversed(cells):
-            state.retract(cell)
-        return True
-    return False
-
-
 def choose_border(nn: NNSpec, k: int) -> Pattern:
     """Lex-first completable border ring for the level-k square.
 
@@ -135,7 +126,7 @@ def choose_border(nn: NNSpec, k: int) -> Pattern:
     state = kernel.state((0, 0, side - 1, side - 1))
     always = kernel.filler(side) is not None  # every admissible ring completes
     for _ in lex_assignments(state, ring, letters):
-        if always or _completable(state, _interior_cells(0, 0, side, state.cells), letters):
+        if always or completable(state, _interior_cells(0, 0, side, state.cells), letters):
             return Pattern(spec.alphabet, {cell: state.cells[cell] for cell in ring})
     raise InfeasibleError(f"no completable border at level {k} for {spec.name!r}")
 
@@ -176,9 +167,7 @@ def standard_square(nn: NNSpec, border: Pattern, m: int) -> Pattern:
             center.append(cell)
 
         for _ in lex_assignments(state, center, letters):
-            if always or _completable(
-                state, _interior_cells(r0, c0, size, state.cells), letters
-            ):
+            if always or completable(state, _interior_cells(r0, c0, size, state.cells), letters):
                 break
         else:
             raise InfeasibleError(

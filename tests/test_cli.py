@@ -339,6 +339,28 @@ def test_deep_build_multi_block_infeasible(tmp_path, capsys):
     assert report["infeasible"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("deep-build", "--n0", "2", "--depth", "1", "--out", "{tmp}/f"),
+        ("kc-incompressible", "--side", "6", "--threshold", "37", "--budget", "10"),
+        ("kc-incompressible", "--mode", "perms", "--length", "6", "--count", "5", "--budget", "10"),
+    ],
+)
+def test_program_search_above_limit_exits_3(capsys, tmp_path, argv):
+    # searches over programs of up to 63, 36 and 46 bits
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    rc, report, err = run_json(capsys, *argv)
+    assert rc == 3
+    assert report == {
+        "command": argv[0],
+        "error": "program searches are limited to max_len <= 24",
+        "infeasible": True,
+    }
+    assert err == ""
+    assert not any(tmp_path.iterdir())  # refused before an archive was written
+
+
 # ---------------------------------------------------------------------------
 # Standard squares
 # ---------------------------------------------------------------------------

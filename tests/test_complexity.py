@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab.complexity import (
+    MAX_PROGRAM_BITS,
     ComplexityResult,
     StepMeter,
     ctime,
@@ -274,8 +275,8 @@ def test_iter_programs_negative_length_yields_nothing():
     assert meter.counters()["runs"] == 0
 
 
-def _outcome(bits, budget, meter=None):
-    mine = run_program(bits, budget, meter)
+def _outcome(bits, budget, meter=None, memo=None):
+    mine = run_program(bits, budget, meter, memo)
     return (mine.halted, mine.output, mine.steps)
 
 
@@ -289,8 +290,9 @@ def test_library_agrees_with_reference_interpreter():
         for bits in itertools.product("01", repeat=length)
     ]
     for budget in (0, 1, 2, 3, 17, 64, 448):
+        memo = {}
         for bits in programs:
-            assert _outcome(bits, budget) == reference_run(bits, budget), (bits, budget)
+            assert _outcome(bits, budget, memo=memo) == reference_run(bits, budget), (bits, budget)
 
 
 def _looping_programs():
@@ -366,10 +368,11 @@ def test_memo_is_per_budget_and_shared_by_trailing_bits():
     # INC WHILE OUT1 ENDW: loops forever, printing a 1 every 3 steps
     code = "0" + "010" + "100" + "001" + "101"
     variants = [code + tail for tail in ("", "0", "1", "00", "01", "10", "11")]
-    for budget in (1000, 1001, 1000, 1001):  # each change empties the memo
+    for budget in (1000, 1001, 1000, 1001):
         meter = StepMeter()
+        memo = {}
         for bits in variants:
-            assert _outcome(bits, budget, meter) == reference_run(bits, budget), (bits, budget)
+            assert _outcome(bits, budget, meter, memo) == reference_run(bits, budget), (bits, budget)
         assert (meter.runs, meter.memo_reuses, meter.cycle_cutoffs) == (7, 6, 1)
         assert meter.steps == 7 * budget
 
@@ -386,7 +389,7 @@ def test_cycle_cut_finds_periods_of_several_back_jumps():
 def test_unbalanced_lists_share_one_outcome():
     a = run_program("0" + "100", 37)
     b = run_program("0" + "101100", 37)
-    assert a is b
+    assert a == b
     assert (a.halted, a.output, a.steps) == (False, "", 37)
 
 
@@ -485,6 +488,45 @@ def test_ctime_starts_with_an_empty_memo():
         counters.append(meter.counters())
     assert counters[0] == counters[1]
     assert counters[0]["memo_reuses"] > 0
+
+
+class _InterleavingMeter(StepMeter):
+    """Runs an unrelated program at another budget after every 1000th run
+    it is charged for."""
+
+    @property
+    def runs(self):
+        return self._runs
+
+    @runs.setter
+    def runs(self, value):
+        self._runs = value
+        if value and value % 1000 == 0:
+            run_program("0" + "010100001101", 999)
+
+
+def test_search_counters_ignore_runs_made_elsewhere():
+    plain, interleaved = StepMeter(), _InterleavingMeter()
+    table = printable_strings(12, 448, meter=plain)
+    assert printable_strings(12, 448, meter=interleaved) == table
+    assert interleaved.counters() == plain.counters()
+    assert interleaved.steps == plain.steps
+    assert plain.memo_reuses == 3510 and plain.cycle_cutoffs == 1
+
+
+def test_printable_strings_refuses_searches_above_the_limit():
+    # 2^26 - 1 programs: refused before the first run
+    assert MAX_PROGRAM_BITS == 24
+    meter = StepMeter()
+    with pytest.raises(InfeasibleError, match="max_len <= 24"):
+        printable_strings(MAX_PROGRAM_BITS + 1, 448, meter=meter)
+    assert meter.runs == 0
+    with pytest.raises(InfeasibleError, match="max_len <= 24"):
+        lex_first_incompressible(6, 10, 37)
+    with pytest.raises(InfeasibleError, match="max_len <= 24"):
+        incompressible_permutations(6, 5, 10)
+    # ctime stops at its first hit, so long programs are no obstacle
+    assert ctime("11", 63, 64).value == 3
 
 
 def test_printable_strings_filter():

@@ -566,6 +566,35 @@ def test_two_part_code_shape_guards():
         two_part_code(make_pattern(["BW", "WW"]), 1, HS)
 
 
+def test_decode_two_part_refuses_malformed_codes():
+    p = make_pattern(["0100", "0001", "1000", "0010"])
+    bits = two_part_code(p, 2, HS).bits
+    assert len(bits) == 54 and decode_two_part(bits) == p
+    # every proper prefix, including cuts inside the header and inside the
+    # last index field, and a trailing extra bit
+    for n in range(len(bits)):
+        with pytest.raises(PatternError):
+            decode_two_part(bits[:n])
+    for bad in ("0101", bits + "0", bits[:-1] + "2"):
+        with pytest.raises(PatternError):
+            decode_two_part(bad)
+    # L = 7 blocks in 3-bit indices: index 7 names no block
+    with pytest.raises(PatternError, match="block index 7"):
+        decode_two_part(bits[:-3] + "111")
+    # a 2-bit letter field of the three-letter alphabet holding 3
+    rb = two_part_code(make_pattern(["WWRW", "WWWW", "BWWB", "WWWW"]), 2, red_black_spec())
+    h = rb.header_bits
+    with pytest.raises(PatternError, match="letter index 3"):
+        decode_two_part(rb.bits[:h] + "11" + rb.bits[h + 2 :])
+
+
+def test_gamma_decode_refuses_truncated_codes():
+    for bits in ("", "0", "00", "001", "0001"):
+        with pytest.raises(PatternError):
+            gamma_decode(bits, 0)
+    assert gamma_decode("00101", 0) == (5, 5)
+
+
 def test_two_part_code_k1_degenerate():
     p = make_pattern(["01", "10"])
     code = two_part_code(p, 1, HS)

@@ -22,6 +22,7 @@ from shiftlab.core import (
     Pattern,
     ShiftSpec,
     _red_black_enumerator,
+    completable,
     contains_forbidden,
     hard_square_spec,
     kernel_of,
@@ -33,7 +34,6 @@ from shiftlab.core import (
 from shiftlab.deepshift import two_part_code
 from shiftlab.lowcfg import (
     NNSpec,
-    _completable,
     _interior_cells,
     build_Pk,
     choose_border,
@@ -176,6 +176,34 @@ def test_standard_squares_same_with_filler_hidden(spec, weights):
             assert standard_square(nn, border, m) == standard_square(hidden, border, m)
 
 
+@pytest.mark.parametrize(
+    "kernel, box, loaded, letters",
+    [
+        # 0 then 1s: the only filling; no letter 0 alone fills it
+        (kernel_of(ZERO_LEFT), (0, 0, 1, 1), {(0, 0): "0"}, ("0", "1")),
+        # R R R over B: W breaks every square; all-B rows complete one
+        (
+            RED_BLACK_KERNEL,
+            (0, 0, 2, 2),
+            {(0, 0): "R", (0, 1): "R", (0, 2): "R", (2, 0): "B"},
+            BWR.letters,
+        ),
+    ],
+)
+def test_completability_probe_leaves_the_state_as_found(kernel, box, loaded, letters):
+    state = kernel.state(box)
+    state.load(loaded)
+    free = [(r, c) for r in range(box[2] + 1) for c in range(box[3] + 1) if (r, c) not in loaded]
+    masks = lambda: [list(getattr(state, name, ())) for name in ("red", "black", "filled")]
+    before = masks()
+    assert completable(state, free, letters)
+    assert state.cells == loaded and masks() == before
+    assert not completable(state, free, letters[:1])
+    assert state.cells == loaded and masks() == before
+    if kernel is RED_BLACK_KERNEL:
+        assert before[0] == [0b111, 0, 0] and before[2] == [0b111, 0, 0b001]
+
+
 def test_filler_less_spec_needs_the_completability_probe():
     """The lex-first admissible centerline of the level-2 square puts a 0 at
     (1, 2), which no letter at (1, 1) may precede; only the probe sees it."""
@@ -188,6 +216,6 @@ def test_filler_less_spec_needs_the_completability_probe():
     center = [(2, 1), (2, 2), (2, 3), (1, 2), (3, 2)]
     next(lex_assignments(state, center, ZERO_LEFT.alphabet.letters))
     assert state.cells[1, 2] == "0"
-    assert not _completable(state, _interior_cells(0, 0, 5, state.cells), ("0", "1"))
+    assert not completable(state, _interior_cells(0, 0, 5, state.cells), ("0", "1"))
     assert build_Pk(nn, 2).rows() == ["01111", "11111", "01111", "11111", "01111"]
     assert build_Pk(nn, 3).rows() == ["011111111", "111111111"] * 4 + ["011111111"]
