@@ -114,7 +114,6 @@ def _cmd_deep_build(args):
         args.depth,
         mode=args.mode,
         structural_override=tuple(args.override) if args.override else None,
-        oracle=args.oracle,
     )
     fam = build_family(params)
     manifest = save_family(fam, args.out)
@@ -331,8 +330,16 @@ def _cmd_verify_archive(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``shiftlab:`` line on stderr and exits
+    1; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.exit(1, f"shiftlab: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shiftlab",
         description="Workbench for two-dimensional shifts of finite type.",
     )
@@ -354,7 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--c", type=int, default=3)
     q.add_argument("--depth", type=int, required=True)
     q.add_argument("--mode", choices=["two-block", "multi-block"], default="two-block")
-    q.add_argument("--oracle", choices=["exact", "proxy"], default="exact")
     q.add_argument("--override", type=_int_list, default=None,
                    help="comma-separated n_i list replacing the c-fold growth")
     q.add_argument("--out", required=True)
@@ -471,9 +477,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses status 2 for usage errors; normalize to 1, keep 0 for --help
-        return 0 if exc.code in (0, None) else 1
+    except SystemExit as exc:  # usage errors exit 1, --help 0
+        return exc.code or 0
 
     t0 = time.perf_counter()
     try:

@@ -1,7 +1,7 @@
 """Exact resource-bounded descriptional complexity for a fixed tiny machine.
 
 The machine is normative for every complexity value in the package; nothing
-here approximates except ``proxy_upper_bound``, which is clearly flagged.
+here approximates.
 
 Program format (a bit string):
 
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import zlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -368,12 +367,3 @@ def incompressible_permutations(
             return [permutation_from_rank(l, r) for r in ranks]
     raise InfeasibleError("every rank tuple is printable below the threshold")
 
-
-def proxy_upper_bound(x: str) -> int:
-    """Crude *upper-bound proxy* for descriptional complexity: 8x the zlib
-    level-9 compressed size plus a fixed header allowance.  Only an upper
-    bound on scale — never comparable with exact ``ctime`` values, and never
-    a substitute for them."""
-    if set(x) - {"0", "1"}:
-        raise ValueError("proxy_upper_bound expects a bit string")
-    return 8 * len(zlib.compress(x.encode("ascii"), 9)) + 32

@@ -2,7 +2,7 @@
 
 A family is built level by level.  Level 0 holds explicit small blocks; at
 each level above, the arrangement of lower-level blocks is selected by an
-exact (or, when asked, proxy) incompressibility search:
+exact incompressibility search:
 
 * two-block mode: one binary matrix R per level, chosen lex-first among
   matrices whose row-major bits no short program prints; the two level-i
@@ -11,20 +11,18 @@ exact (or, when asked, proxy) incompressibility search:
   chosen by the same kind of search on its fixed-width rank encoding; each
   level-i block contains every level-(i-1) block exactly once.
 
-Time budgets follow a fixed schedule: T is a configurable base bound
-(default N^3), t' = 2*T(N) + N^3, and t = 2*t' + N^3 plus the measured
-machine steps spent building the lower levels.  The measurement is
-deterministic, so archived families rebuild bit-exactly from their manifests.
+Time budgets follow a fixed schedule: T = N^3, t' = 2*T + N^3, and
+t = 2*t' + N^3 plus the measured machine steps spent building the lower
+levels.  The measurement is deterministic, so archived families rebuild
+bit-exactly from their manifests.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 import os
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import __version__
 from .admissibility import _extendable_blocks
@@ -32,9 +30,6 @@ from .complexity import (
     StepMeter,
     incompressible_permutations,
     lex_first_incompressible,
-    permutation_from_rank,
-    proxy_upper_bound,
-    rank_width,
     tuple_threshold,
 )
 from .core import (
@@ -74,7 +69,6 @@ class DeepParams:
     depth: int
     mode: str
     structural_override: tuple[int, ...] | None
-    oracle: str
     n: tuple[int, ...]
     N: tuple[int, ...]
     block_counts: tuple[int, ...]
@@ -111,19 +105,12 @@ class StandardBlockFamily:
         return self.levels[level].blocks
 
 
-def default_T(N: int) -> int:
-    return N**3
-
-
 def schedule_params(
     n0: int,
     c: int,
     depth: int,
     mode: str = TWO_BLOCK,
     structural_override: Iterable[int] | None = None,
-    oracle: str = "exact",
-    T: Callable[[int], int] | None = None,
-    budget_overrides: dict[int, tuple[int, int, int]] | None = None,
 ) -> DeepParams:
     """Resolve sizes, thresholds, and budgets for a family.
 
@@ -139,8 +126,6 @@ def schedule_params(
         raise PatternError("depth must be at least 1")
     if mode not in (TWO_BLOCK, MULTI_BLOCK):
         raise PatternError(f"unknown mode {mode!r}")
-    if oracle not in ("exact", "proxy"):
-        raise PatternError(f"unknown oracle {oracle!r}")
 
     if structural_override is not None:
         ns = tuple(int(v) for v in structural_override)
@@ -186,13 +171,9 @@ def schedule_params(
             tuple_threshold(counts[i - 1], counts[i]) for i in range(1, depth + 1)
         )
 
-    T_fn = T or default_T
     budgets = [LevelBudget(0, 0, 0)]
     for i in range(1, depth + 1):
-        if budget_overrides and i in budget_overrides:
-            budgets.append(LevelBudget(*budget_overrides[i]))
-            continue
-        Ti = T_fn(N[i])
+        Ti = N[i] ** 3
         tp = 2 * Ti + N[i] ** 3
         budgets.append(LevelBudget(Ti, tp, 2 * tp + N[i] ** 3))
     return DeepParams(
@@ -201,7 +182,6 @@ def schedule_params(
         depth=depth,
         mode=mode,
         structural_override=tuple(structural_override) if structural_override is not None else None,
-        oracle=oracle,
         n=ns,
         N=N,
         block_counts=counts,
@@ -243,27 +223,6 @@ def _all_const(n: int, bit: str) -> Pattern:
     return Pattern(BINARY, {(r, c): bit for r in range(n) for c in range(n)})
 
 
-def _proxy_first_matrix(n: int, threshold: int) -> Pattern:
-    for v in range(1 << (n * n)):
-        bits = format(v, f"0{n * n}b")
-        if proxy_upper_bound(bits) >= threshold:
-            return Pattern(BINARY, {(r, c): bits[r * n + c] for r in range(n) for c in range(n)})
-    raise InfeasibleError("proxy bound rejects every matrix")
-
-
-def _proxy_first_perms(l: int, count: int) -> list[tuple[int, ...]]:
-    threshold = tuple_threshold(l, count)
-    w = rank_width(l)
-    f = math.factorial(l)
-    for ranks in itertools.product(range(f), repeat=count):
-        if len(set(ranks)) != count:
-            continue
-        enc = "".join(format(r, f"0{w}b") for r in ranks) or "0"
-        if proxy_upper_bound(enc) >= threshold:
-            return [permutation_from_rank(l, r) for r in ranks]
-    raise InfeasibleError("proxy bound rejects every tuple")
-
-
 def build_family(params: DeepParams, budgets_final: bool = False) -> StandardBlockFamily:
     """Build all levels.  With ``budgets_final`` the t budgets are taken
     verbatim from ``params`` (archive rebuilds); otherwise the measured
@@ -292,20 +251,13 @@ def build_family(params: DeepParams, budgets_final: bool = False) -> StandardBlo
         meter = StepMeter()
         prev = levels[i - 1].blocks
         if params.mode == TWO_BLOCK:
-            if params.oracle == "exact":
-                R = lex_first_incompressible(params.n[i], t_final, params.thresholds[i], meter)
-            else:
-                R = _proxy_first_matrix(params.n[i], params.thresholds[i])
+            R = lex_first_incompressible(params.n[i], t_final, params.thresholds[i], meter)
             q0 = substitute(R, prev[0], prev[1])
             entry = LevelBlocks(i, (q0, invert(q0)), witness_matrix=R)
         else:
-            count = params.block_counts[i]
-            if params.oracle == "exact":
-                perms = incompressible_permutations(
-                    len(prev), count, t_final, distinct=True, meter=meter
-                )
-            else:
-                perms = _proxy_first_perms(len(prev), count)
+            perms = incompressible_permutations(
+                len(prev), params.block_counts[i], t_final, distinct=True, meter=meter
+            )
             blocks = tuple(arrange(p, prev, params.n[i]) for p in perms)
             entry = LevelBlocks(i, blocks, witness_perms=tuple(perms))
         if len({b.lex_key() for b in entry.blocks}) != len(entry.blocks):
@@ -470,16 +422,6 @@ def witness_bit_length(res: MemberResult, fam: StandardBlockFamily) -> int:
     )
 
 
-def contains_all_2x2(R: Pattern) -> bool:
-    """Diagnostic: does the binary matrix contain every 2x2 pattern?"""
-    seen = set()
-    rows = R.rows()
-    for i in range(len(rows) - 1):
-        for j in range(len(rows[0]) - 1):
-            seen.add(rows[i][j : j + 2] + rows[i + 1][j : j + 2])
-    return len(seen) == 16
-
-
 # ---------------------------------------------------------------------------
 # Two-part codes
 # ---------------------------------------------------------------------------
@@ -570,10 +512,18 @@ def two_part_code(p: Pattern, k: int, spec: ShiftSpec, margin: int = 0) -> TwoPa
     )
 
 
+# The largest side N*k a code may name.  With one dictionary block the index
+# field is empty, so a 27-bit code names a 1024 x 1024 pattern; decoding it
+# takes 1.6 s and peaks at 224 MB on a 2-core Xeon, and each doubling of the
+# side takes about five times as long.
+MAX_TWO_PART_SIDE = 1024
+
+
 def decode_two_part(bits: str) -> Pattern:
     """Inverse of ``two_part_code`` (header is self-delimiting).  A code
     whose length is not the one its header implies, or that names a letter
-    or block index out of range, is refused with ``PatternError``."""
+    or block index out of range, is refused with ``PatternError``; one whose
+    header names a side above ``MAX_TWO_PART_SIDE`` with ``InfeasibleError``."""
     if bits.strip("01"):
         raise PatternError("a two-part code is a bit string")
     size, pos = gamma_decode(bits, 0)
@@ -582,6 +532,8 @@ def decode_two_part(bits: str) -> Pattern:
         raise PatternError(f"unsupported alphabet size {size}")
     N, pos = gamma_decode(bits, pos)
     k, pos = gamma_decode(bits, pos)
+    if N * k > MAX_TWO_PART_SIDE:
+        raise InfeasibleError(f"side {N * k} exceeds the decoding limit {MAX_TWO_PART_SIDE}")
     L, pos = gamma_decode(bits, pos)
     letter_width = (size - 1).bit_length()
     index_width = (L - 1).bit_length() if L > 1 else 0
@@ -625,7 +577,6 @@ def params_to_dict(params: DeepParams) -> dict:
         "structural_override": list(params.structural_override)
         if params.structural_override is not None
         else None,
-        "oracle": params.oracle,
         "n": list(params.n),
         "N": list(params.N),
         "block_counts": list(params.block_counts),
@@ -646,6 +597,10 @@ def _require(d, keys: Iterable[str], what: str) -> None:
 
 def params_from_dict(d: dict) -> DeepParams:
     _require(d, [f.name for f in fields(DeepParams)], "params")
+    # older manifests name the search that picked each level; a non-exact
+    # one would be rebuilt with a different search, so it is refused
+    if d.get("oracle", "exact") != "exact":
+        raise PatternError(f"params 'oracle' is {d['oracle']!r}; only exact searches rebuild")
     return DeepParams(
         n0=d["n0"],
         c=d["c"],
@@ -654,7 +609,6 @@ def params_from_dict(d: dict) -> DeepParams:
         structural_override=tuple(d["structural_override"])
         if d["structural_override"] is not None
         else None,
-        oracle=d["oracle"],
         n=tuple(d["n"]),
         N=tuple(d["N"]),
         block_counts=tuple(d["block_counts"]),
@@ -677,10 +631,7 @@ def save_family(fam: StandardBlockFamily, dirpath: str) -> dict:
         "package_version": __version__,
         "params": params_to_dict(fam.params),
         "measured_steps": list(fam.measured_steps),
-        "flags": {
-            "structural": fam.params.structural,
-            "proxy_oracle": fam.params.oracle == "proxy",
-        },
+        "flags": {"structural": fam.params.structural},
         "levels": [],
     }
     for entry in fam.levels:

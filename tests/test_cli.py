@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from shiftlab.cli import main
 from shiftlab.core import Pattern, make_pattern
-from shiftlab.deepshift import params_to_dict, schedule_params
+from shiftlab.deepshift import LevelBudget, params_to_dict, schedule_params
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +110,20 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("deep-build", "--n0", "2", "--depth", "1", "--oracle", "proxy", "--out", "x"),
+        ("deep-build", "--n0", "2", "--depth", "1"),
+    ],
+)
+def test_usage_errors_print_one_line(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("shiftlab:") and err.count("\n") == 1
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "shiftlab" in capsys.readouterr().out
@@ -178,6 +193,8 @@ def test_block_count_negative_n_exits_1(capsys):
         ("verify-archive", "{tmp}"),
         ("verify-archive", "{tmp}/partial"),
         ("deep-member", "--family", "{tmp}/partial", "--pattern", "x"),
+        ("verify-archive", "{tmp}/proxy"),
+        ("deep-member", "--family", "{tmp}/proxy", "--pattern", "x"),
         ("kc-incompressible", "--side", "2", "--threshold", "-3", "--budget", "10"),
         ("lowcfg-roundtrip", "--k", "3", "--rects", "-5"),
     ],
@@ -189,6 +206,10 @@ def test_sizes_below_range_exit_1(capsys, tmp_path, argv):
     (tmp_path / "partial").mkdir()
     partial = {"params": params_to_dict(schedule_params(2, 3, 1)), "levels": []}
     (tmp_path / "partial" / "manifest.json").write_text(json.dumps(partial))
+    # an archive at {tmp}/proxy whose params name the search older builds offered
+    (tmp_path / "proxy").mkdir()
+    proxy = dict(partial, params=dict(partial["params"], oracle="proxy"), measured_steps=[0, 0])
+    (tmp_path / "proxy" / "manifest.json").write_text(json.dumps(proxy))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 1
@@ -314,9 +335,8 @@ def test_verify_archive_pass_and_corruption(archive, tmp_path, capsys):
 
 def test_verify_archive_expect_params_diff(archive, tmp_path, capsys):
     out, _ = archive
-    other = schedule_params(
-        2, 3, 3, structural_override=(2, 2, 2, 2), budget_overrides={1: (1, 2, 3)}
-    )
+    params = schedule_params(2, 3, 3, structural_override=(2, 2, 2, 2))
+    other = replace(params, budgets=(params.budgets[0], LevelBudget(1, 2, 3)) + params.budgets[2:])
     pfile = tmp_path / "params.json"
     pfile.write_text(json.dumps(params_to_dict(other)))
     rc, report, _ = run_json(

@@ -26,7 +26,6 @@ from shiftlab.complexity import (
     permutation_from_rank,
     permutation_rank,
     printable_strings,
-    proxy_upper_bound,
     rank_width,
     run_program,
     tuple_threshold,
@@ -480,6 +479,17 @@ def test_benchmark_search_counters_frozen(search, counters):
         assert (meter.steps, meter.runs, meter.memo_reuses, meter.cycle_cutoffs) == counters
 
 
+@pytest.mark.parametrize("budget", [448, 3584])
+def test_no_vm_program_is_first_at_the_benchmark_budgets(budget):
+    # 448 is the level-1 budget of `2,2,4` and of multi-block `2,2,2`, 3584
+    # that of `2,4`, and their searches stop below 18 bits.  Every output is
+    # printed first by the empty or a literal program, so the filter excludes
+    # nothing at these levels; a VM-first entry means it has started to.
+    table = printable_strings(18, budget)
+    assert len(table) == 2 ** 18 - 1
+    assert [out for out, prog in table.items() if prog.startswith("0")] == []
+
+
 def test_ctime_starts_with_an_empty_memo():
     counters = []
     for _ in range(2):
@@ -609,23 +619,3 @@ def test_incompressible_permutations_distinct_guard():
     with pytest.raises(InfeasibleError):
         incompressible_permutations(2, 3, 64, distinct=True)
 
-
-# ---------------------------------------------------------------------------
-# Proxy bound
-# ---------------------------------------------------------------------------
-
-
-def test_proxy_positive_and_deterministic():
-    for x in ("", "0", "0101", "1" * 100):
-        a = proxy_upper_bound(x)
-        assert a > 0
-        assert proxy_upper_bound(x) == a
-
-
-def test_proxy_compresses_zeros():
-    assert proxy_upper_bound("0" * 10 ** 4) < 10 ** 4
-
-
-def test_proxy_rejects_non_bits():
-    with pytest.raises(ValueError):
-        proxy_upper_bound("abc")

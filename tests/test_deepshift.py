@@ -4,6 +4,7 @@ reconstruction, the two-part code, and archives."""
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -24,11 +25,12 @@ from shiftlab.deepshift import (
     ArchiveReport,
     DeepParams,
     LevelBlocks,
+    LevelBudget,
+    MAX_TWO_PART_SIDE,
     MemberResult,
     StandardBlockFamily,
     arrange,
     build_family,
-    contains_all_2x2,
     decode_two_part,
     extract_R,
     gamma_decode,
@@ -63,8 +65,14 @@ def multi_fam():
 
 @pytest.fixture(scope="module")
 def fam_24():
-    # `deep-build --n0 2 --depth 1 --override 2,4`: a non-constant level-1 R
+    # `deep-build --n0 2 --depth 1 --override 2,4`
     return build_family(schedule_params(2, 3, 1, structural_override=(2, 4)))
+
+
+@pytest.fixture(scope="module")
+def fam_224():
+    # `deep-build --n0 2 --depth 2 --override 2,2,4`
+    return build_family(schedule_params(2, 3, 2, structural_override=(2, 2, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +97,6 @@ def test_schedule_budget_formulas():
     assert b.t > b.t_prime > b.T
 
 
-def test_schedule_custom_T_and_overrides():
-    params = schedule_params(2, 3, 1, T=lambda N: N * N)
-    assert params.budgets[1].T == 256
-    params2 = schedule_params(2, 3, 1, budget_overrides={1: (10, 20, 30)})
-    assert (params2.budgets[1].T, params2.budgets[1].t_prime, params2.budgets[1].t) == (10, 20, 30)
-
-
 def test_schedule_structural_override():
     params = schedule_params(2, 3, 3, structural_override=(2, 2, 2, 2))
     assert params.N == (2, 4, 8, 16)
@@ -118,8 +119,6 @@ def test_schedule_validation_errors():
         schedule_params(2, 3, 0)
     with pytest.raises(PatternError):
         schedule_params(2, 3, 1, mode="three-block")
-    with pytest.raises(PatternError):
-        schedule_params(2, 3, 1, oracle="magic")
     with pytest.raises(PatternError):
         schedule_params(2, 3, 1, structural_override=(3, 2))  # must start with n0
     with pytest.raises(PatternError):
@@ -279,18 +278,38 @@ def test_search_steps_frozen_at_seed_values(fam_24, multi_fam):
     assert (meter.steps, meter.runs) == (73400181, 65535)
 
 
-def test_proxy_oracle_builds_the_default_parameters():
-    # the exact oracle cannot search 2^64 programs; proxy mode runs the
-    # full-scale parameters with the compressor bound instead
-    fam = build_family(schedule_params(2, 3, 1, oracle="proxy"))
-    q0, q1 = fam.blocks(1)
-    assert q0.height == 16
-    assert q1 == invert(q0)
-    assert fam.levels[1].witness_matrix == substitute_inverse_check(fam)
+@pytest.mark.parametrize("which", ["fam_24", "fam_224"])
+def test_benchmark_families_are_constant(which, request):
+    # no VM program of <= 18 bits beats the literal program at these budgets
+    # (test_no_vm_program_is_first_at_the_benchmark_budgets; level 2 of
+    # `2,2,4` is test_benchmark_search_counters_frozen), so every R is the
+    # all-zero matrix and Q^j is the constant block of letter j
+    fam = request.getfixturevalue(which)
+    for i in range(1, fam.depth + 1):
+        assert set(fam.levels[i].witness_matrix.cells.values()) == {"0"}
+    for i in range(fam.depth + 1):
+        for j, q in enumerate(fam.blocks(i)):
+            assert set(q.cells.values()) == {str(j)}
 
 
-def substitute_inverse_check(fam):
-    return extract_R(fam.blocks(1)[0], fam, 1)
+def test_window_count_of_the_2_2_4_family(fam_224):
+    # every n x n window of every 2x2 arrangement of the blocks at member's
+    # level: with constant blocks there are 10n^2 - 16n + 8 distinct ones
+    for n in range(1, 9):
+        level = min(i for i, N in enumerate(fam_224.params.N) if N >= n)
+        N = fam_224.params.N[level]
+        rows = [q.rows() for q in fam_224.blocks(level)]
+        windows = set()
+        for ids in itertools.product(range(len(rows)), repeat=4):
+            grid = [
+                rows[ids[2 * (r >= N)]][r % N] + rows[ids[2 * (r >= N) + 1]][r % N]
+                for r in range(2 * N)
+            ]
+            for a in range(2 * N - n + 1):
+                for b in range(2 * N - n + 1):
+                    windows.add(tuple(row[b : b + n] for row in grid[a : a + n]))
+        assert len(windows) == 10 * n * n - 16 * n + 8
+        assert member(make_pattern(list(windows.pop())), fam_224).level == level
 
 
 def test_blocks_pairwise_distinct(structural_fam, multi_fam):
@@ -481,25 +500,6 @@ def test_reconstruct_guards(structural_fam, multi_fam):
         reconstruct_block(q0, (0, 0), ids, multi_fam, 1)
 
 
-# ---------------------------------------------------------------------------
-# Diagnostics
-# ---------------------------------------------------------------------------
-
-
-def test_contains_all_2x2_against_inline_count():
-    rng = random.Random(11)
-    assert not contains_all_2x2(make_pattern(["0000", "0000"]))
-    for _ in range(10):
-        rows = ["".join(str(rng.randrange(2)) for _ in range(6)) for _ in range(6)]
-        p = make_pattern(rows)
-        windows = {
-            rows[i][j : j + 2] + rows[i + 1][j : j + 2]
-            for i in range(5)
-            for j in range(5)
-        }
-        assert contains_all_2x2(p) == (len(windows) == 16)
-
-
 def test_gamma_round_trip():
     assert gamma_encode(1) == "1"
     assert gamma_encode(2) == "010"
@@ -588,6 +588,18 @@ def test_decode_two_part_refuses_malformed_codes():
         decode_two_part(rb.bits[:h] + "11" + rb.bits[h + 2 :])
 
 
+def test_decode_two_part_refuses_sides_above_the_limit():
+    # one 1x1 dictionary block leaves the index field empty, so the header
+    # alone names the side N*k; the refusal comes before the length check
+    def code(N, k):
+        return gamma_encode(2) + gamma_encode(N) + gamma_encode(k) + gamma_encode(1) + "0"
+
+    assert decode_two_part(code(4, 1)) == make_pattern(["0000"] * 4)
+    for N, k in ((MAX_TWO_PART_SIDE + 1, 1), (1, MAX_TWO_PART_SIDE + 1), (1 << 30, 1)):
+        with pytest.raises(InfeasibleError, match=f"side {N * k} exceeds"):
+            decode_two_part(code(N, k))
+
+
 def test_gamma_decode_refuses_truncated_codes():
     for bits in ("", "0", "00", "001", "0001"):
         with pytest.raises(PatternError):
@@ -660,11 +672,30 @@ def test_verify_archive_detects_tampered_measurements(structural_fam, tmp_path):
 def test_verify_archive_params_diff(structural_fam, tmp_path):
     d = str(tmp_path / "fam")
     save_family(structural_fam, d)
-    other = schedule_params(2, 3, 3, structural_override=(2, 2, 2, 2), T=lambda N: N)
+    params = schedule_params(2, 3, 3, structural_override=(2, 2, 2, 2))
+    other = replace(params, budgets=(params.budgets[0], LevelBudget(1, 2, 3)) + params.budgets[2:])
     report = verify_archive(d, expected_params=other)
     assert not report.ok
     assert any(diff.startswith("params.budgets") for diff in report.manifest_diff)
     assert report.mismatches == ()  # files themselves still match the manifest
+
+
+def test_manifest_oracle_key_of_older_archives(structural_fam, tmp_path):
+    # older manifests carry params.oracle: "exact" still loads and verifies,
+    # anything else is refused by both readers
+    d = str(tmp_path / "fam")
+    save_family(structural_fam, d)
+    mpath = tmp_path / "fam" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["params"]["oracle"] = "exact"
+    mpath.write_text(json.dumps(manifest))
+    assert load_family(d).levels == structural_fam.levels
+    assert verify_archive(d).ok
+    manifest["params"]["oracle"] = "proxy"
+    mpath.write_text(json.dumps(manifest))
+    for reader in (load_family, verify_archive):
+        with pytest.raises(PatternError, match="'oracle' is 'proxy'"):
+            reader(d)
 
 
 @pytest.mark.parametrize(
@@ -672,7 +703,7 @@ def test_verify_archive_params_diff(structural_fam, tmp_path):
     [
         (lambda m: m.pop("measured_steps"), "'measured_steps'"),
         (lambda m: m["params"].pop("N"), "'N'"),
-        (lambda m: [m["params"].pop(k) for k in ("oracle", "budgets")], "'oracle', 'budgets'"),
+        (lambda m: [m["params"].pop(k) for k in ("c", "budgets")], "'c', 'budgets'"),
         (lambda m: m["levels"][1].pop("block_files"), "'block_files'"),
     ],
 )
