@@ -62,13 +62,13 @@ def lex_first_completion(region: CompletionRegion, spec: ShiftSpec) -> Pattern |
     host = region.host
     if host.alphabet.letters != spec.alphabet.letters:
         raise PatternError("region alphabet does not match spec")
-    if contains_forbidden(host, spec) is not None:
-        return None
     free = sorted(region.free_cells)
     if not free:
-        return host
+        return host if contains_forbidden(host, spec) is None else None
     state = kernel_of(spec).state(_bbox_of(list(host.support) + free))
     state.load(host.cells)
+    if state.scan() is not None:
+        return None
     for _ in lex_assignments(state, free, spec.alphabet.letters):
         return Pattern(spec.alphabet, state.cells)
     return None

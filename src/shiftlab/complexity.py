@@ -225,21 +225,37 @@ class ComplexityResult:
     max_len: int
 
 
+# `printable_strings(20, 448)` takes 5.0 s on a 2-core Xeon, about twice as
+# long per bit more.
+MAX_PROGRAM_BITS = 24
+
+
 def ctime(x: str, max_len: int, budget: int, meter: StepMeter | None = None) -> ComplexityResult:
-    """Exact time-bounded complexity of ``x`` by exhaustive enumeration."""
+    """Exact time-bounded complexity of ``x`` by exhaustive enumeration.
+
+    Every emitted bit costs a step, so nothing prints ``x`` within a budget
+    below |x|.  Otherwise the search stops at a program known to print it:
+    the literal one (|x| + 1 bits) when the budget exceeds |x|, else the
+    OUT-only VM program (3|x| + 1 bits).  Searches that may run past
+    ``MAX_PROGRAM_BITS`` are refused."""
     if max_len < 0:
         raise PatternError("max_len must be nonnegative")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    if len(x) > budget:
+        return ComplexityResult(None, None, budget, max_len)
+    bound = min(max_len, len(x) + 1 if budget > len(x) else 3 * len(x) + 1)
+    if bound > MAX_PROGRAM_BITS:
+        raise InfeasibleError(
+            f"program searches are limited to {MAX_PROGRAM_BITS} bits; "
+            f"this one may need {bound}"
+        )
     memo: dict[str, RunOutcome] = {}
-    for bits in iter_programs(max_len):
+    for bits in iter_programs(bound):
         halted, output, _ = run_program(bits, budget, meter, memo)
         if halted and output == x:
             return ComplexityResult(len(bits), bits, budget, max_len)
     return ComplexityResult(None, None, budget, max_len)
-
-
-# `printable_strings(20, 448)` takes 5.0 s on a 2-core Xeon, about twice as
-# long per bit more; `ctime` stops at its first hit and is not limited.
-MAX_PROGRAM_BITS = 24
 
 
 def printable_strings(

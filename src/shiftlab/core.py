@@ -319,20 +319,17 @@ class ShiftSpec:
     ``kernel`` is an optional fast path for families whose forbidden lists
     grow too fast to materialize.  It must give the answers of
     ``GenericKernel``, which derives them from ``enumerator`` when ``kernel``
-    is None: ``scan(p)``, the occurrence ``contains_forbidden`` returns;
-    ``state(bbox)``, an incremental oracle over cells inside ``bbox`` with
-    ``cells``, ``load(cells)`` (no check), ``assign(cell, letter)`` (False,
-    assigning nothing, when the letter completes a forbidden pattern),
-    ``retract(cell)`` and ``scan()``, the occurrence ``contains_forbidden``
-    returns on a pattern of ``cells``, so a window loaded once can be
-    scanned with each of many fillings of a slot; and
-    ``window_compat(n, margin, annulus, candidates)``, the boolean numpy
-    matrix whose entry [i, j] says whether annulus coloring i (digit t of i
-    in base |alphabet| is the letter at ``annulus[t]``) and n x n candidate
-    j at offset (margin, margin) form a locally admissible window.  It is
-    stored candidate-major: the matrix is the transpose of a C-ordered
-    array, so ``compat.T[j]`` is candidate j's column as one contiguous row.
-    ``filler(max_extent)`` is a letter f such that, in every forbidden
+    is None: ``state(bbox)``, an incremental oracle over cells inside
+    ``bbox`` with ``cells``, ``load(cells)`` (no check),
+    ``assign(cell, letter)`` (False, assigning nothing, when the letter
+    completes a forbidden pattern), ``retract(cell)`` and ``scan()``, the
+    first forbidden occurrence in a pattern of ``cells``, so a window loaded
+    once can be scanned with each of many fillings of a slot;
+    ``window_compat(n, margin, annulus, candidates)``, the C-ordered boolean
+    numpy array whose entry [j, i] says whether n x n candidate j at offset
+    (margin, margin) and annulus coloring i (digit t of i in base |alphabet|
+    is the letter at ``annulus[t]``) form a locally admissible window; and
+    ``filler(max_extent)``, a letter f such that, in every forbidden
     pattern of extent at most ``max_extent``, the cells not labelled f are
     nonempty and span the pattern's bounding box, or None when no letter
     qualifies.  Filling every cell around a locally admissible rectangle with
@@ -365,7 +362,11 @@ def contains_forbidden(p: Pattern, spec: ShiftSpec) -> Occurrence | None:
     pattern is locally admissible."""
     if p.alphabet.letters != spec.alphabet.letters:
         raise PatternError(f"pattern alphabet does not match spec {spec.name!r}")
-    return kernel_of(spec).scan(p)
+    if p.bbox is None:
+        return None
+    state = kernel_of(spec).state(p.bbox)
+    state.load(p._cells)  # noqa: SLF001 - states copy what they load
+    return state.scan()
 
 
 def lex_assignments(state, free: list[tuple[int, int]], letters: tuple[str, ...]) -> Iterator[None]:
@@ -417,23 +418,6 @@ def iter_rect_patterns(spec: ShiftSpec, h: int, w: int) -> Iterator[Pattern]:
     return (Pattern(spec.alphabet, state.cells) for _ in lex_assignments(state, cells, letters))
 
 
-def _scan_plan(cells: dict[tuple[int, int], str], bbox, plan) -> Occurrence | None:
-    """The first occurrence of a plan entry in ``cells``, whose bounding box
-    is ``bbox`` (None when there are no cells)."""
-    if bbox is None:
-        return None
-    r0, c0, r1, c1 = bbox
-    for ar in range(r0, r1 + 1):
-        for ac in range(c0, c1 + 1):
-            for idx, fcells in plan:
-                for (dr, dc), letter in fcells:
-                    if cells.get((ar + dr, ac + dc)) != letter:
-                        break
-                else:
-                    return Occurrence(idx, (ar, ac))
-    return None
-
-
 def _bbox_of(cells) -> tuple[int, int, int, int]:
     rows = [r for r, _ in cells]
     cols = [c for _, c in cells]
@@ -455,13 +439,10 @@ class _IndexedState:
     that cell on the assigned one.
     """
 
-    def __init__(self, plan: list):
+    def __init__(self, plan: list, by_letter: dict[str, list]):
         self.cells: dict[tuple[int, int], str] = {}
         self._plan = plan
-        self._by_letter: dict[str, list] = {}
-        for _, fcells in plan:
-            for offset, letter in fcells:
-                self._by_letter.setdefault(letter, []).append((offset, fcells))
+        self._by_letter = by_letter
 
     def load(self, cells: dict[tuple[int, int], str]) -> None:
         self.cells.update(cells)
@@ -484,39 +465,55 @@ class _IndexedState:
         del self.cells[cell]
 
     def scan(self) -> Occurrence | None:
-        # The plan is for the extent of the state's box.  Enumerators are
-        # prefix-closed, so the plan of the cells' own extent comes first
-        # and the rest cannot fit in the cells' box: the answers agree.
-        if not self.cells:
+        """Anchors row-major over the cells' bounding box, and at each anchor
+        the plan in index order.  The plan is for the extent of the state's
+        box.  Enumerators are prefix-closed, so the plan of the cells' own
+        extent comes first and the rest cannot fit in the cells' box: the
+        answers agree."""
+        cells = self.cells
+        if not cells:
             return None
-        return _scan_plan(self.cells, _bbox_of(self.cells), self._plan)
+        r0, c0, r1, c1 = _bbox_of(cells)
+        for ar in range(r0, r1 + 1):
+            for ac in range(c0, c1 + 1):
+                for idx, fcells in self._plan:
+                    for (dr, dc), letter in fcells:
+                        if cells.get((ar + dr, ac + dc)) != letter:
+                            break
+                    else:
+                        return Occurrence(idx, (ar, ac))
+        return None
 
 
 class GenericKernel:
     """The kernel of a spec that brings none: every answer comes from the
     forbidden list ``enumerator`` materializes up to the extent at hand.
-    Enumerators are deterministic, so each extent's list is read once."""
+    Enumerators are deterministic, so each extent's list is read, and
+    indexed by letter for ``_IndexedState``, once."""
 
     def __init__(self, alphabet: Alphabet, enumerator: Callable[[int], tuple[Pattern, ...]]):
         self.alphabet = alphabet
         self.enumerator = enumerator
-        self._plans: dict[int, list] = {}
+        self._plans: dict[int, tuple[list, dict[str, list]]] = {}
         self._fillers: dict[int, str | None] = {}
 
-    def _plan(self, max_extent: int) -> list:
+    def _plan(self, max_extent: int) -> tuple[list, dict[str, list]]:
+        """The forbidden list as ``(index, cells)`` entries, and the entries'
+        cells by letter as ``(offset, cells)`` pairs."""
         if max_extent not in self._plans:
-            forbidden = self.enumerator(max_extent)
-            self._plans[max_extent] = [(idx, tuple(f.items())) for idx, f in enumerate(forbidden)]
+            plan = [(idx, tuple(f.items())) for idx, f in enumerate(self.enumerator(max_extent))]
+            by_letter: dict[str, list] = {}
+            for _, fcells in plan:
+                for offset, letter in fcells:
+                    by_letter.setdefault(letter, []).append((offset, fcells))
+            self._plans[max_extent] = (plan, by_letter)
         return self._plans[max_extent]
-
-    def scan(self, p: Pattern) -> Occurrence | None:
-        return _scan_plan(p._cells, p.bbox, self._plan(p.extent))  # noqa: SLF001
 
     def filler(self, max_extent: int) -> str | None:
         """The first letter, in alphabet order, that is a filler for the
         plan of ``max_extent`` (see ``ShiftSpec``)."""
         if max_extent not in self._fillers:
-            plan = self._plan(max_extent)
+            plan, _ = self._plan(max_extent)
             self._fillers[max_extent] = next(
                 (f for f in self.alphabet.letters if all(_spans(fc, f) for _, fc in plan)), None
             )
@@ -524,22 +521,25 @@ class GenericKernel:
 
     def state(self, bbox: tuple[int, int, int, int]) -> _IndexedState:
         r0, c0, r1, c1 = bbox
-        return _IndexedState(self._plan(max(r1 - r0 + 1, c1 - c0 + 1)))
+        return _IndexedState(*self._plan(max(r1 - r0 + 1, c1 - c0 + 1)))
 
     def window_compat(self, n: int, margin: int, annulus, candidates):
         import numpy as np
 
         letters = self.alphabet.letters
+        side = n + 2 * margin
         compat = np.empty((len(candidates), len(letters) ** len(annulus)), dtype=bool)
+        # every candidate fills the whole slot and every coloring the whole
+        # annulus, so each load overwrites the cells of the one before
+        slots = [{(r + margin, c + margin): a for (r, c), a in q.items()} for q in candidates]
+        state = self.state((0, 0, side - 1, side - 1))
         # product varies its last position fastest: annulus[0] is digit 0
         for i, assignment in enumerate(itertools.product(letters, repeat=len(annulus))):
-            base = dict(zip(reversed(annulus), assignment))
-            for j, q in enumerate(candidates):
-                cells = dict(base)
-                for (r, c), letter in q.items():
-                    cells[(r + margin, c + margin)] = letter
-                compat[j, i] = self.scan(Pattern(self.alphabet, cells)) is None
-        return compat.T
+            state.load(dict(zip(reversed(annulus), assignment)))
+            for j, slot in enumerate(slots):
+                state.load(slot)
+                compat[j, i] = state.scan() is None
+        return compat
 
 
 def run_mask(mask, length: int):
@@ -750,13 +750,6 @@ class RunMaskKernel:
     window check test ``_square_hits`` on row bitmasks, the state's
     ``assign`` tests the squares of ``_square_plan``."""
 
-    def scan(self, p: Pattern) -> Occurrence | None:
-        if p.bbox is None:
-            return None
-        st = self.state(p.bbox)
-        st.load(p._cells)  # noqa: SLF001 - read-only use of our own type
-        return st.scan()
-
     def state(self, bbox: tuple[int, int, int, int]) -> _RunMaskState:
         return _RunMaskState(bbox)
 
@@ -800,7 +793,7 @@ class RunMaskKernel:
                 for top in range(side - s + 1):
                     hits |= _square_hits(red, black, None, top, s, run=run)
             np.equal(hits, 0, out=compat[j])
-        return compat.T
+        return compat
 
 
 RED_BLACK_KERNEL = RunMaskKernel()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .admissibility import _extendable_blocks
 from .core import (
@@ -30,10 +30,10 @@ from .core import (
     PatternError,
     ShiftSpec,
     RED_BLACK_KERNEL,
-    contains_forbidden,
+    _bbox_of,
+    _mirror_enumerator,
     iter_rect_patterns,
     kernel_of,
-    mirror_spec,
     red_black_spec,
     spec_from_patterns,
 )
@@ -236,28 +236,37 @@ class EnforcerReport:
         return self.clause1 and self.clause2 and self.clause3
 
 
+def _slot_scans(spec: ShiftSpec, window: Pattern, slot_box, fillings) -> Iterator[Occurrence | None]:
+    """The occurrence ``contains_forbidden`` finds in ``window`` with each
+    filling (a cell dict inside ``slot_box``, (r0, c0, r1, c1)) added.  The
+    window is loaded once into a state of ``spec``'s kernel; each filling is
+    loaded, scanned and retracted."""
+    if spec.alphabet.letters != window.alphabet.letters:
+        raise PatternError(f"pattern alphabet does not match spec {spec.name!r}")
+    state = kernel_of(spec).state(_bbox_of([*window.support, slot_box[:2], slot_box[2:]]))
+    state.load(window.cells)
+    for cells in fillings:
+        state.load(cells)
+        yield state.scan()
+        for cell in cells:
+            state.retract(cell)
+
+
 def verify_enforcer(prof: Profile, spec: ShiftSpec | None = None) -> EnforcerReport:
     """Sweep every simple slot pattern through the enforcer window of
-    ``prof``.  The window is loaded once into a state of ``spec``'s kernel;
-    each case loads its slot cells, scans, and retracts them, so its
-    occurrence is the one ``contains_forbidden`` finds in
-    ``place_in_slot(win, simple_pattern(cand))``."""
+    ``prof``: each case's occurrence is the one ``contains_forbidden`` finds
+    in ``place_in_slot(win, simple_pattern(cand))``."""
     spec = spec or red_black_spec()
     win = build_enforcer(prof)
-    if spec.alphabet.letters != BWR.letters:
-        raise PatternError(f"pattern alphabet does not match spec {spec.name!r}")
-    state = kernel_of(spec).state(win.window.bbox)
-    state.load(win.window.cells)
-    cases = []
-    for cand in all_profiles(len(prof)):
-        slot = _simple_cells(cand, *win.slot_origin)
-        state.load(slot)
-        occ = state.scan()
-        for cell in slot:
-            state.retract(cell)
-        cases.append(
-            EnforcerCase(cand.counts, occ is None, profile_leq(cand, prof), occ)
-        )
+    n = len(prof)
+    r0, c0 = win.slot_origin
+    cands = list(all_profiles(n))
+    fillings = (_simple_cells(cand, r0, c0) for cand in cands)
+    occs = _slot_scans(spec, win.window, (r0, c0, r0 + n - 1, c0 + n - 1), fillings)
+    cases = [
+        EnforcerCase(cand.counts, occ is None, profile_leq(cand, prof), occ)
+        for cand, occ in zip(cands, occs)
+    ]
     clause1 = any(c.counts == prof.counts and c.compatible for c in cases)
     clause2 = all(c.leq for c in cases if c.compatible)
     clause3 = all(c.occurrence is not None for c in cases if not c.leq)
@@ -274,15 +283,11 @@ def verify_enforcer(prof: Profile, spec: ShiftSpec | None = None) -> EnforcerRep
 class EpitomeFamily:
     """A summary map plus, for the ordered kind, its comparison.
 
-    ``evaluate`` returns a hashable value or None (undefined); ``strategy``
-    names the window-construction route the property check should take:
-    a dedicated builder for the built-in families, or the generic exhaustive
-    annulus search."""
+    ``evaluate`` returns a hashable value or None (undefined)."""
 
     name: str
     evaluate: Callable[[Pattern], object]
     leq: Callable[[object, object], bool] | None = None
-    strategy: str = "generic"
 
     @property
     def kind(self) -> str:
@@ -303,21 +308,18 @@ def _total(evaluate):
     return wrapped
 
 
+# The property check gives these two objects, and no copies of them, their
+# dedicated window builders: the builders never call ``evaluate`` or ``leq``.
+_PROFILE_FAMILY = EpitomeFamily("profile", _total(profile), profile_leq)
+_MIRROR_FAMILY = EpitomeFamily("mirror", _total(mirror_epitome))
+
+
 def profile_family() -> EpitomeFamily:
-    return EpitomeFamily(
-        name="profile",
-        evaluate=_total(profile),
-        leq=lambda a, b: profile_leq(a, b),
-        strategy="red-black-enforcer",
-    )
+    return _PROFILE_FAMILY
 
 
 def mirror_family() -> EpitomeFamily:
-    return EpitomeFamily(
-        name="mirror",
-        evaluate=_total(mirror_epitome),
-        strategy="mirror-line",
-    )
+    return _MIRROR_FAMILY
 
 
 def identity_family() -> EpitomeFamily:
@@ -394,7 +396,7 @@ def _annulus_pattern(spec, annulus, combo_index):
     return Pattern(spec.alphabet, cells)
 
 
-def _check_generic(spec, fam, n, margin) -> PropertyReport:
+def _check_generic(spec, fam, n, margin):
     import numpy as np
 
     annulus = _annulus_cells(n, margin)
@@ -406,9 +408,7 @@ def _check_generic(spec, fam, n, margin) -> PropertyReport:
         )
     candidates = list(iter_rect_patterns(spec, n, n))
     values = [fam.evaluate(q) for q in candidates]
-    # rows[j] is candidate j's column of the compat matrix, one contiguous
-    # row of the candidate-major storage
-    rows = kernel_of(spec).window_compat(n, margin, annulus, candidates).T
+    rows = kernel_of(spec).window_compat(n, margin, annulus, candidates)
 
     def any_of(cols) -> np.ndarray:
         """Colorings compatible with at least one candidate of ``cols``."""
@@ -469,24 +469,17 @@ def _check_generic(spec, fam, n, margin) -> PropertyReport:
                     "also_compatible": candidates[conflict].rows(),
                     "other_value": repr(values[conflict]),
                 }
-    return PropertyReport(
-        spec_name=spec.name,
-        family=fam.name,
-        kind=fam.kind,
-        n=n,
-        margin=margin,
-        entries=tuple(entries),
-        ok=ok,
-        counterexample=counterexample,
-        work={
-            "annulus_colorings": combos,
-            "candidates": len(candidates),
-            "window_checks": combos * len(candidates),
-        },
-    )
+    work = {
+        "annulus_colorings": combos,
+        "candidates": len(candidates),
+        "window_checks": combos * len(candidates),
+    }
+    return entries, ok, counterexample, work
 
 
-def _check_red_black_profiles(spec, fam, n, margin) -> PropertyReport:
+def _check_red_black_profiles(spec, n):
+    """The enforcer route: one ``verify_enforcer`` sweep per profile.  Its
+    windows are fixed, so the margin plays no part."""
     entries = []
     ok = True
     scans = 0
@@ -502,17 +495,8 @@ def _check_red_black_profiles(spec, fam, n, margin) -> PropertyReport:
                 "pass": passed,
             }
         )
-    return PropertyReport(
-        spec_name=spec.name,
-        family=fam.name,
-        kind=fam.kind,
-        n=n,
-        margin=margin,
-        entries=tuple(entries),
-        ok=ok,
-        counterexample=None if ok else {"detail": "see enforcer sweep"},
-        work={"window_scans": scans},
-    )
+    counterexample = None if ok else {"detail": "see enforcer sweep"}
+    return entries, ok, counterexample, {"window_scans": scans}
 
 
 def _mirror_window(p: Pattern) -> Pattern:
@@ -538,22 +522,21 @@ def _mirror_window(p: Pattern) -> Pattern:
     return Pattern(BWR, {(r, -1): "R", (r, n): "R"})
 
 
-def _check_mirror(spec, fam, n, margin) -> PropertyReport:
+def _check_mirror(spec, n, margin):
+    """The mirror-line route over the blocks that extend by ``margin``."""
     entries = []
     ok = True
     counterexample = None
     candidates = list(iter_rect_patterns(spec, n, n))
+    fillings = [q.cells for q in candidates]
+    values = [_MIRROR_FAMILY.evaluate(q) for q in candidates]
     for cells in _extendable_blocks(spec, n, margin):
         p = Pattern(spec.alphabet, cells)
-        value = fam.evaluate(p)
-        window = _mirror_window(p)
-        compatible = []
-        for q in candidates:
-            if contains_forbidden(window.union(q), spec) is None:
-                compatible.append(q)
-        self_ok = p in compatible
-        all_equal = all(fam.evaluate(q) == value for q in compatible)
-        passed = self_ok and all_equal
+        value = _MIRROR_FAMILY.evaluate(p)
+        occs = _slot_scans(spec, _mirror_window(p), (0, 0, n - 1, n - 1), fillings)
+        compatible = [j for j, occ in enumerate(occs) if occ is None]
+        self_ok = any(candidates[j] == p for j in compatible)
+        passed = self_ok and all(values[j] == value for j in compatible)
         ok = ok and passed
         entry = {
             "pattern": p.rows(),
@@ -564,17 +547,7 @@ def _check_mirror(spec, fam, n, margin) -> PropertyReport:
         entries.append(entry)
         if not passed and counterexample is None:
             counterexample = {"pattern": p.rows()}
-    return PropertyReport(
-        spec_name=spec.name,
-        family=fam.name,
-        kind=fam.kind,
-        n=n,
-        margin=margin,
-        entries=tuple(entries),
-        ok=ok,
-        counterexample=counterexample,
-        work={"window_scans": len(entries) * len(candidates)},
-    )
+    return entries, ok, counterexample, {"window_scans": len(entries) * len(candidates)}
 
 
 def epitome_property_check(
@@ -582,21 +555,28 @@ def epitome_property_check(
 ) -> PropertyReport:
     """Exhaustively test the enforcement property of a family at size n.
 
-    Route selection: the profile family over a spec with the square-forbidding
-    kernel uses its enforcer windows; the mirror family over a spec with the
-    mirror enumerator uses the red-line window builder; anything else sweeps
-    every annulus coloring of the given margin (with a feasibility guard).
-    A spec's name never selects a route.
+    Route selection: the object ``profile_family()`` returns, over a spec
+    with the square-forbidding kernel, uses its enforcer windows (the margin
+    plays no part); the object ``mirror_family()`` returns, over a spec with
+    the mirror enumerator, uses the red-line window builder; any other
+    family, a copy of those two included, sweeps every annulus coloring of
+    the given margin (with a feasibility guard).  A spec's name never
+    selects a route.
     """
     if n < 1:
         raise PatternError("n must be positive")
     if window_margin < 0:
         raise PatternError("window_margin must be nonnegative")
-    if fam.strategy == "red-black-enforcer" and spec.kernel is RED_BLACK_KERNEL:
-        return _check_red_black_profiles(spec, fam, n, window_margin)
-    if fam.strategy == "mirror-line" and spec.enumerator is mirror_spec().enumerator:
-        return _check_mirror(spec, fam, n, window_margin)
-    return _check_generic(spec, fam, n, window_margin)
+    if fam is _PROFILE_FAMILY and spec.kernel is RED_BLACK_KERNEL:
+        parts = _check_red_black_profiles(spec, n)
+    elif fam is _MIRROR_FAMILY and spec.enumerator is _mirror_enumerator:
+        parts = _check_mirror(spec, n, window_margin)
+    else:
+        parts = _check_generic(spec, fam, n, window_margin)
+    entries, ok, counterexample, work = parts
+    return PropertyReport(
+        spec.name, fam.name, fam.kind, n, window_margin, tuple(entries), ok, counterexample, work
+    )
 
 
 # ---------------------------------------------------------------------------

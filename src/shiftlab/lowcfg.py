@@ -31,12 +31,11 @@ from .core import (
     PatternError,
     ShiftSpec,
     completable,
-    contains_forbidden,
     kernel_of,
     lex_assignments,
     subpattern,
 )
-from .deepshift import gamma_encode
+from .deepshift import _require, gamma_encode
 
 _NN_SUPPORTS = (
     frozenset({(0, 0)}),
@@ -143,13 +142,15 @@ def standard_square(nn: NNSpec, border: Pattern, m: int) -> Pattern:
     expected = set(ring_cells(side))
     if set(border.support) != expected:
         raise PatternError(f"border support is not the level-{m} ring")
-    if contains_forbidden(border, nn.spec) is not None:
-        raise PatternError("border ring is not locally admissible")
     spec = nn.spec
+    if border.alphabet.letters != spec.alphabet.letters:
+        raise PatternError(f"border alphabet does not match spec {spec.name!r}")
     letters = spec.alphabet.letters
     kernel = kernel_of(spec)
     state = kernel.state((0, 0, side - 1, side - 1))
     state.load(border.cells)
+    if state.scan() is not None:
+        raise PatternError("border ring is not locally admissible")
     always = kernel.filler(side) is not None  # every admissible centerline completes
 
     def fill(r0: int, c0: int, size: int) -> None:
@@ -315,6 +316,7 @@ def save_description(desc: SquareDescription, dirpath: str) -> None:
 def load_description(dirpath: str) -> SquareDescription:
     with open(os.path.join(dirpath, "description.json"), "r", encoding="ascii") as fh:
         head = json.load(fh)
+    _require(head, ["level", "grid", "offset", "shape", "border_files"], "description.json")
     borders = []
     for rel in head["border_files"]:
         with open(os.path.join(dirpath, rel), "r", encoding="ascii") as fh:

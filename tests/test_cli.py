@@ -234,6 +234,15 @@ def test_kc_exact_reports_machine_steps(capsys):
     assert report["timing"]["machine_steps"] > 0
 
 
+def test_kc_exact_bounds_its_search(capsys):
+    rc, report, _ = run_json(capsys, "kc-exact", "0000000000", "--max-len", "40", "--budget", "5")
+    assert rc == 0
+    assert report["result"] == {"found": False, "value": None, "witness": None}
+    assert report["metrics"]["runs"] == 0
+    rc, report, _ = run_json(capsys, "kc-exact", "0101010101", "--max-len", "40", "--budget", "10")
+    assert rc == 3 and report["infeasible"] is True
+
+
 def test_kc_incompressible_pattern(capsys):
     rc, report, _ = run_json(
         capsys, "kc-incompressible", "--side", "2", "--threshold", "4", "--budget", "256"

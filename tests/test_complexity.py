@@ -417,6 +417,22 @@ def test_ctime_not_found_is_none():
     assert res.value is None and res.witness is None
 
 
+def test_ctime_search_stops_at_a_known_printer():
+    # each emitted bit costs a step: refused before any run
+    meter = StepMeter()
+    assert ctime("0" * 10, 40, 5, meter) == ComplexityResult(None, None, 5, 40)
+    assert meter.runs == 0
+    # budget |x| + 1: the literal program bounds the search at |x| + 1 bits
+    assert ctime("0101010101", 40, 11).witness == "10101010101"
+    # budget |x|: only the OUT-only program (3|x| + 1 bits) is known to print x
+    res = ctime("01", 40, 2)
+    assert (res.value, res.witness) == (7, "0000001")
+    meter = StepMeter()
+    with pytest.raises(InfeasibleError, match="may need 31"):
+        ctime("0101010101", 40, 10, meter)
+    assert meter.runs == 0
+
+
 def test_literal_bound():
     for x in ("", "0", "1", "0110", "111111", "010101"):
         assert ctime(x, len(x) + 1, len(x) + 1).value <= len(x) + 1

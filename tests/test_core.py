@@ -12,8 +12,8 @@ from shiftlab.core import (
     Occurrence,
     Pattern,
     PatternError,
+    ShiftSpec,
     contains_forbidden,
-    GenericKernel,
     get_spec,
     hard_square_spec,
     invert,
@@ -385,7 +385,7 @@ def test_finder_matches_generic_scan_on_window():
     rb = red_black_spec()
     p = make_pattern(["WRRW", "WBBW", "WWWW", "RRRW"])
     occ_fast = contains_forbidden(p, rb)
-    occ_slow = GenericKernel(rb.alphabet, rb.enumerator).scan(p)
+    occ_slow = contains_forbidden(p, ShiftSpec(rb.name, rb.alphabet, rb.enumerator))
     assert occ_fast == occ_slow
 
 

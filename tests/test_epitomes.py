@@ -3,6 +3,7 @@
 import functools
 import itertools
 import operator
+from dataclasses import replace
 
 import pytest
 
@@ -295,6 +296,32 @@ def test_mirror_family_enforced_n2():
     # extendability filter
     assert len(rep.entries) == 24
     assert rep.counterexample is None
+
+
+def _bogus(p):
+    return 1 if p.rows() == ["BW", "WW"] else 0
+
+
+@pytest.mark.parametrize(
+    "spec, fam, builtin, margin",
+    [
+        (RB, EpitomeFamily("bogus", _bogus), None, 1),
+        (MI, EpitomeFamily("mirror", mirror_family().evaluate, lambda a, b: False), mirror_family(), 0),
+        (RB, replace(profile_family(), name="p"), profile_family(), 1),
+    ],
+    ids=["bogus", "mirror-with-leq", "profile-copy"],
+)
+def test_routes_follow_the_family_object(spec, fam, builtin, margin):
+    # Only the built-in family objects get a dedicated route.  Those routes
+    # never call evaluate or leq, so any other family is swept exhaustively,
+    # and here the sweep finds a counterexample.
+    rep = epitome_property_check(spec, fam, 2, margin)
+    assert set(rep.work) == {"annulus_colorings", "candidates", "window_checks"}
+    assert not rep.ok
+    assert set(rep.counterexample) == {"pattern", "annulus", "also_compatible", "other_value"}
+    if builtin is not None:
+        own = epitome_property_check(spec, builtin, 2, margin)
+        assert own.ok and set(own.work) == {"window_scans"}
 
 
 def test_identity_family_rejected_with_counterexample():

@@ -14,11 +14,12 @@ from shiftlab.admissibility import count_admissible, extendable
 from shiftlab.core import (
     BWR,
     RED_BLACK_KERNEL,
-    GenericKernel,
     Pattern,
+    ShiftSpec,
     _square_plan,
     _squares_at,
     contains_forbidden,
+    kernel_of,
     make_pattern,
     red_black_index_offset,
     red_black_spec,
@@ -41,12 +42,17 @@ def _domino_spec(name):
     return spec_from_patterns(name, BWR, [BB])
 
 
-def _capped_generic(cap):
-    """Generic kernel over the red-black list, leaving out squares larger
-    than ``cap``, which cannot occur in a box whose shorter side is ``cap``."""
-    return GenericKernel(
-        BWR, lambda e: RB_FORBIDDEN[: red_black_index_offset(min(e, cap) + 1)]
+def _capped_spec(cap):
+    """The red-black spec without its kernel, its list leaving out squares
+    larger than ``cap``, which cannot occur in a box whose shorter side is
+    ``cap``."""
+    return ShiftSpec(
+        "red-black", BWR, lambda e: RB_FORBIDDEN[: red_black_index_offset(min(e, cap) + 1)]
     )
+
+
+def _capped_generic(cap):
+    return kernel_of(_capped_spec(cap))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +165,7 @@ def test_run_mask_scan_matches_generic_scan(box, data):
     h, w, coloring, interiors = box
     holes = data.draw(st.sets(st.sampled_from(interiors or sorted(coloring)), max_size=1))
     p = Pattern(BWR, {cell: a for cell, a in coloring.items() if cell not in holes})
-    assert RED_BLACK_KERNEL.scan(p) == _capped_generic(min(h, w)).scan(p)
+    assert contains_forbidden(p, RB_SPEC) == contains_forbidden(p, _capped_spec(min(h, w)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -202,6 +208,6 @@ def test_run_mask_window_compat_matches_generic_exhaustive():
     candidates = [make_pattern([a], BWR) for a in BWR.letters]
     fast = RED_BLACK_KERNEL.window_compat(1, 1, annulus, candidates)
     slow = _capped_generic(3).window_compat(1, 1, annulus, candidates)
-    assert fast.shape == slow.shape == (3**8, 3)
+    assert fast.shape == slow.shape == (3, 3**8)
     assert (fast == slow).all()
     assert 0 < fast.sum() < fast.size

@@ -1,7 +1,9 @@
 """Standard squares for nearest-neighbour specs and their short
 sub-rectangle descriptions."""
 
+import json
 import random
+import re
 
 import pytest
 
@@ -302,3 +304,17 @@ def test_description_save_load(p3, nn_no00, tmp_path):
     back = load_description(str(tmp_path / "d"))
     assert back == desc
     assert reconstruct_subpattern(back, nn_no00) == subpattern(p3, rect)
+
+
+_DESCRIPTION = {"level": 1, "grid": [1, 1], "offset": [0, 0], "shape": [1, 1], "border_files": []}
+
+
+@pytest.mark.parametrize(
+    "head, named",
+    [({}, "lacks"), ([], "not a JSON object")]
+    + [({k: v for k, v in _DESCRIPTION.items() if k != key}, repr(key)) for key in _DESCRIPTION],
+)
+def test_load_description_refuses_malformed_heads(tmp_path, head, named):
+    (tmp_path / "description.json").write_text(json.dumps(head))
+    with pytest.raises(PatternError, match=re.escape(named)):
+        load_description(str(tmp_path))
