@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .core import BINARY, InfeasibleError, Pattern, PatternError
@@ -63,18 +63,26 @@ class StepMeter:
     It also counts the runs it was charged for, the runs answered by an
     earlier program with the same opcode list (``memo_reuses``), and the
     loops proven periodic and skipped by whole periods (``cycle_cutoffs``).
-    None of these counts changes a run's outcome or its steps."""
+    None of these counts changes a run's outcome or its steps.
+
+    A lex-first pick charged to the meter records what it excluded in
+    ``exclusions``: ``printable``, the size of the printable table at the
+    target length, and the candidates passed over before the pick, as
+    ``passed_over`` or, for a pick of distinct permutations, split into
+    ``passed_over_printable`` and ``passed_over_not_distinct``."""
 
     steps: int = 0
     runs: int = 0
     memo_reuses: int = 0
     cycle_cutoffs: int = 0
+    exclusions: dict[str, int] = field(default_factory=dict)
 
     def counters(self) -> dict[str, int]:
         return {
             "runs": self.runs,
             "memo_reuses": self.memo_reuses,
             "cycle_cutoffs": self.cycle_cutoffs,
+            **self.exclusions,
         }
 
 
@@ -307,6 +315,8 @@ def lex_first_incompressible(
     for v in range(1 << (n * n)):
         bits = format(v, f"0{n * n}b")
         if bits not in printable:
+            if meter is not None:
+                meter.exclusions.update(printable=len(printable), passed_over=v)
             return _bits_to_square(bits, n)
     raise InfeasibleError("every matrix is printable below the threshold")  # pragma: no cover
 
@@ -376,10 +386,21 @@ def incompressible_permutations(
     enc_len = count * rank_width(l)
     printable = printable_strings(threshold - 1, budget, length=enc_len, meter=meter) if threshold > 0 else {}
     f = math.factorial(l)
-    for ranks in itertools.product(range(f), repeat=count):
+    not_distinct = 0
+    for v, ranks in enumerate(itertools.product(range(f), repeat=count)):
         if distinct and len(set(ranks)) != count:
+            not_distinct += 1
             continue
         if encode_rank_tuple(ranks, l) not in printable:
+            if meter is not None:
+                meter.exclusions["printable"] = len(printable)
+                if distinct:
+                    meter.exclusions.update(
+                        passed_over_printable=v - not_distinct,
+                        passed_over_not_distinct=not_distinct,
+                    )
+                else:
+                    meter.exclusions["passed_over"] = v
             return [permutation_from_rank(l, r) for r in ranks]
     raise InfeasibleError("every rank tuple is printable below the threshold")
 

@@ -17,7 +17,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -325,10 +324,12 @@ class ShiftSpec:
     completes a forbidden pattern), ``retract(cell)`` and ``scan()``, the
     first forbidden occurrence in a pattern of ``cells``, so a window loaded
     once can be scanned with each of many fillings of a slot;
-    ``window_compat(n, margin, annulus, candidates)``, the C-ordered boolean
-    numpy array whose entry [j, i] says whether n x n candidate j at offset
-    (margin, margin) and annulus coloring i (digit t of i in base |alphabet|
-    is the letter at ``annulus[t]``) form a locally admissible window; and
+    ``window_compat(n, margin, annulus, candidates, lo, hi)``, the C-ordered
+    boolean numpy array of shape ``(len(candidates), hi - lo)`` whose entry
+    [j, i] says whether n x n candidate j at offset (margin, margin) and
+    annulus coloring lo + i (digit t of lo + i in base |alphabet| is the
+    letter at ``annulus[t]``) form a locally admissible window, so a caller
+    can walk the colorings in blocks of bounded size; and
     ``filler(max_extent)``, a letter f such that, in every forbidden
     pattern of extent at most ``max_extent``, the cells not labelled f are
     nonempty and span the pattern's bounding box, or None when no letter
@@ -523,22 +524,42 @@ class GenericKernel:
         r0, c0, r1, c1 = bbox
         return _IndexedState(*self._plan(max(r1 - r0 + 1, c1 - c0 + 1)))
 
-    def window_compat(self, n: int, margin: int, annulus, candidates):
+    def window_compat(self, n: int, margin: int, annulus, candidates, lo: int, hi: int):
+        """Placement masks: the window is full, so a placement of a
+        forbidden pattern inside it matches exactly the pairs whose annulus
+        coloring has its annulus letters and whose candidate has its slot
+        letters.  Each placement clears the outer product of those two
+        masks; a placement wholly in the annulus or wholly in the slot
+        clears whole columns or whole rows."""
         import numpy as np
 
         letters = self.alphabet.letters
+        base = len(letters)
         side = n + 2 * margin
-        compat = np.empty((len(candidates), len(letters) ** len(annulus)), dtype=bool)
-        # every candidate fills the whole slot and every coloring the whole
-        # annulus, so each load overwrites the cells of the one before
-        slots = [{(r + margin, c + margin): a for (r, c), a in q.items()} for q in candidates]
-        state = self.state((0, 0, side - 1, side - 1))
-        # product varies its last position fastest: annulus[0] is digit 0
-        for i, assignment in enumerate(itertools.product(letters, repeat=len(annulus))):
-            state.load(dict(zip(reversed(annulus), assignment)))
-            for j, slot in enumerate(slots):
-                state.load(slot)
-                compat[j, i] = state.scan() is None
+        idx = np.arange(lo, hi)
+        digit = {cell: idx // base**t % base for t, cell in enumerate(annulus)}
+        # lex_key lists a rectangle's letter indices row-major
+        slot = np.array([q.lex_key() for q in candidates], dtype=np.int64).reshape(-1, n, n)
+        compat = np.ones((len(candidates), hi - lo), dtype=bool)
+        plan, _ = self._plan(side)
+        for _, fcells in plan:
+            rows = [dr for (dr, _), _ in fcells]
+            cols = [dc for (_, dc), _ in fcells]
+            for ar in range(-min(rows), side - max(rows)):
+                for ac in range(-min(cols), side - max(cols)):
+                    colorings = candidates_hit = True
+                    for (dr, dc), a in fcells:
+                        r, c, x = ar + dr, ac + dc, letters.index(a)
+                        if margin <= r < margin + n and margin <= c < margin + n:
+                            candidates_hit = candidates_hit & (slot[:, r - margin, c - margin] == x)
+                        else:
+                            colorings = colorings & (digit[r, c] == x)
+                    if candidates_hit is True:
+                        compat &= ~colorings
+                    elif colorings is True:
+                        compat[candidates_hit] = False
+                    else:
+                        compat[np.flatnonzero(candidates_hit)] &= ~colorings
         return compat
 
 
@@ -758,16 +779,17 @@ class RunMaskKernel:
         all B, so its non-W cells hold both rows, which span the square."""
         return "W"
 
-    def window_compat(self, n: int, margin: int, annulus, candidates):
+    def window_compat(self, n: int, margin: int, annulus, candidates, lo: int, hi: int):
         """numpy entry point: the window is full, so only red and black rows
-        matter.  Row masks are arrays over the annulus colorings in the
-        narrowest unsigned dtype holding a row; their run masks are cached
-        by (letter, row, slot row, size), as candidates share slot rows."""
+        matter.  Row masks are arrays over the block's annulus colorings in
+        the narrowest unsigned dtype holding a row; their run masks are
+        cached by (letter, row, slot row, size), as candidates share slot
+        rows."""
         import numpy as np
 
         side = n + 2 * margin
         dtype = np.min_scalar_type((1 << side) - 1)
-        idx = np.arange(3 ** len(annulus))
+        idx = np.arange(lo, hi)
         ann = {a: [np.zeros(idx.shape, dtype) for _ in range(side)] for a in "RB"}
         for t, (r, c) in enumerate(annulus):
             digit = idx // 3**t % 3

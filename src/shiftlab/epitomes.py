@@ -396,7 +396,17 @@ def _annulus_pattern(spec, annulus, combo_index):
     return Pattern(spec.alphabet, cells)
 
 
+# Colorings per ``window_compat`` call: the property check holds one block's
+# (candidates, colorings) matrix at a time, never the whole one.
+_BLOCK = 1 << 15
+
+
 def _check_generic(spec, fam, n, margin):
+    """Every annulus coloring against every candidate, in blocks of
+    ``_BLOCK`` colorings.  Per candidate the blocks fold whether it is
+    compatible anywhere, whether some compatible coloring witnesses it (no
+    more tests once one has), and its first compatible coloring with the
+    compatibility column there, from which a counterexample is read."""
     import numpy as np
 
     annulus = _annulus_cells(n, margin)
@@ -408,73 +418,77 @@ def _check_generic(spec, fam, n, margin):
         )
     candidates = list(iter_rect_patterns(spec, n, n))
     values = [fam.evaluate(q) for q in candidates]
-    rows = kernel_of(spec).window_compat(n, margin, annulus, candidates)
+    plain = fam.kind == "plain"
 
-    def any_of(cols) -> np.ndarray:
+    def conflicts(vv, v) -> bool:
+        """A candidate of value ``vv`` sharing a coloring with one of value
+        ``v`` keeps that coloring from witnessing ``v``."""
+        return vv is None or (vv != v if plain else not fam.leq(vv, v))
+
+    defined = [j for j, v in enumerate(values) if v is not None]
+    undefined = [j for j, v in enumerate(values) if v is None]
+    by_value: dict = {}
+    for j in defined:
+        by_value.setdefault(values[j], []).append(j)
+    bad: dict[int, list[int]] = {}  # ordered kind: the defined conflicts of j
+
+    def any_of(rows, cols) -> np.ndarray:
         """Colorings compatible with at least one candidate of ``cols``."""
-        acc = np.zeros(combos, dtype=bool)
-        for jj in cols:
-            acc |= rows[jj]
-        return acc
+        return rows[cols].any(axis=0) if cols else np.zeros(rows.shape[1], dtype=bool)
 
-    undef_any = any_of(j for j, v in enumerate(values) if v is None)
-    if fam.kind == "plain":
-        # A witness coloring for P works iff exactly one distinct value is
-        # compatible with it (necessarily P's own) and nothing undefined is.
-        by_value: dict = {}
-        for j, v in enumerate(values):
-            if v is not None:
-                by_value.setdefault(v, []).append(j)
-        value_hits = np.zeros(combos, dtype=np.int64)
-        for cols in by_value.values():
-            value_hits += any_of(cols)
-        unique_ok = (value_hits == 1) & ~undef_any
-
-    def good_mask(j: int):
-        if fam.kind == "plain":
-            return rows[j] & unique_ok
-        bad = any_of(
-            jj
-            for jj, vv in enumerate(values)
-            if vv is not None and not fam.leq(vv, values[j])
-        )
-        return rows[j] & ~(bad | undef_any)
+    kernel = kernel_of(spec)
+    first: dict[int, tuple] = {}  # j -> (first compatible coloring, column there)
+    passed = [False] * len(candidates)
+    for lo in range(0, combos, _BLOCK):
+        hi = min(lo + _BLOCK, combos)
+        rows = kernel.window_compat(n, margin, annulus, candidates, lo, hi)
+        hit = rows.any(axis=1)
+        for j in np.flatnonzero(hit).tolist():
+            if j not in first:
+                i = int(rows[j].argmax())
+                first[j] = (lo + i, rows[:, i].copy())
+        pending = [j for j in defined if hit[j] and not passed[j]]
+        if not pending:
+            continue
+        undef_any = any_of(rows, undefined)
+        if plain:
+            # a coloring witnesses P iff exactly one distinct value is
+            # compatible with it (necessarily P's own) and nothing undefined is
+            value_hits = np.zeros(hi - lo, dtype=np.int64)
+            for cols in by_value.values():
+                value_hits += any_of(rows, cols)
+            unique_ok = (value_hits == 1) & ~undef_any
+        for j in pending:
+            if plain:
+                good = rows[j] & unique_ok
+            else:
+                if j not in bad:
+                    bad[j] = [jj for jj in defined if conflicts(values[jj], values[j])]
+                good = rows[j] & ~(any_of(rows, bad[j]) | undef_any)
+            passed[j] = bool(good.any())
 
     entries = []
     counterexample = None
-    ok = True
-    for j, (q, v) in enumerate(zip(candidates, values)):
-        if v is None:
-            continue
-        if not rows[j].any():
+    for j in defined:
+        if j not in first:
             continue  # not margin-admissible; outside the contract
-        passed = bool(good_mask(j).any())
-        entries.append({"pattern": q.rows(), "value": repr(v), "pass": passed})
-        if not passed:
-            ok = False
-            if counterexample is None:
-                r_ix = int(rows[j].argmax())  # the first compatible coloring
-                conflict = next(
-                    jj
-                    for jj, vv in enumerate(values)
-                    if rows[jj, r_ix]
-                    and (
-                        vv is None
-                        or (vv != v if fam.kind == "plain" else not fam.leq(vv, v))
-                    )
-                )
-                counterexample = {
-                    "pattern": q.rows(),
-                    "annulus": _annulus_pattern(spec, annulus, r_ix).render(),
-                    "also_compatible": candidates[conflict].rows(),
-                    "other_value": repr(values[conflict]),
-                }
+        q, v = candidates[j], values[j]
+        entries.append({"pattern": q.rows(), "value": repr(v), "pass": passed[j]})
+        if not passed[j] and counterexample is None:
+            i, column = first[j]
+            conflict = next(jj for jj, vv in enumerate(values) if column[jj] and conflicts(vv, v))
+            counterexample = {
+                "pattern": q.rows(),
+                "annulus": _annulus_pattern(spec, annulus, i).render(),
+                "also_compatible": candidates[conflict].rows(),
+                "other_value": repr(values[conflict]),
+            }
     work = {
         "annulus_colorings": combos,
         "candidates": len(candidates),
         "window_checks": combos * len(candidates),
     }
-    return entries, ok, counterexample, work
+    return entries, all(e["pass"] for e in entries), counterexample, work
 
 
 def _check_red_black_profiles(spec, n):

@@ -313,21 +313,44 @@ def save_description(desc: SquareDescription, dirpath: str) -> None:
         fh.write("\n")
 
 
+def _int_pair(head: dict, key: str) -> tuple[int, int]:
+    v = head[key]
+    if not (isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v)):
+        raise PatternError(f"description.json {key!r} is not a list of two ints: {v!r}")
+    return (v[0], v[1])
+
+
+def _border_file(rel) -> str:
+    """A border file name, refused unless it names a file inside the
+    description directory: no absolute path and no '..' component."""
+    if (
+        not isinstance(rel, str)
+        or rel in ("", ".")
+        or os.path.isabs(rel)
+        or ".." in rel.replace(os.sep, "/").split("/")
+    ):
+        raise PatternError(
+            f"description.json 'border_files' entry {rel!r} is not a file inside the directory"
+        )
+    return rel
+
+
 def load_description(dirpath: str) -> SquareDescription:
+    """Read a description back, refusing with ``PatternError`` a head whose
+    keys are missing or of the wrong type."""
     with open(os.path.join(dirpath, "description.json"), "r", encoding="ascii") as fh:
         head = json.load(fh)
     _require(head, ["level", "grid", "offset", "shape", "border_files"], "description.json")
+    if type(head["level"]) is not int:
+        raise PatternError(f"description.json 'level' is not an int: {head['level']!r}")
+    pairs = {key: _int_pair(head, key) for key in ("grid", "offset", "shape")}
+    if not isinstance(head["border_files"], list):
+        raise PatternError("description.json 'border_files' is not a list")
     borders = []
-    for rel in head["border_files"]:
+    for rel in [_border_file(rel) for rel in head["border_files"]]:
         with open(os.path.join(dirpath, rel), "r", encoding="ascii") as fh:
             borders.append(Pattern.from_text(fh.read()))
-    return SquareDescription(
-        level=head["level"],
-        grid=tuple(head["grid"]),
-        offset=tuple(head["offset"]),
-        shape=tuple(head["shape"]),
-        borders=tuple(borders),
-    )
+    return SquareDescription(level=head["level"], borders=tuple(borders), **pairs)
 
 
 def lowcfg_roundtrip(

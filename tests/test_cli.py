@@ -249,6 +249,7 @@ def test_kc_incompressible_pattern(capsys):
     )
     assert rc == 0
     assert report["result"]["pattern"] == ["00", "00"]
+    assert (report["metrics"]["printable"], report["metrics"]["passed_over"]) == (0, 0)
 
 
 def test_kc_incompressible_threshold_infeasible(capsys):
@@ -274,6 +275,10 @@ def test_kc_incompressible_perms(capsys):
     assert res["threshold"] == 18
     assert res["rank_width"] == 5
     assert res["encoding"] == "00000" + "00001" + "00010" + "00011"
+    metrics = report["metrics"]
+    assert metrics["printable"] == metrics["passed_over_printable"] == 0
+    assert metrics["passed_over_not_distinct"] == 627
+    assert "passed_over" not in metrics
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +300,9 @@ def test_deep_build_reports_search_counters_in_metrics(archive):
     levels = report["metrics"]["levels"]
     assert [lv["level"] for lv in levels] == [1, 2, 3]
     for lv in levels:
-        assert set(lv) == {"level", "runs", "memo_reuses", "cycle_cutoffs"}
+        assert set(lv) == {
+            "level", "runs", "memo_reuses", "cycle_cutoffs", "printable", "passed_over"
+        }
         assert lv["runs"] == 15  # the programs of at most 3 bits
     assert "metrics" not in report["result"]
 
@@ -500,6 +507,28 @@ def test_epitome_verify_identity_rejected(capsys):
         "annulus_colorings": 3**12,
         "candidates": 80,
         "window_checks": 3**12 * 80,
+    }
+
+
+def test_epitome_verify_hard_square_identity_n3_frozen(capsys):
+    # 65,536 annulus colorings against 63 candidates; the counterexample was
+    # recorded from a route that loaded and scanned one window per pair
+    rc, report, _ = run_json(
+        capsys, "epitome-verify", "--spec", "hard-square", "--family", "identity", "--n", "3"
+    )
+    assert rc == 2
+    res = report["result"]
+    assert (res["ok"], res["checked"]) == (False, 63)
+    assert res["counterexample"] == {
+        "pattern": ["000", "000", "000"],
+        "annulus": "00000\n0...0\n0...0\n0...0\n00000\n",
+        "also_compatible": ["000", "000", "001"],
+        "other_value": "('000', '000', '001')",
+    }
+    assert report["metrics"] == {
+        "annulus_colorings": 2**16,
+        "candidates": 63,
+        "window_checks": 2**16 * 63,
     }
 
 

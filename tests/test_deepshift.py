@@ -292,6 +292,25 @@ def test_benchmark_families_are_constant(which, request):
             assert set(q.cells.values()) == {str(j)}
 
 
+@pytest.mark.parametrize(
+    "which, exclusions",
+    [
+        ("fam_24", [{"printable": 0, "passed_over": 0}]),
+        ("fam_224", [{"printable": 0, "passed_over": 0}] * 2),
+        # the 627 rank tuples before (0, 1, 2, 3) each repeat a rank
+        (
+            "multi_fam",
+            [{"printable": 0, "passed_over_printable": 0, "passed_over_not_distinct": 627}],
+        ),
+    ],
+)
+def test_benchmark_searches_exclude_nothing(which, exclusions, request):
+    # the printable table at the target length is empty at every level, so
+    # the lex-first pick passes over no printable candidate
+    fam = request.getfixturevalue(which)
+    assert [meter.exclusions for meter in fam.meters] == exclusions
+
+
 def test_window_count_of_the_2_2_4_family(fam_224):
     # every n x n window of every 2x2 arrangement of the blocks at member's
     # level: with constant blocks there are 10n^2 - 16n + 8 distinct ones

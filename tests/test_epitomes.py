@@ -3,11 +3,13 @@
 import functools
 import itertools
 import operator
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from shiftlab.core import (
+    BINARY,
     BWR,
     InfeasibleError,
     Pattern,
@@ -19,7 +21,9 @@ from shiftlab.core import (
     mirror_spec,
     red_black_index_offset,
     red_black_spec,
+    spec_from_patterns,
 )
+from shiftlab import epitomes
 from shiftlab.epitomes import (
     EnforcerCase,
     EnforcerReport,
@@ -464,6 +468,63 @@ def test_brute_force_oracle_cases_cover_both_answers():
     for case in ("ones-positive", "ones-positive-ordered"):
         assert passes[case] == {False}
         assert answers[case][2]["other_value"] == "None"
+
+
+def _block_cases():
+    """(spec, family, n, margin, blocks) for the block-boundary test.  On
+    red-black at n = 2, margin 1 (3^12 colorings), blocks of 1 and 7 would
+    mean 531,441 and 75,921 kernel calls, so that window runs at 4,099 only."""
+    families = {
+        "identity": identity_family(),
+        "constant": constant_family(),
+        "popcount-plain": interior_popcount_family("plain"),
+        "popcount-ordered": interior_popcount_family("ordered"),
+    }
+    cases = {}
+    for spec in (RB, HS):
+        for name, fam in families.items():
+            for n, margin in ((1, 1), (2, 0), (2, 1)):
+                small = not (spec is RB and (n, margin) == (2, 1))
+                blocks = (1, 7, 4099) if small else (4099,)
+                cases[f"{spec.name}-{name}-{n}-{margin}"] = (spec, fam, n, margin, blocks)
+    # the test-local families of the oracle cases (the others are above)
+    for case, (spec, fam, n) in _ORACLE_CASES.items():
+        if fam.name in ("ones", "counts"):
+            cases[case] = (spec, fam, n, 1, (1, 7, 4099))
+    # every window above admits all candidates at coloring 0 (an all-0 or
+    # all-B annulus); with horizontal 00 forbidden, the counterexample's
+    # first compatible coloring lies in a later block
+    no_00_row = spec_from_patterns("no-00-row", BINARY, [make_pattern(["00"])])
+    cases["identity-no-00-row"] = (no_00_row, identity_family(), 2, 1, (1, 7, 4099))
+    return cases
+
+
+_BLOCK_CASES = _block_cases()
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+def test_reports_do_not_depend_on_the_block_size(case, monkeypatch):
+    # one block holds every coloring when it exceeds the 2,000,000 guard
+    spec, fam, n, margin, blocks = _BLOCK_CASES[case]
+    monkeypatch.setattr(epitomes, "_BLOCK", 2**21)
+    whole = epitome_property_check(spec, fam, n, margin)
+    for block in blocks:
+        monkeypatch.setattr(epitomes, "_BLOCK", block)
+        assert epitome_property_check(spec, fam, n, margin) == whole, block
+
+
+def test_property_check_memory_is_bounded():
+    # the whole (candidates, colorings) matrix of red-black identity at n = 2
+    # is 80 x 531,441 booleans; numpy reports its buffers to tracemalloc
+    import numpy  # noqa: F401 - imported before tracing starts
+
+    tracemalloc.start()
+    try:
+        epitome_property_check(RB, identity_family(), 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_constant_family_trivially_enforced():

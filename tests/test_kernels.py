@@ -6,9 +6,11 @@ run-mask kernel agrees with the generic kernel built from the materialized
 red-black list.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_admissibility import user_specs_and_sizes
 
 from shiftlab.admissibility import count_admissible, extendable
 from shiftlab.core import (
@@ -19,8 +21,11 @@ from shiftlab.core import (
     _square_plan,
     _squares_at,
     contains_forbidden,
+    hard_square_spec,
+    iter_rect_patterns,
     kernel_of,
     make_pattern,
+    mirror_spec,
     red_black_index_offset,
     red_black_spec,
     spec_from_patterns,
@@ -206,8 +211,83 @@ def test_state_scan_matches_contains_forbidden(box, data):
 def test_run_mask_window_compat_matches_generic_exhaustive():
     annulus = _annulus_cells(1, 1)
     candidates = [make_pattern([a], BWR) for a in BWR.letters]
-    fast = RED_BLACK_KERNEL.window_compat(1, 1, annulus, candidates)
-    slow = _capped_generic(3).window_compat(1, 1, annulus, candidates)
+    fast = RED_BLACK_KERNEL.window_compat(1, 1, annulus, candidates, 0, 3**8)
+    slow = _capped_generic(3).window_compat(1, 1, annulus, candidates, 0, 3**8)
     assert fast.shape == slow.shape == (3, 3**8)
     assert (fast == slow).all()
     assert 0 < fast.sum() < fast.size
+    # a block is the same columns of the whole matrix
+    for kernel in (RED_BLACK_KERNEL, _capped_generic(3)):
+        assert (kernel.window_compat(1, 1, annulus, candidates, 100, 2000) == fast[:, 100:2000]).all()
+
+
+# ---------------------------------------------------------------------------
+# Placement masks against the per-pair window check
+# ---------------------------------------------------------------------------
+
+
+def _per_pair_window_compat(spec, n, margin, annulus, candidates, lo, hi):
+    """``window_compat`` by its definition: one kernel state per coloring of
+    the block, loaded with each candidate in turn and scanned."""
+    letters = spec.alphabet.letters
+    base = len(letters)
+    side = n + 2 * margin
+    compat = np.empty((len(candidates), hi - lo), dtype=bool)
+    # every candidate fills the whole slot and every coloring the whole
+    # annulus, so each load overwrites the cells of the one before
+    slots = [{(r + margin, c + margin): a for (r, c), a in q.items()} for q in candidates]
+    state = kernel_of(spec).state((0, 0, side - 1, side - 1))
+    for i in range(lo, hi):
+        state.load({cell: letters[i // base**t % base] for t, cell in enumerate(annulus)})
+        for j, slot in enumerate(slots):
+            state.load(slot)
+            compat[j, i - lo] = state.scan() is None
+    return compat
+
+
+def _assert_matches_per_pair(spec, n, margin, lo, hi):
+    annulus = _annulus_cells(n, margin)
+    candidates = list(iter_rect_patterns(spec, n, n))
+    got = kernel_of(spec).window_compat(n, margin, annulus, candidates, lo, hi)
+    want = _per_pair_window_compat(spec, n, margin, annulus, candidates, lo, hi)
+    assert got.shape == want.shape == (len(candidates), hi - lo)
+    assert got.flags["C_CONTIGUOUS"]
+    assert (got == want).all()
+
+
+@pytest.mark.parametrize(
+    "spec, n, margin, lo, hi",
+    [
+        (hard_square_spec(), 1, 1, 0, 2**8),
+        (hard_square_spec(), 2, 1, 0, 2**12),
+        (hard_square_spec(), 2, 0, 0, 1),
+        (hard_square_spec(), 3, 1, 2**15 - 1000, 2**15 + 1000),
+        (hard_square_spec(), 2, 2, 2**19, 2**19 + 3000),
+        (mirror_spec(), 1, 1, 0, 3**8),
+        (mirror_spec(), 2, 0, 0, 1),
+        (mirror_spec(), 2, 1, 3**11, 3**11 + 2000),
+        (_capped_spec(3), 2, 1, 7 * 3**9, 7 * 3**9 + 100),
+    ],
+    ids=lambda x: getattr(x, "name", x),
+)
+def test_placement_masks_match_per_pair_scans(spec, n, margin, lo, hi):
+    _assert_matches_per_pair(spec, n, margin, lo, hi)
+
+
+@st.composite
+def plan_specs_and_blocks(draw):
+    """A spec of ``user_specs_and_sizes``, a block size n <= 2, a margin
+    <= 1 and a block lo < hi of at most 100 of its annulus colorings."""
+    spec, _ = draw(user_specs_and_sizes())
+    n = draw(st.integers(min_value=1, max_value=2))
+    margin = draw(st.integers(min_value=0, max_value=1))
+    combos = len(spec.alphabet) ** len(_annulus_cells(n, margin))
+    lo = draw(st.integers(min_value=0, max_value=combos - 1))
+    hi = draw(st.integers(min_value=lo + 1, max_value=min(combos, lo + 100)))
+    return spec, n, margin, lo, hi
+
+
+@settings(max_examples=100, deadline=None)
+@given(plan_specs_and_blocks())
+def test_placement_masks_match_per_pair_scans_on_random_specs(case):
+    _assert_matches_per_pair(*case)

@@ -312,7 +312,32 @@ _DESCRIPTION = {"level": 1, "grid": [1, 1], "offset": [0, 0], "shape": [1, 1], "
 @pytest.mark.parametrize(
     "head, named",
     [({}, "lacks"), ([], "not a JSON object")]
-    + [({k: v for k, v in _DESCRIPTION.items() if k != key}, repr(key)) for key in _DESCRIPTION],
+    + [({k: v for k, v in _DESCRIPTION.items() if k != key}, repr(key)) for key in _DESCRIPTION]
+    + [
+        (dict(_DESCRIPTION, **{key: value}), repr(key))
+        for key, value in [
+            ("level", "1"),
+            ("level", 1.0),
+            ("level", True),
+            ("level", None),
+            ("grid", 5),
+            ("grid", [1]),
+            ("grid", [1, 1, 1]),
+            ("grid", [1, "1"]),
+            ("offset", "00"),
+            ("offset", [0, 0.5]),
+            ("shape", None),
+            ("shape", {"h": 1, "w": 1}),
+            ("shape", [1, False]),
+            ("border_files", "border_0.txt"),
+            ("border_files", [3]),
+            ("border_files", [None]),
+            ("border_files", [""]),
+            ("border_files", ["/etc/hostname"]),
+            ("border_files", ["../border_0.txt"]),
+            ("border_files", ["sub/../../border_0.txt"]),
+        ]
+    ],
 )
 def test_load_description_refuses_malformed_heads(tmp_path, head, named):
     (tmp_path / "description.json").write_text(json.dumps(head))
