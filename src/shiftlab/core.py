@@ -324,12 +324,11 @@ class ShiftSpec:
     completes a forbidden pattern), ``retract(cell)`` and ``scan()``, the
     first forbidden occurrence in a pattern of ``cells``, so a window loaded
     once can be scanned with each of many fillings of a slot;
-    ``window_compat(n, margin, annulus, candidates, lo, hi)``, the C-ordered
-    boolean numpy array of shape ``(len(candidates), hi - lo)`` whose entry
-    [j, i] says whether n x n candidate j at offset (margin, margin) and
-    annulus coloring lo + i (digit t of lo + i in base |alphabet| is the
-    letter at ``annulus[t]``) form a locally admissible window, so a caller
-    can walk the colorings in blocks of bounded size; and
+    ``window_plan(side)``, forbidden patterns as cell tuples
+    (``((row, col), letter)`` pairs, anchored at the origin) that occur in a
+    fully colored side x side window exactly where some pattern of the
+    forbidden list does, so a window check can test placements of a short
+    list in place of the listed patterns; and
     ``filler(max_extent)``, a letter f such that, in every forbidden
     pattern of extent at most ``max_extent``, the cells not labelled f are
     nonempty and span the pattern's bounding box, or None when no letter
@@ -524,48 +523,15 @@ class GenericKernel:
         r0, c0, r1, c1 = bbox
         return _IndexedState(*self._plan(max(r1 - r0 + 1, c1 - c0 + 1)))
 
-    def window_compat(self, n: int, margin: int, annulus, candidates, lo: int, hi: int):
-        """Placement masks: the window is full, so a placement of a
-        forbidden pattern inside it matches exactly the pairs whose annulus
-        coloring has its annulus letters and whose candidate has its slot
-        letters.  Each placement clears the outer product of those two
-        masks; a placement wholly in the annulus or wholly in the slot
-        clears whole columns or whole rows."""
-        import numpy as np
-
-        letters = self.alphabet.letters
-        base = len(letters)
-        side = n + 2 * margin
-        idx = np.arange(lo, hi)
-        digit = {cell: idx // base**t % base for t, cell in enumerate(annulus)}
-        # lex_key lists a rectangle's letter indices row-major
-        slot = np.array([q.lex_key() for q in candidates], dtype=np.int64).reshape(-1, n, n)
-        compat = np.ones((len(candidates), hi - lo), dtype=bool)
+    def window_plan(self, side: int) -> list:
+        """The cells of the plan of ``side``: every listed pattern, so each
+        occurs where it is listed."""
         plan, _ = self._plan(side)
-        for _, fcells in plan:
-            rows = [dr for (dr, _), _ in fcells]
-            cols = [dc for (_, dc), _ in fcells]
-            for ar in range(-min(rows), side - max(rows)):
-                for ac in range(-min(cols), side - max(cols)):
-                    colorings = candidates_hit = True
-                    for (dr, dc), a in fcells:
-                        r, c, x = ar + dr, ac + dc, letters.index(a)
-                        if margin <= r < margin + n and margin <= c < margin + n:
-                            candidates_hit = candidates_hit & (slot[:, r - margin, c - margin] == x)
-                        else:
-                            colorings = colorings & (digit[r, c] == x)
-                    if candidates_hit is True:
-                        compat &= ~colorings
-                    elif colorings is True:
-                        compat[candidates_hit] = False
-                    else:
-                        compat[np.flatnonzero(candidates_hit)] &= ~colorings
-        return compat
+        return [fcells for _, fcells in plan]
 
 
-def run_mask(mask, length: int):
-    """Bit i set iff bits i..i+length-1 are all set in ``mask`` (a Python int
-    or a numpy array of an unsigned dtype)."""
+def run_mask(mask: int, length: int) -> int:
+    """Bit i set iff bits i..i+length-1 are all set in ``mask``."""
     out = mask
     for k in range(1, length):
         out = out & (mask >> k)
@@ -634,16 +600,15 @@ def _red_black_enumerator(max_extent: int) -> tuple[Pattern, ...]:
     return tuple(out)
 
 
-def _square_hits(red, black, filled, top: int, s: int, run=run_mask):
+def _square_hits(red, black, filled, top: int, s: int) -> int:
     """Bit c is set iff the s x s square with top-left cell (top, c) has an
     all-red top row, an all-black bottom row and every cell filled.
     ``red``, ``black`` and ``filled`` hold one int bitmask per row; an empty
-    partial result returns early.  The numpy entry point passes row keys, a
-    caching ``run`` and ``filled=None``."""
-    m = run(red[top], s)
-    if not isinstance(m, int) or m:
-        m = m & run(black[top + s - 1], s)
-    if filled is not None and m:
+    partial result returns early."""
+    m = run_mask(red[top], s)
+    if m:
+        m &= run_mask(black[top + s - 1], s)
+    if m:
         acc = filled[top]
         for r in range(top + 1, top + s):
             acc &= filled[r]
@@ -767,9 +732,9 @@ class _RunMaskState:
 
 
 class RunMaskKernel:
-    """The red-black family's kernel: the state's scan and the batched
-    window check test ``_square_hits`` on row bitmasks, the state's
-    ``assign`` tests the squares of ``_square_plan``."""
+    """The red-black family's kernel: the state's scan tests
+    ``_square_hits`` on row bitmasks, the state's ``assign`` tests the
+    squares of ``_square_plan``."""
 
     def state(self, bbox: tuple[int, int, int, int]) -> _RunMaskState:
         return _RunMaskState(bbox)
@@ -779,43 +744,15 @@ class RunMaskKernel:
         all B, so its non-W cells hold both rows, which span the square."""
         return "W"
 
-    def window_compat(self, n: int, margin: int, annulus, candidates, lo: int, hi: int):
-        """numpy entry point: the window is full, so only red and black rows
-        matter.  Row masks are arrays over the block's annulus colorings in
-        the narrowest unsigned dtype holding a row; their run masks are
-        cached by (letter, row, slot row, size), as candidates share slot
-        rows."""
-        import numpy as np
-
-        side = n + 2 * margin
-        dtype = np.min_scalar_type((1 << side) - 1)
-        idx = np.arange(lo, hi)
-        ann = {a: [np.zeros(idx.shape, dtype) for _ in range(side)] for a in "RB"}
-        for t, (r, c) in enumerate(annulus):
-            digit = idx // 3**t % 3
-            for a in "RB":
-                ann[a][r] |= (digit == BWR.index(a)).astype(dtype) << c
-        runs: dict = {}
-
-        def run(key, s):
-            out = runs.get((key, s))
-            if out is None:
-                a, r, slot_row = key
-                bits = sum(1 << (margin + c) for c, x in enumerate(slot_row) if x == a)
-                out = runs[key, s] = run_mask(ann[a][r] | bits, s)
-            return out
-
-        compat = np.empty((len(candidates), len(idx)), dtype=bool)
-        for j, q in enumerate(candidates):
-            slot = [""] * margin + q.rows() + [""] * margin
-            red = [("R", r, slot[r]) for r in range(side)]
-            black = [("B", r, slot[r]) for r in range(side)]
-            hits = np.zeros(len(idx), dtype)
-            for s in range(2, side + 1):
-                for top in range(side - s + 1):
-                    hits |= _square_hits(red, black, None, top, s, run=run)
-            np.equal(hits, 0, out=compat[j])
-        return compat
+    def window_plan(self, side: int) -> list:
+        """One square per size 2..side with an all-R top row, an all-B bottom
+        row and no interior: every cell of a full window is colored, so a
+        placement of it matches exactly where one of the 3^(s(s-2)) listed
+        squares of its size does."""
+        return [
+            tuple(((0, c), "R") for c in range(s)) + tuple(((s - 1, c), "B") for c in range(s))
+            for s in range(2, side + 1)
+        ]
 
 
 RED_BLACK_KERNEL = RunMaskKernel()

@@ -396,9 +396,64 @@ def _annulus_pattern(spec, annulus, combo_index):
     return Pattern(spec.alphabet, cells)
 
 
-# Colorings per ``window_compat`` call: the property check holds one block's
+# Colorings per ``_window_compat`` call: the property check holds one block's
 # (candidates, colorings) matrix at a time, never the whole one.
 _BLOCK = 1 << 15
+
+
+def _window_compat(spec, n, margin, annulus, candidates, lo, hi):
+    """The C-ordered boolean array of shape ``(len(candidates), hi - lo)``
+    whose entry [j, i] says whether n x n candidate j at offset (margin,
+    margin) and annulus coloring lo + i (digit t of lo + i in base
+    |alphabet| is the letter at ``annulus[t]``) form a locally admissible
+    window.
+
+    Placement masks: the window is full, so a placement of a pattern of the
+    kernel's ``window_plan`` inside it matches exactly the pairs whose
+    annulus coloring has its annulus letters and whose candidate has its
+    slot letters.  Each placement clears the outer product of those two
+    masks; a placement wholly in the annulus or wholly in the slot clears
+    whole columns or whole rows."""
+    import numpy as np
+
+    letters = spec.alphabet.letters
+    base = len(letters)
+    side = n + 2 * margin
+    rest = np.arange(lo, hi)
+    digit = {}
+    for cell in annulus:
+        # one byte per coloring and cell keeps a block's digits small
+        digit[cell] = (rest % base).astype(np.uint8)
+        rest //= base
+    # lex_key lists a rectangle's letter indices row-major
+    slot = np.array([q.lex_key() for q in candidates], dtype=np.uint8).reshape(-1, n, n)
+    compat = np.ones((len(candidates), hi - lo), dtype=bool)
+    for fcells in kernel_of(spec).window_plan(side):
+        rows = [dr for (dr, _), _ in fcells]
+        cols = [dc for (_, dc), _ in fcells]
+        for ar in range(-min(rows), side - max(rows)):
+            for ac in range(-min(cols), side - max(cols)):
+                colorings = candidates_hit = True
+                for (dr, dc), a in fcells:
+                    r, c, x = ar + dr, ac + dc, letters.index(a)
+                    if margin <= r < margin + n and margin <= c < margin + n:
+                        candidates_hit = candidates_hit & (slot[:, r - margin, c - margin] == x)
+                    else:
+                        colorings = colorings & (digit[r, c] == x)
+                if candidates_hit is True:
+                    compat &= ~colorings
+                elif colorings is True:
+                    compat[candidates_hit] = False
+                else:
+                    compat[np.flatnonzero(candidates_hit)] &= ~colorings
+    return compat
+
+
+def _vacuous(spec, fam, n) -> PatternError:
+    return PatternError(
+        f"the {fam.name} family is undefined on every {n}x{n} pattern of {spec.name}, "
+        "so the check would hold vacuously"
+    )
 
 
 def _check_generic(spec, fam, n, margin):
@@ -413,11 +468,12 @@ def _check_generic(spec, fam, n, margin):
     combos = len(spec.alphabet) ** len(annulus)
     if combos > 2_000_000:
         raise InfeasibleError(
-            f"annulus search over {combos} colorings is infeasible; "
-            "use a family with a dedicated window builder"
+            f"annulus search over {combos} colorings is infeasible; lower --n or --margin"
         )
     candidates = list(iter_rect_patterns(spec, n, n))
     values = [fam.evaluate(q) for q in candidates]
+    if all(v is None for v in values):
+        raise _vacuous(spec, fam, n)
     plain = fam.kind == "plain"
 
     def conflicts(vv, v) -> bool:
@@ -436,12 +492,11 @@ def _check_generic(spec, fam, n, margin):
         """Colorings compatible with at least one candidate of ``cols``."""
         return rows[cols].any(axis=0) if cols else np.zeros(rows.shape[1], dtype=bool)
 
-    kernel = kernel_of(spec)
     first: dict[int, tuple] = {}  # j -> (first compatible coloring, column there)
     passed = [False] * len(candidates)
     for lo in range(0, combos, _BLOCK):
         hi = min(lo + _BLOCK, combos)
-        rows = kernel.window_compat(n, margin, annulus, candidates, lo, hi)
+        rows = _window_compat(spec, n, margin, annulus, candidates, lo, hi)
         hit = rows.any(axis=1)
         for j in np.flatnonzero(hit).tolist():
             if j not in first:
@@ -575,7 +630,8 @@ def epitome_property_check(
     the mirror enumerator, uses the red-line window builder; any other
     family, a copy of those two included, sweeps every annulus coloring of
     the given margin (with a feasibility guard).  A spec's name never
-    selects a route.
+    selects a route.  A check that would hold vacuously is refused: one
+    whose family is undefined on every candidate, or that leaves no entry.
     """
     if n < 1:
         raise PatternError("n must be positive")
@@ -588,6 +644,11 @@ def epitome_property_check(
     else:
         parts = _check_generic(spec, fam, n, window_margin)
     entries, ok, counterexample, work = parts
+    if not entries:
+        raise PatternError(
+            f"no {n}x{n} pattern of {spec.name} with a defined {fam.name} value fits "
+            f"a window of margin {window_margin}, so the check would hold vacuously"
+        )
     return PropertyReport(
         spec.name, fam.name, fam.kind, n, window_margin, tuple(entries), ok, counterexample, work
     )
@@ -612,8 +673,9 @@ class ConsistencyReport:
 
     A group is flagged when the border fails to determine the epitome of the
     projection: several distinct values (plain kind) or no maximum value
-    (ordered kind).  ``ledger_bits`` is the cost of remembering one border:
-    (4n-4) * ceil(log2 |cover alphabet|)."""
+    (ordered kind).  The undefined value None is one more value: the order
+    compares it by equality only.  ``ledger_bits`` is the cost of
+    remembering one border: (4n-4) * ceil(log2 |cover alphabet|)."""
 
     n: int
     family: str
@@ -638,7 +700,8 @@ def border_epitome_consistency(
     spec: ShiftSpec, projection: dict[str, str], fam: EpitomeFamily, n: int
 ) -> ConsistencyReport:
     """Group the locally admissible n x n cover patterns by border ring and
-    test whether the ring determines the projected pattern's epitome."""
+    test whether the ring determines the projected pattern's epitome.  A
+    family undefined on every projected pattern is refused."""
     if n < 1:
         raise PatternError("n must be positive")
     missing = [a for a in spec.alphabet.letters if a not in projection]
@@ -657,6 +720,12 @@ def border_epitome_consistency(
     for q in iter_rect_patterns(spec, n, n):
         key = "".join(q.at(r, c) for r, c in ring)
         groups.setdefault(key, []).append(fam.evaluate(_project(q, projection)))
+    if all(v is None for vals in groups.values() for v in vals):
+        raise _vacuous(spec, fam, n)
+
+    def leq(u, v) -> bool:
+        return u == v if u is None or v is None else fam.leq(u, v)
+
     out = []
     flagged_count = 0
     for key in sorted(groups):
@@ -664,9 +733,7 @@ def border_epitome_consistency(
         if fam.kind == "plain":
             flagged = len(set(map(repr, vals))) > 1
         else:
-            flagged = not any(
-                all(fam.leq(u, v) for u in vals) for v in vals
-            )
+            flagged = not any(all(leq(u, v) for u in vals) for v in vals)
         if flagged:
             flagged_count += 1
         out.append(

@@ -551,6 +551,34 @@ def test_border_consistency_defaults(capsys):
     assert report["metrics"] == {"candidates": 63, "groups": 47}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("epitome-verify", "--spec", "red-black", "--family", "interior-popcount", "--n", "2"),
+        ("epitome-verify", "--spec", "hard-square", "--n", "2"),
+        ("border-consistency", "--spec", "red-black", "--family", "interior-popcount", "--n", "2"),
+    ],
+)
+def test_vacuous_checks_exit_1(capsys, argv):
+    # the family is undefined on every candidate: nothing would be checked
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("shiftlab:") and err.count("\n") == 1
+    assert "undefined on every 2x2 pattern" in err
+
+
+def test_border_consistency_ordered_family_with_undefined_values(capsys):
+    # profile is undefined on most red-black patterns; a 2 x 2 pattern is
+    # all border, so each group holds one value and none is flagged
+    rc, report, _ = run_json(
+        capsys, "border-consistency", "--spec", "red-black", "--family", "profile", "--n", "2"
+    )
+    assert rc == 0
+    assert (report["result"]["groups"], report["result"]["flagged"]) == (80, 0)
+    assert report["metrics"] == {"candidates": 80, "groups": 80}
+
+
 def test_border_consistency_full_detail(capsys):
     rc, report, _ = run_json(
         capsys, "border-consistency", "--family", "constant", "--n", "2", "--full"

@@ -473,7 +473,9 @@ def test_brute_force_oracle_cases_cover_both_answers():
 def _block_cases():
     """(spec, family, n, margin, blocks) for the block-boundary test.  On
     red-black at n = 2, margin 1 (3^12 colorings), blocks of 1 and 7 would
-    mean 531,441 and 75,921 kernel calls, so that window runs at 4,099 only."""
+    mean 531,441 and 75,921 window checks, so that window runs at 4,099
+    only.  Interior-popcount reads binary patterns only, so on red-black it
+    is undefined everywhere: blocks None marks a check that is refused."""
     families = {
         "identity": identity_family(),
         "constant": constant_family(),
@@ -486,6 +488,8 @@ def _block_cases():
             for n, margin in ((1, 1), (2, 0), (2, 1)):
                 small = not (spec is RB and (n, margin) == (2, 1))
                 blocks = (1, 7, 4099) if small else (4099,)
+                if spec is RB and name.startswith("popcount"):
+                    blocks = None
                 cases[f"{spec.name}-{name}-{n}-{margin}"] = (spec, fam, n, margin, blocks)
     # the test-local families of the oracle cases (the others are above)
     for case, (spec, fam, n) in _ORACLE_CASES.items():
@@ -506,6 +510,10 @@ _BLOCK_CASES = _block_cases()
 def test_reports_do_not_depend_on_the_block_size(case, monkeypatch):
     # one block holds every coloring when it exceeds the 2,000,000 guard
     spec, fam, n, margin, blocks = _BLOCK_CASES[case]
+    if blocks is None:
+        with pytest.raises(PatternError, match="undefined on every"):
+            epitome_property_check(spec, fam, n, margin)
+        return
     monkeypatch.setattr(epitomes, "_BLOCK", 2**21)
     whole = epitome_property_check(spec, fam, n, margin)
     for block in blocks:
@@ -525,6 +533,36 @@ def test_property_check_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _no_window_check(*args):
+    raise AssertionError("a vacuous check reached the window check")
+
+
+@pytest.mark.parametrize(
+    "spec, fam",
+    [(RB, interior_popcount_family()), (HS, profile_family()), (HS, mirror_family())],
+    ids=["popcount-on-red-black", "profile-on-hard-square", "mirror-on-hard-square"],
+)
+def test_vacuous_property_check_refused_before_any_window_check(spec, fam, monkeypatch):
+    monkeypatch.setattr(epitomes, "_window_compat", _no_window_check)
+    with pytest.raises(PatternError, match=f"{fam.name} family is undefined on every 2x2"):
+        epitome_property_check(spec, fam, 2)
+
+
+def test_property_check_refuses_a_sweep_without_entries():
+    # a 1 needs a cell below it inside the window, so the one pattern with
+    # a defined value is compatible with no annulus of margin 1; at margin 0
+    # it shares its window with the undefined 0, so it fails
+    spec = spec_from_patterns(
+        "no-bottom", BINARY, [make_pattern(["1", "0"]), make_pattern(["1", "1"])]
+    )
+    fam = EpitomeFamily("top", lambda p: 1 if p.rows() == ["1"] else None)
+    assert epitome_property_check(spec, fam, 1, 0).entries == (
+        {"pattern": ["1"], "value": "1", "pass": False},
+    )
+    with pytest.raises(PatternError, match="fits a window of margin 1"):
+        epitome_property_check(spec, fam, 1, 1)
 
 
 def test_constant_family_trivially_enforced():
@@ -600,6 +638,27 @@ def test_border_consistency_ordered_kind():
     rep = border_epitome_consistency(HS, IDENTITY, fam, 3)
     # total order: every group has a maximum, so nothing is flagged
     assert rep.flagged_count == 0
+
+
+def test_border_consistency_compares_undefined_by_equality():
+    # profile is undefined on a pattern with red or a black right of a
+    # white: a group mixing None with a profile is flagged, one of None
+    # alone is not, as for a plain family where None is one more value
+    rep = border_epitome_consistency(RB, {a: a for a in "BWR"}, profile_family(), 3)
+    assert rep.kind == "ordered"
+    mixed = [g for g in rep.groups if "None" in g.values and len(g.values) > 1]
+    assert mixed and any(g.values == ("None",) for g in rep.groups)
+    for g in rep.groups:
+        assert g.flagged == (g in mixed)
+    assert rep.flagged_count == len(mixed)
+
+
+def test_vacuous_border_consistency_refused():
+    with pytest.raises(PatternError, match="interior-popcount family is undefined on every 2x2"):
+        border_epitome_consistency(RB, {a: a for a in "BWR"}, interior_popcount_family(), 2)
+    # the summary is of the projected pattern
+    with pytest.raises(PatternError, match="undefined on every 3x3 pattern of hard-square"):
+        border_epitome_consistency(HS, {"0": "B", "1": "W"}, interior_popcount_family(), 3)
 
 
 def test_border_consistency_projection_alphabet_guard():

@@ -32,6 +32,7 @@ from shiftlab.core import (
 )
 from shiftlab.epitomes import (
     _annulus_cells,
+    _window_compat,
     epitome_property_check,
     identity_family,
     mirror_family,
@@ -209,16 +210,17 @@ def test_state_scan_matches_contains_forbidden(box, data):
 
 
 def test_run_mask_window_compat_matches_generic_exhaustive():
+    # the red-black kernel's sparse-square plan against the listed squares
     annulus = _annulus_cells(1, 1)
     candidates = [make_pattern([a], BWR) for a in BWR.letters]
-    fast = RED_BLACK_KERNEL.window_compat(1, 1, annulus, candidates, 0, 3**8)
-    slow = _capped_generic(3).window_compat(1, 1, annulus, candidates, 0, 3**8)
+    fast = _window_compat(RB_SPEC, 1, 1, annulus, candidates, 0, 3**8)
+    slow = _window_compat(_capped_spec(3), 1, 1, annulus, candidates, 0, 3**8)
     assert fast.shape == slow.shape == (3, 3**8)
     assert (fast == slow).all()
     assert 0 < fast.sum() < fast.size
     # a block is the same columns of the whole matrix
-    for kernel in (RED_BLACK_KERNEL, _capped_generic(3)):
-        assert (kernel.window_compat(1, 1, annulus, candidates, 100, 2000) == fast[:, 100:2000]).all()
+    for spec in (RB_SPEC, _capped_spec(3)):
+        assert (_window_compat(spec, 1, 1, annulus, candidates, 100, 2000) == fast[:, 100:2000]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -227,28 +229,30 @@ def test_run_mask_window_compat_matches_generic_exhaustive():
 
 
 def _per_pair_window_compat(spec, n, margin, annulus, candidates, lo, hi):
-    """``window_compat`` by its definition: one kernel state per coloring of
-    the block, loaded with each candidate in turn and scanned."""
+    """``_window_compat`` by its definition: one kernel state per coloring
+    of the block, loaded with each candidate in turn and scanned."""
     letters = spec.alphabet.letters
     base = len(letters)
     side = n + 2 * margin
     compat = np.empty((len(candidates), hi - lo), dtype=bool)
-    # every candidate fills the whole slot and every coloring the whole
-    # annulus, so each load overwrites the cells of the one before
     slots = [{(r + margin, c + margin): a for (r, c), a in q.items()} for q in candidates]
-    state = kernel_of(spec).state((0, 0, side - 1, side - 1))
+    # a run-mask state's load keeps the bits of a cell's earlier letter, so
+    # nothing is loaded over a filled cell
     for i in range(lo, hi):
+        state = kernel_of(spec).state((0, 0, side - 1, side - 1))
         state.load({cell: letters[i // base**t % base] for t, cell in enumerate(annulus)})
         for j, slot in enumerate(slots):
             state.load(slot)
             compat[j, i - lo] = state.scan() is None
+            for cell in slot:
+                state.retract(cell)
     return compat
 
 
 def _assert_matches_per_pair(spec, n, margin, lo, hi):
     annulus = _annulus_cells(n, margin)
     candidates = list(iter_rect_patterns(spec, n, n))
-    got = kernel_of(spec).window_compat(n, margin, annulus, candidates, lo, hi)
+    got = _window_compat(spec, n, margin, annulus, candidates, lo, hi)
     want = _per_pair_window_compat(spec, n, margin, annulus, candidates, lo, hi)
     assert got.shape == want.shape == (len(candidates), hi - lo)
     assert got.flags["C_CONTIGUOUS"]
@@ -267,6 +271,10 @@ def _assert_matches_per_pair(spec, n, margin, lo, hi):
         (mirror_spec(), 2, 0, 0, 1),
         (mirror_spec(), 2, 1, 3**11, 3**11 + 2000),
         (_capped_spec(3), 2, 1, 7 * 3**9, 7 * 3**9 + 100),
+        (RB_SPEC, 1, 1, 0, 3**8),
+        (RB_SPEC, 2, 0, 0, 1),
+        (RB_SPEC, 2, 1, 3**11, 3**11 + 2000),
+        (RB_SPEC, 1, 2, 5 * 3**19, 5 * 3**19 + 2000),
     ],
     ids=lambda x: getattr(x, "name", x),
 )
