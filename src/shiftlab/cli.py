@@ -67,12 +67,24 @@ from .lowcfg import (
 )
 
 _FAMILY_FACTORIES = {
-    "profile": lambda args: profile_family(),
-    "mirror": lambda args: mirror_family(),
-    "identity": lambda args: identity_family(),
-    "constant": lambda args: constant_family(),
-    "interior-popcount": lambda args: interior_popcount_family(kind=args.kind),
+    "profile": profile_family,
+    "mirror": mirror_family,
+    "identity": identity_family,
+    "constant": constant_family,
+    "interior-popcount": interior_popcount_family,
 }
+
+
+def _family_of(args):
+    """The family ``--family`` names, of the kind ``--kind`` names; only
+    interior-popcount comes in both kinds, so ``--kind`` is refused with any
+    other family."""
+    factory = _FAMILY_FACTORIES[args.family]
+    if args.kind is None:
+        return factory()
+    if args.family != "interior-popcount":
+        raise PatternError(f"--kind applies to the interior-popcount family only, not {args.family}")
+    return factory(kind=args.kind)
 
 
 def _read_pattern(path: str) -> Pattern:
@@ -234,6 +246,7 @@ def _cmd_kc_incompressible(args):
 
 def _cmd_epitome_verify(args):
     spec = get_spec(args.spec)
+    fam = _family_of(args)
     if args.profile is not None:
         rep = verify_enforcer(Profile(tuple(args.profile)), spec)
         payload = {
@@ -245,7 +258,6 @@ def _cmd_epitome_verify(args):
             "cases": len(rep.cases),
         }
         return payload, rep.ok, None, {"window_scans": len(rep.cases)}
-    fam = _FAMILY_FACTORIES[args.family](args)
     rep = epitome_property_check(spec, fam, args.n, window_margin=args.margin)
     payload = {
         "family": rep.family,
@@ -261,7 +273,7 @@ def _cmd_epitome_verify(args):
 
 def _cmd_border_consistency(args):
     spec = get_spec(args.spec)
-    fam = _FAMILY_FACTORIES[args.family](args)
+    fam = _family_of(args)
     if args.projection == "identity":
         projection = {a: a for a in spec.alphabet.letters}
     else:
@@ -273,6 +285,8 @@ def _cmd_border_consistency(args):
             projection[src] = dst
     rep = border_epitome_consistency(spec, projection, fam, args.n)
     payload = {
+        "family": rep.family,
+        "kind": rep.kind,
         "groups": len(rep.groups),
         "flagged": rep.flagged_count,
         "ledger_bits": rep.ledger_bits,
@@ -406,8 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--family", choices=sorted(_FAMILY_FACTORIES), default="profile")
     q.add_argument("--n", type=int, default=2)
     q.add_argument("--margin", type=int, default=1)
-    q.add_argument("--kind", choices=["plain", "ordered"], default="plain",
-                   help="kind for families that support both")
+    q.add_argument("--kind", choices=["plain", "ordered"], default=None,
+                   help="kind for families that support both (default plain)")
     q.add_argument("--profile", type=_int_list, default=None,
                    help="verify a single enforcer window for this profile")
     q.set_defaults(func=_cmd_epitome_verify)
@@ -418,7 +432,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, default=3)
     q.add_argument("--projection", default="identity",
                    help='"identity" or comma list like "0=B,1=W"')
-    q.add_argument("--kind", choices=["plain", "ordered"], default="plain")
+    q.add_argument("--kind", choices=["plain", "ordered"], default=None,
+                   help="kind for families that support both (default plain)")
     q.add_argument("--full", action="store_true", help="include every group in the report")
     q.set_defaults(func=_cmd_border_consistency)
 

@@ -319,9 +319,10 @@ class ShiftSpec:
     grow too fast to materialize.  It must give the answers of
     ``GenericKernel``, which derives them from ``enumerator`` when ``kernel``
     is None: ``state(bbox)``, an incremental oracle over cells inside
-    ``bbox`` with ``cells``, ``load(cells)`` (no check),
-    ``assign(cell, letter)`` (False, assigning nothing, when the letter
-    completes a forbidden pattern), ``retract(cell)`` and ``scan()``, the
+    ``bbox`` with ``cells``, ``load(cells)`` (no check; a loaded letter
+    overwrites the one a cell held), ``assign(cell, letter)`` on an empty
+    cell (False, assigning nothing, when the letter completes a forbidden
+    pattern), ``retract(cell)`` and ``scan()``, the
     first forbidden occurrence in a pattern of ``cells``, so a window loaded
     once can be scanned with each of many fillings of a slot;
     ``window_plan(side)``, forbidden patterns as cell tuples
@@ -654,9 +655,12 @@ class _RunMaskState:
         self._plans: dict[tuple[int, int], list] = {}
 
     def load(self, cells: dict[tuple[int, int], str]) -> None:
+        held = self.cells
         for (r, c), letter in cells.items():
+            if (r, c) in held:
+                self._clear(r, c)
             self._set(r, c, letter)
-        self.cells.update(cells)
+        held.update(cells)
 
     def _set(self, r: int, c: int, letter: str) -> None:
         bit = 1 << (c - self._c0)

@@ -397,56 +397,80 @@ def _annulus_pattern(spec, annulus, combo_index):
 
 
 # Colorings per ``_window_compat`` call: the property check holds one block's
-# (candidates, colorings) matrix at a time, never the whole one.
+# rows of ``_BLOCK`` bits at a time, never the whole matrix.
 _BLOCK = 1 << 15
 
 
+def _digit_mask(base, t, x, lo, hi):
+    """Bit i set iff digit t of lo + i in base ``base`` is x, in O(hi - lo)
+    bits however large lo is.  The digit is x on one run of base^t colorings
+    per period base^(t+1): a period that fits the block is tiled by doubling
+    and shifted to lo; a longer one meets [lo, hi) in at most two runs."""
+    run = base**t
+    period = run * base
+    width = hi - lo
+    if period <= width:
+        mask, length = ((1 << run) - 1) << (x * run), period
+        while length < width + period:
+            mask |= mask << length
+            length *= 2
+        return (mask >> (lo % period)) & ((1 << width) - 1)
+    mask = 0
+    start = lo - lo % period + x * run
+    for a in (start, start + period):
+        a, b = max(a, lo), min(a + run, hi)
+        if a < b:
+            mask |= ((1 << (b - a)) - 1) << (a - lo)
+    return mask
+
+
 def _window_compat(spec, n, margin, annulus, candidates, lo, hi):
-    """The C-ordered boolean array of shape ``(len(candidates), hi - lo)``
-    whose entry [j, i] says whether n x n candidate j at offset (margin,
-    margin) and annulus coloring lo + i (digit t of lo + i in base
-    |alphabet| is the letter at ``annulus[t]``) form a locally admissible
-    window.
+    """One int per candidate: bit i of entry j says whether n x n candidate
+    j at offset (margin, margin) and annulus coloring lo + i (digit t of
+    lo + i in base |alphabet| is the letter at ``annulus[t]``) form a
+    locally admissible window.
 
     Placement masks: the window is full, so a placement of a pattern of the
     kernel's ``window_plan`` inside it matches exactly the pairs whose
     annulus coloring has its annulus letters and whose candidate has its
-    slot letters.  Each placement clears the outer product of those two
-    masks; a placement wholly in the annulus or wholly in the slot clears
-    whole columns or whole rows."""
-    import numpy as np
-
+    slot letters.  Each placement clears the bits of those colorings in the
+    rows of those candidates; a placement wholly in the annulus clears them
+    in every row."""
     letters = spec.alphabet.letters
     base = len(letters)
     side = n + 2 * margin
-    rest = np.arange(lo, hi)
-    digit = {}
-    for cell in annulus:
-        # one byte per coloring and cell keeps a block's digits small
-        digit[cell] = (rest % base).astype(np.uint8)
-        rest //= base
+    full = (1 << (hi - lo)) - 1
+    digit_of = {cell: t for t, cell in enumerate(annulus)}
+    masks: dict[tuple[int, int], int] = {}  # (t, letter index) -> digit mask
     # lex_key lists a rectangle's letter indices row-major
-    slot = np.array([q.lex_key() for q in candidates], dtype=np.uint8).reshape(-1, n, n)
-    compat = np.ones((len(candidates), hi - lo), dtype=bool)
+    slots = [q.lex_key() for q in candidates]
+    cleared = [0] * len(candidates)
+    everywhere = 0
     for fcells in kernel_of(spec).window_plan(side):
         rows = [dr for (dr, _), _ in fcells]
         cols = [dc for (_, dc), _ in fcells]
         for ar in range(-min(rows), side - max(rows)):
             for ac in range(-min(cols), side - max(cols)):
-                colorings = candidates_hit = True
+                colorings = full
+                tests = []  # (slot index, letter index) the candidate must match
                 for (dr, dc), a in fcells:
                     r, c, x = ar + dr, ac + dc, letters.index(a)
                     if margin <= r < margin + n and margin <= c < margin + n:
-                        candidates_hit = candidates_hit & (slot[:, r - margin, c - margin] == x)
+                        tests.append(((r - margin) * n + c - margin, x))
                     else:
-                        colorings = colorings & (digit[r, c] == x)
-                if candidates_hit is True:
-                    compat &= ~colorings
-                elif colorings is True:
-                    compat[candidates_hit] = False
-                else:
-                    compat[np.flatnonzero(candidates_hit)] &= ~colorings
-    return compat
+                        key = (digit_of[r, c], x)
+                        if key not in masks:
+                            masks[key] = _digit_mask(base, *key, lo, hi)
+                        colorings &= masks[key]
+                if not colorings:
+                    continue
+                if not tests:
+                    everywhere |= colorings
+                    continue
+                for j, slot in enumerate(slots):
+                    if all(slot[k] == x for k, x in tests):
+                        cleared[j] |= colorings
+    return [full & ~(everywhere | bits) for bits in cleared]
 
 
 def _vacuous(spec, fam, n) -> PatternError:
@@ -460,10 +484,8 @@ def _check_generic(spec, fam, n, margin):
     """Every annulus coloring against every candidate, in blocks of
     ``_BLOCK`` colorings.  Per candidate the blocks fold whether it is
     compatible anywhere, whether some compatible coloring witnesses it (no
-    more tests once one has), and its first compatible coloring with the
-    compatibility column there, from which a counterexample is read."""
-    import numpy as np
-
+    more tests once one has), and its first compatible coloring, whose
+    column a counterexample is read from."""
     annulus = _annulus_cells(n, margin)
     combos = len(spec.alphabet) ** len(annulus)
     if combos > 2_000_000:
@@ -488,31 +510,36 @@ def _check_generic(spec, fam, n, margin):
         by_value.setdefault(values[j], []).append(j)
     bad: dict[int, list[int]] = {}  # ordered kind: the defined conflicts of j
 
-    def any_of(rows, cols) -> np.ndarray:
+    def any_of(rows, cols) -> int:
         """Colorings compatible with at least one candidate of ``cols``."""
-        return rows[cols].any(axis=0) if cols else np.zeros(rows.shape[1], dtype=bool)
+        out = 0
+        for j in cols:
+            out |= rows[j]
+        return out
 
-    first: dict[int, tuple] = {}  # j -> (first compatible coloring, column there)
+    first: dict[int, int] = {}  # j -> its first compatible coloring
     passed = [False] * len(candidates)
     for lo in range(0, combos, _BLOCK):
         hi = min(lo + _BLOCK, combos)
         rows = _window_compat(spec, n, margin, annulus, candidates, lo, hi)
-        hit = rows.any(axis=1)
-        for j in np.flatnonzero(hit).tolist():
-            if j not in first:
-                i = int(rows[j].argmax())
-                first[j] = (lo + i, rows[:, i].copy())
-        pending = [j for j in defined if hit[j] and not passed[j]]
+        for j, row in enumerate(rows):
+            if row and j not in first:
+                first[j] = lo + (row & -row).bit_length() - 1
+        pending = [j for j in defined if rows[j] and not passed[j]]
         if not pending:
             continue
         undef_any = any_of(rows, undefined)
         if plain:
             # a coloring witnesses P iff exactly one distinct value is
-            # compatible with it (necessarily P's own) and nothing undefined is
-            value_hits = np.zeros(hi - lo, dtype=np.int64)
+            # compatible with it (necessarily P's own) and nothing undefined
+            # is: ``once`` marks the colorings some value hits, ``twice``
+            # those a second value hits too
+            once = twice = 0
             for cols in by_value.values():
-                value_hits += any_of(rows, cols)
-            unique_ok = (value_hits == 1) & ~undef_any
+                hits = any_of(rows, cols)
+                twice |= once & hits
+                once |= hits
+            unique_ok = once & ~(twice | undef_any)
         for j in pending:
             if plain:
                 good = rows[j] & unique_ok
@@ -520,7 +547,7 @@ def _check_generic(spec, fam, n, margin):
                 if j not in bad:
                     bad[j] = [jj for jj in defined if conflicts(values[jj], values[j])]
                 good = rows[j] & ~(any_of(rows, bad[j]) | undef_any)
-            passed[j] = bool(good.any())
+            passed[j] = bool(good)
 
     entries = []
     counterexample = None
@@ -530,7 +557,9 @@ def _check_generic(spec, fam, n, margin):
         q, v = candidates[j], values[j]
         entries.append({"pattern": q.rows(), "value": repr(v), "pass": passed[j]})
         if not passed[j] and counterexample is None:
-            i, column = first[j]
+            i = first[j]
+            # the column of coloring i, built again: one bit per candidate
+            column = _window_compat(spec, n, margin, annulus, candidates, i, i + 1)
             conflict = next(jj for jj, vv in enumerate(values) if column[jj] and conflicts(vv, v))
             counterexample = {
                 "pattern": q.rows(),

@@ -579,6 +579,46 @@ def test_border_consistency_ordered_family_with_undefined_values(capsys):
     assert report["metrics"] == {"candidates": 80, "groups": 80}
 
 
+@pytest.mark.parametrize(
+    "argv, family, kind",
+    [
+        (("border-consistency",), "interior-popcount", "plain"),
+        (("border-consistency", "--kind", "ordered"), "interior-popcount", "ordered"),
+        (("border-consistency", "--spec", "red-black", "--family", "profile", "--n", "2"),
+         "profile", "ordered"),
+        (("border-consistency", "--family", "constant", "--n", "2"), "constant", "plain"),
+        (("epitome-verify", "--spec", "hard-square", "--family", "interior-popcount", "--n", "2",
+          "--kind", "ordered"), "interior-popcount", "ordered"),
+        (("epitome-verify", "--family", "identity", "--n", "1"), "identity", "plain"),
+    ],
+)
+def test_results_carry_the_family_and_kind_checked(capsys, argv, family, kind):
+    rc, report, _ = run_json(capsys, *argv)
+    assert rc in (0, 2)
+    assert (report["result"]["family"], report["result"]["kind"]) == (family, kind)
+    # the kind is a setting only where it was given
+    assert report["config"]["kind"] == (kind if "--kind" in argv else None)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("border-consistency", "--spec", "red-black", "--family", "profile", "--n", "2",
+         "--kind", "plain"),
+        ("border-consistency", "--family", "identity", "--kind", "ordered"),
+        ("epitome-verify", "--family", "identity", "--n", "1", "--kind", "plain"),
+        ("epitome-verify", "--spec", "mirror", "--family", "mirror", "--n", "2",
+         "--kind", "ordered"),
+        ("epitome-verify", "--profile", "1,0", "--kind", "ordered"),
+    ],
+)
+def test_kind_with_a_family_of_one_kind_exits_1(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("shiftlab: --kind") and err.count("\n") == 1
+
+
 def test_border_consistency_full_detail(capsys):
     rc, report, _ = run_json(
         capsys, "border-consistency", "--family", "constant", "--n", "2", "--full"
@@ -636,17 +676,27 @@ def test_render_prints_raw_grid(tmp_path, capsys):
 
 
 def test_console_entry_point_subprocess(child_env):
-    # the CLI and a census stay off numpy, so start-up does not pay for it
-    snippet = (
-        "import sys; from shiftlab.cli import main; rc = main(['census', '2']); "
-        "assert 'numpy' not in sys.modules; sys.exit(rc)"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", snippet],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=child_env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["result"] == {"simple_patterns": 9}
+    # numpy made unimportable: the CLI, a census and the generic route's
+    # window check run on the standard library alone
+    for argv, rc in [
+        (["census", "2"], 0),
+        (["epitome-verify", "--family", "identity", "--n", "2"], 2),
+    ]:
+        snippet = (
+            "import sys; sys.modules['numpy'] = None; from shiftlab.cli import main; "
+            f"sys.exit(main({argv!r}))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", snippet],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=child_env,
+        )
+        assert proc.returncode == rc, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["command"] == argv[0]
+        if argv[0] == "census":
+            assert report["result"] == {"simple_patterns": 9}
+        else:
+            assert report["result"]["ok"] is False and "counterexample" in report["result"]

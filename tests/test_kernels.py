@@ -6,7 +6,8 @@ run-mask kernel agrees with the generic kernel built from the materialized
 red-black list.
 """
 
-import numpy as np
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,18 +210,40 @@ def test_state_scan_matches_contains_forbidden(box, data):
         assert state.scan() == reference(cells)
 
 
+@settings(max_examples=100, deadline=None)
+@given(planted_coloring(2), planted_coloring(2), st.data())
+def test_load_over_filled_cells_overwrites(box, over, data):
+    # a second coloring loaded over part of the first, as a window check
+    # loads each candidate's slot over the last, scans as the merged cells
+    h, w, coloring, _ = box
+    oh, ow, other, _ = over
+    keep = data.draw(st.sets(st.sampled_from(sorted(other))))
+    top = {(r, c): a for (r, c), a in other.items() if (r, c) in keep and r < h and c < w}
+    merged = {**coloring, **top}
+    bbox = (0, 0, h - 1, w - 1)
+    for kernel in (RED_BLACK_KERNEL, _capped_generic(min(h, w))):
+        state = kernel.state(bbox)
+        state.load(coloring)
+        state.load(top)
+        fresh = kernel.state(bbox)
+        fresh.load(merged)
+        assert state.cells == fresh.cells == merged
+        assert state.scan() == fresh.scan() == contains_forbidden(Pattern(BWR, merged), RB_SPEC)
+
+
 def test_run_mask_window_compat_matches_generic_exhaustive():
     # the red-black kernel's sparse-square plan against the listed squares
     annulus = _annulus_cells(1, 1)
     candidates = [make_pattern([a], BWR) for a in BWR.letters]
     fast = _window_compat(RB_SPEC, 1, 1, annulus, candidates, 0, 3**8)
     slow = _window_compat(_capped_spec(3), 1, 1, annulus, candidates, 0, 3**8)
-    assert fast.shape == slow.shape == (3, 3**8)
-    assert (fast == slow).all()
-    assert 0 < fast.sum() < fast.size
+    assert fast == slow
+    assert len(fast) == 3 and all(row >> 3**8 == 0 for row in fast)
+    assert 0 < sum(row.bit_count() for row in fast) < 3 * 3**8
     # a block is the same columns of the whole matrix
     for spec in (RB_SPEC, _capped_spec(3)):
-        assert (_window_compat(spec, 1, 1, annulus, candidates, 100, 2000) == fast[:, 100:2000]).all()
+        block = _window_compat(spec, 1, 1, annulus, candidates, 100, 2000)
+        assert block == [row >> 100 & (1 << 1900) - 1 for row in fast]
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +257,14 @@ def _per_pair_window_compat(spec, n, margin, annulus, candidates, lo, hi):
     letters = spec.alphabet.letters
     base = len(letters)
     side = n + 2 * margin
-    compat = np.empty((len(candidates), hi - lo), dtype=bool)
+    compat = [0] * len(candidates)
     slots = [{(r + margin, c + margin): a for (r, c), a in q.items()} for q in candidates]
-    # a run-mask state's load keeps the bits of a cell's earlier letter, so
-    # nothing is loaded over a filled cell
     for i in range(lo, hi):
         state = kernel_of(spec).state((0, 0, side - 1, side - 1))
         state.load({cell: letters[i // base**t % base] for t, cell in enumerate(annulus)})
         for j, slot in enumerate(slots):
             state.load(slot)
-            compat[j, i - lo] = state.scan() is None
+            compat[j] |= (state.scan() is None) << (i - lo)
             for cell in slot:
                 state.retract(cell)
     return compat
@@ -254,9 +275,9 @@ def _assert_matches_per_pair(spec, n, margin, lo, hi):
     candidates = list(iter_rect_patterns(spec, n, n))
     got = _window_compat(spec, n, margin, annulus, candidates, lo, hi)
     want = _per_pair_window_compat(spec, n, margin, annulus, candidates, lo, hi)
-    assert got.shape == want.shape == (len(candidates), hi - lo)
-    assert got.flags["C_CONTIGUOUS"]
-    assert (got == want).all()
+    assert len(got) == len(candidates)
+    assert all(0 <= row < 1 << (hi - lo) for row in got)
+    assert got == want
 
 
 @pytest.mark.parametrize(
@@ -299,3 +320,19 @@ def plan_specs_and_blocks(draw):
 @given(plan_specs_and_blocks())
 def test_placement_masks_match_per_pair_scans_on_random_specs(case):
     _assert_matches_per_pair(*case)
+
+
+@pytest.mark.parametrize("lo", [5 * 3**12, 5 * 3**19])
+def test_digit_masks_stay_within_the_block(lo):
+    # red-black n = 1, margin 2 has 3^24 colorings; a block far from 0 must
+    # cost bits for its own width, not for every coloring below it
+    annulus = _annulus_cells(1, 2)
+    candidates = list(iter_rect_patterns(RB_SPEC, 1, 1))
+    tracemalloc.start()
+    try:
+        rows = _window_compat(RB_SPEC, 1, 2, annulus, candidates, lo, lo + 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert any(rows)
