@@ -244,10 +244,17 @@ def _cmd_kc_incompressible(args):
     return payload, True, meter.steps, meter.counters()
 
 
+# the property check's settings; --profile checks one enforcer window and
+# takes none of them, nor --kind
+_PROPERTY_DEFAULTS = {"family": "profile", "n": 2, "margin": 1}
+
+
 def _cmd_epitome_verify(args):
     spec = get_spec(args.spec)
-    fam = _family_of(args)
     if args.profile is not None:
+        given = [f"--{k}" for k in (*_PROPERTY_DEFAULTS, "kind") if getattr(args, k) is not None]
+        if given:
+            raise PatternError(f"{', '.join(given)} cannot be used with --profile")
         rep = verify_enforcer(Profile(tuple(args.profile)), spec)
         payload = {
             "profile": list(rep.prof.counts),
@@ -258,6 +265,10 @@ def _cmd_epitome_verify(args):
             "cases": len(rep.cases),
         }
         return payload, rep.ok, None, {"window_scans": len(rep.cases)}
+    for key, default in _PROPERTY_DEFAULTS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)  # the config echoes what the check used
+    fam = _family_of(args)
     rep = epitome_property_check(spec, fam, args.n, window_margin=args.margin)
     payload = {
         "family": rep.family,
@@ -417,9 +428,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("epitome-verify", help="check the enforcement property of a family")
     q.add_argument("--spec", default="red-black")
-    q.add_argument("--family", choices=sorted(_FAMILY_FACTORIES), default="profile")
-    q.add_argument("--n", type=int, default=2)
-    q.add_argument("--margin", type=int, default=1)
+    # unset here so that --profile can refuse them; see _PROPERTY_DEFAULTS
+    q.add_argument("--family", choices=sorted(_FAMILY_FACTORIES), default=None,
+                   help="default profile")
+    q.add_argument("--n", type=int, default=None, help="default 2")
+    q.add_argument("--margin", type=int, default=None, help="default 1")
     q.add_argument("--kind", choices=["plain", "ordered"], default=None,
                    help="kind for families that support both (default plain)")
     q.add_argument("--profile", type=_int_list, default=None,

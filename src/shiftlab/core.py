@@ -322,14 +322,13 @@ class ShiftSpec:
     ``bbox`` with ``cells``, ``load(cells)`` (no check; a loaded letter
     overwrites the one a cell held), ``assign(cell, letter)`` on an empty
     cell (False, assigning nothing, when the letter completes a forbidden
-    pattern), ``retract(cell)`` and ``scan()``, the
-    first forbidden occurrence in a pattern of ``cells``, so a window loaded
-    once can be scanned with each of many fillings of a slot;
+    pattern), ``retract(cell)`` and ``scan()``, the first forbidden
+    occurrence in a pattern of ``cells``;
     ``window_plan(side)``, forbidden patterns as cell tuples
-    (``((row, col), letter)`` pairs, anchored at the origin) that occur in a
-    fully colored side x side window exactly where some pattern of the
-    forbidden list does, so a window check can test placements of a short
-    list in place of the listed patterns; and
+    (``((row, col), letter)`` pairs, anchored at the origin) that occur in
+    any fully colored window of extent at most ``side`` exactly where some
+    pattern of the forbidden list does, so a window check can test
+    placements of a short list in place of the listed patterns; and
     ``filler(max_extent)``, a letter f such that, in every forbidden
     pattern of extent at most ``max_extent``, the cells not labelled f are
     nonempty and span the pattern's bounding box, or None when no letter
@@ -526,7 +525,8 @@ class GenericKernel:
 
     def window_plan(self, side: int) -> list:
         """The cells of the plan of ``side``: every listed pattern, so each
-        occurs where it is listed."""
+        occurs where it is listed, in any window of extent at most ``side``,
+        full or not."""
         plan, _ = self._plan(side)
         return [fcells for _, fcells in plan]
 
@@ -750,9 +750,10 @@ class RunMaskKernel:
 
     def window_plan(self, side: int) -> list:
         """One square per size 2..side with an all-R top row, an all-B bottom
-        row and no interior: every cell of a full window is colored, so a
-        placement of it matches exactly where one of the 3^(s(s-2)) listed
-        squares of its size does."""
+        row and no interior.  Exact in any fully colored window of extent
+        at most ``side``: every cell there is colored, so a placement of it
+        matches exactly where one of the 3^(s(s-2)) listed squares of its
+        size does.  A window with holes needs the listed squares."""
         return [
             tuple(((0, c), "R") for c in range(s)) + tuple(((s - 1, c), "B") for c in range(s))
             for s in range(2, side + 1)

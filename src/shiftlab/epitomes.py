@@ -16,9 +16,10 @@ pattern row r (top-down) lands in window row 2n + r, i.e. line n - r.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from .admissibility import _extendable_blocks
 from .core import (
@@ -32,6 +33,7 @@ from .core import (
     RED_BLACK_KERNEL,
     _bbox_of,
     _mirror_enumerator,
+    contains_forbidden,
     iter_rect_patterns,
     kernel_of,
     red_black_spec,
@@ -236,37 +238,16 @@ class EnforcerReport:
         return self.clause1 and self.clause2 and self.clause3
 
 
-def _slot_scans(spec: ShiftSpec, window: Pattern, slot_box, fillings) -> Iterator[Occurrence | None]:
-    """The occurrence ``contains_forbidden`` finds in ``window`` with each
-    filling (a cell dict inside ``slot_box``, (r0, c0, r1, c1)) added.  The
-    window is loaded once into a state of ``spec``'s kernel; each filling is
-    loaded, scanned and retracted."""
-    if spec.alphabet.letters != window.alphabet.letters:
-        raise PatternError(f"pattern alphabet does not match spec {spec.name!r}")
-    state = kernel_of(spec).state(_bbox_of([*window.support, slot_box[:2], slot_box[2:]]))
-    state.load(window.cells)
-    for cells in fillings:
-        state.load(cells)
-        yield state.scan()
-        for cell in cells:
-            state.retract(cell)
-
-
 def verify_enforcer(prof: Profile, spec: ShiftSpec | None = None) -> EnforcerReport:
     """Sweep every simple slot pattern through the enforcer window of
     ``prof``: each case's occurrence is the one ``contains_forbidden`` finds
     in ``place_in_slot(win, simple_pattern(cand))``."""
     spec = spec or red_black_spec()
     win = build_enforcer(prof)
-    n = len(prof)
-    r0, c0 = win.slot_origin
-    cands = list(all_profiles(n))
-    fillings = (_simple_cells(cand, r0, c0) for cand in cands)
-    occs = _slot_scans(spec, win.window, (r0, c0, r0 + n - 1, c0 + n - 1), fillings)
-    cases = [
-        EnforcerCase(cand.counts, occ is None, profile_leq(cand, prof), occ)
-        for cand, occ in zip(cands, occs)
-    ]
+    cases = []
+    for cand in all_profiles(len(prof)):
+        occ = contains_forbidden(place_in_slot(win, simple_pattern(cand)), spec)
+        cases.append(EnforcerCase(cand.counts, occ is None, profile_leq(cand, prof), occ))
     clause1 = any(c.counts == prof.counts and c.compatible for c in cases)
     clause2 = all(c.leq for c in cases if c.compatible)
     clause3 = all(c.occurrence is not None for c in cases if not c.leq)
@@ -424,52 +405,65 @@ def _digit_mask(base, t, x, lo, hi):
     return mask
 
 
-def _window_compat(spec, n, margin, annulus, candidates, lo, hi):
-    """One int per candidate: bit i of entry j says whether n x n candidate
-    j at offset (margin, margin) and annulus coloring lo + i (digit t of
-    lo + i in base |alphabet| is the letter at ``annulus[t]``) form a
-    locally admissible window.
+def _slot_index(fillings) -> tuple[int, dict]:
+    """The number of ``fillings`` (cell dicts over one slot), and per slot
+    cell and letter the bitset of the fillings with that letter there."""
+    index: dict = collections.defaultdict(lambda: collections.defaultdict(int))
+    count = 0
+    for count, cells in enumerate(fillings, 1):
+        for cell, a in cells.items():
+            index[cell][a] |= 1 << (count - 1)
+    return count, index
 
-    Placement masks: the window is full, so a placement of a pattern of the
-    kernel's ``window_plan`` inside it matches exactly the pairs whose
-    annulus coloring has its annulus letters and whose candidate has its
-    slot letters.  Each placement clears the bits of those colorings in the
-    rows of those candidates; a placement wholly in the annulus clears them
-    in every row."""
+
+def _window_compat(spec, plan, box, fixed, annulus, index, lo, hi):
+    """One int per filling of ``index`` (see ``_slot_index``): bit i of
+    entry j says whether filling j, the cells of ``fixed`` and annulus
+    coloring lo + i (digit t of lo + i in base |alphabet| is the letter at
+    ``annulus[t]``) form a locally admissible window.
+
+    Placement masks: a placement of a ``plan`` pattern inside ``box`` (r0,
+    c0, r1, c1) matches the pairs whose filling has its slot letters and
+    whose coloring has its annulus letters, if ``fixed`` has the rest; a
+    cell of none of the three kinds matches nothing.  So the check is exact
+    where ``plan`` is: the forbidden list in any window, ``window_plan`` in
+    a full one.  The fillings are the AND of the slot cells' bitsets; their
+    rows lose the colorings, and a placement stops once either is empty."""
+    count, slot = index
     letters = spec.alphabet.letters
-    base = len(letters)
-    side = n + 2 * margin
     full = (1 << (hi - lo)) - 1
+    every = (1 << count) - 1
     digit_of = {cell: t for t, cell in enumerate(annulus)}
     masks: dict[tuple[int, int], int] = {}  # (t, letter index) -> digit mask
-    # lex_key lists a rectangle's letter indices row-major
-    slots = [q.lex_key() for q in candidates]
-    cleared = [0] * len(candidates)
+    cleared = [0] * count
     everywhere = 0
-    for fcells in kernel_of(spec).window_plan(side):
-        rows = [dr for (dr, _), _ in fcells]
-        cols = [dc for (_, dc), _ in fcells]
-        for ar in range(-min(rows), side - max(rows)):
-            for ac in range(-min(cols), side - max(cols)):
-                colorings = full
-                tests = []  # (slot index, letter index) the candidate must match
+    r0, c0, r1, c1 = box
+    for fcells in plan:
+        fr0, fc0, fr1, fc1 = _bbox_of([cell for cell, _ in fcells])
+        for ar in range(r0 - fr0, r1 - fr1 + 1):
+            for ac in range(c0 - fc0, c1 - fc1 + 1):
+                fills, colorings = every, full
                 for (dr, dc), a in fcells:
-                    r, c, x = ar + dr, ac + dc, letters.index(a)
-                    if margin <= r < margin + n and margin <= c < margin + n:
-                        tests.append(((r - margin) * n + c - margin, x))
-                    else:
-                        key = (digit_of[r, c], x)
+                    cell = (ar + dr, ac + dc)
+                    if cell in slot:
+                        fills &= slot[cell].get(a, 0)
+                    elif cell in digit_of:
+                        key = (digit_of[cell], letters.index(a))
                         if key not in masks:
-                            masks[key] = _digit_mask(base, *key, lo, hi)
+                            masks[key] = _digit_mask(len(letters), *key, lo, hi)
                         colorings &= masks[key]
-                if not colorings:
-                    continue
-                if not tests:
-                    everywhere |= colorings
-                    continue
-                for j, slot in enumerate(slots):
-                    if all(slot[k] == x for k, x in tests):
-                        cleared[j] |= colorings
+                    elif fixed.get(cell) != a:
+                        break
+                    if not (fills and colorings):
+                        break
+                else:
+                    if fills == every:
+                        everywhere |= colorings
+                        continue
+                    while fills:
+                        low = fills & -fills
+                        cleared[low.bit_length() - 1] |= colorings
+                        fills ^= low
     return [full & ~(everywhere | bits) for bits in cleared]
 
 
@@ -517,11 +511,15 @@ def _check_generic(spec, fam, n, margin):
             out |= rows[j]
         return out
 
+    side = n + 2 * margin
+    plan = kernel_of(spec).window_plan(side)
+    box = (0, 0, side - 1, side - 1)
+    index = _slot_index(q.translate(margin, margin).cells for q in candidates)
     first: dict[int, int] = {}  # j -> its first compatible coloring
     passed = [False] * len(candidates)
     for lo in range(0, combos, _BLOCK):
         hi = min(lo + _BLOCK, combos)
-        rows = _window_compat(spec, n, margin, annulus, candidates, lo, hi)
+        rows = _window_compat(spec, plan, box, {}, annulus, index, lo, hi)
         for j, row in enumerate(rows):
             if row and j not in first:
                 first[j] = lo + (row & -row).bit_length() - 1
@@ -559,7 +557,7 @@ def _check_generic(spec, fam, n, margin):
         if not passed[j] and counterexample is None:
             i = first[j]
             # the column of coloring i, built again: one bit per candidate
-            column = _window_compat(spec, n, margin, annulus, candidates, i, i + 1)
+            column = _window_compat(spec, plan, box, {}, annulus, index, i, i + 1)
             conflict = next(jj for jj, vv in enumerate(values) if column[jj] and conflicts(vv, v))
             counterexample = {
                 "pattern": q.rows(),
@@ -572,20 +570,21 @@ def _check_generic(spec, fam, n, margin):
         "candidates": len(candidates),
         "window_checks": combos * len(candidates),
     }
-    return entries, all(e["pass"] for e in entries), counterexample, work
+    return entries, counterexample, work
 
 
 def _check_red_black_profiles(spec, n):
-    """The enforcer route: one ``verify_enforcer`` sweep per profile.  Its
-    windows are fixed, so the margin plays no part."""
+    """The enforcer route: each profile's window (slot at (2n, 3n - 1))
+    against every simple slot pattern in one placement pass.  A filled
+    window is full, so ``window_plan`` is exact; the margin plays no part."""
+    profs = list(all_profiles(n))
+    index = _slot_index(_simple_cells(cand, 2 * n, 3 * n - 1) for cand in profs)
+    plan = kernel_of(spec).window_plan(4 * n)
     entries = []
-    ok = True
-    scans = 0
-    for prof in all_profiles(n):
-        rep = verify_enforcer(prof, spec)
-        scans += len(rep.cases)
-        passed = rep.clause1 and rep.clause2
-        ok = ok and passed
+    for j, prof in enumerate(profs):
+        window = build_enforcer(prof).window.cells
+        rows = _window_compat(spec, plan, (0, 0, 3 * n - 1, 4 * n - 1), window, [], index, 0, 1)
+        passed = bool(rows[j]) and all(profile_leq(c, prof) for c, row in zip(profs, rows) if row)
         entries.append(
             {
                 "pattern": simple_pattern(prof).rows(),
@@ -593,8 +592,8 @@ def _check_red_black_profiles(spec, n):
                 "pass": passed,
             }
         )
-    counterexample = None if ok else {"detail": "see enforcer sweep"}
-    return entries, ok, counterexample, {"window_scans": scans}
+    counterexample = None if all(e["pass"] for e in entries) else {"detail": "see enforcer sweep"}
+    return entries, counterexample, {"window_scans": len(profs) ** 2}
 
 
 def _mirror_window(p: Pattern) -> Pattern:
@@ -621,21 +620,23 @@ def _mirror_window(p: Pattern) -> Pattern:
 
 
 def _check_mirror(spec, n, margin):
-    """The mirror-line route over the blocks that extend by ``margin``."""
+    """The mirror-line route over the blocks that extend by ``margin``: one
+    placement pass per block's window against every candidate.  The windows
+    have holes, so the plan is the forbidden list itself, up to the extent
+    2n + 1 of the box (0, -1, 2n, n) that holds each window and its slot."""
     entries = []
-    ok = True
-    counterexample = None
     candidates = list(iter_rect_patterns(spec, n, n))
-    fillings = [q.cells for q in candidates]
+    index = _slot_index(q.cells for q in candidates)
+    plan = [tuple(f.items()) for f in spec.enumerator(2 * n + 1)]
     values = [_MIRROR_FAMILY.evaluate(q) for q in candidates]
     for cells in _extendable_blocks(spec, n, margin):
         p = Pattern(spec.alphabet, cells)
         value = _MIRROR_FAMILY.evaluate(p)
-        occs = _slot_scans(spec, _mirror_window(p), (0, 0, n - 1, n - 1), fillings)
-        compatible = [j for j, occ in enumerate(occs) if occ is None]
+        window = _mirror_window(p).cells
+        rows = _window_compat(spec, plan, (0, -1, 2 * n, n), window, [], index, 0, 1)
+        compatible = [j for j, row in enumerate(rows) if row]
         self_ok = any(candidates[j] == p for j in compatible)
         passed = self_ok and all(values[j] == value for j in compatible)
-        ok = ok and passed
         entry = {
             "pattern": p.rows(),
             "value": repr(value),
@@ -643,9 +644,8 @@ def _check_mirror(spec, n, margin):
             "pass": passed,
         }
         entries.append(entry)
-        if not passed and counterexample is None:
-            counterexample = {"pattern": p.rows()}
-    return entries, ok, counterexample, {"window_scans": len(entries) * len(candidates)}
+    counterexample = next(({"pattern": e["pattern"]} for e in entries if not e["pass"]), None)
+    return entries, counterexample, {"window_scans": len(entries) * len(candidates)}
 
 
 def epitome_property_check(
@@ -667,17 +667,17 @@ def epitome_property_check(
     if window_margin < 0:
         raise PatternError("window_margin must be nonnegative")
     if fam is _PROFILE_FAMILY and spec.kernel is RED_BLACK_KERNEL:
-        parts = _check_red_black_profiles(spec, n)
+        entries, counterexample, work = _check_red_black_profiles(spec, n)
     elif fam is _MIRROR_FAMILY and spec.enumerator is _mirror_enumerator:
-        parts = _check_mirror(spec, n, window_margin)
+        entries, counterexample, work = _check_mirror(spec, n, window_margin)
     else:
-        parts = _check_generic(spec, fam, n, window_margin)
-    entries, ok, counterexample, work = parts
+        entries, counterexample, work = _check_generic(spec, fam, n, window_margin)
     if not entries:
         raise PatternError(
             f"no {n}x{n} pattern of {spec.name} with a defined {fam.name} value fits "
             f"a window of margin {window_margin}, so the check would hold vacuously"
         )
+    ok = all(e["pass"] for e in entries)
     return PropertyReport(
         spec.name, fam.name, fam.kind, n, window_margin, tuple(entries), ok, counterexample, work
     )

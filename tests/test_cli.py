@@ -115,6 +115,12 @@ def test_usage_errors_exit_1(capsys):
     [
         ("deep-build", "--n0", "2", "--depth", "1", "--oracle", "proxy", "--out", "x"),
         ("deep-build", "--n0", "2", "--depth", "1"),
+        # --profile checks one enforcer window: the property check's
+        # settings are refused, even at their default values
+        ("epitome-verify", "--profile", "1,0", "--family", "identity", "--n", "3", "--margin", "5"),
+        ("epitome-verify", "--profile", "1,0", "--family", "profile"),
+        ("epitome-verify", "--profile", "1,0", "--n", "2"),
+        ("epitome-verify", "--profile", "1,0", "--margin", "1"),
     ],
 )
 def test_usage_errors_print_one_line(capsys, argv):
@@ -466,6 +472,8 @@ def test_epitome_verify_profile_family(capsys):
     assert report["result"]["ok"] is True
     # nine enforcer windows, each scanned with all nine simple slot patterns
     assert report["metrics"] == {"window_scans": 81}
+    # the config echoes the settings the check used
+    assert [report["config"][k] for k in ("family", "n", "margin")] == ["profile", 2, 1]
 
 
 def test_epitome_verify_single_profile(capsys):
@@ -477,6 +485,8 @@ def test_epitome_verify_single_profile(capsys):
     assert res["clause2_compatible_implies_leq"] is True
     assert res["clause3_violations_witnessed"] is True
     assert report["metrics"] == {"window_scans": 9}
+    # a single window takes no family, size or margin
+    assert [report["config"][k] for k in ("family", "n", "margin")] == [None, None, None]
 
 
 def test_epitome_verify_profile_needs_a_three_letter_spec(capsys):

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from shiftlab.admissibility import _extendable_blocks
 from shiftlab.core import (
     BINARY,
     BWR,
@@ -253,10 +254,67 @@ def _placed_window_report(prof, spec):
     "spec, n", [(RB, 1), (RB, 2), (RB, 3), (MI, 1), (MI, 2)], ids=lambda x: getattr(x, "name", x)
 )
 def test_verify_enforcer_matches_placed_window_scans(spec, n):
-    # the red-black kernel's run-mask state and the mirror spec's generic
-    # state both scan one loaded window with the slot refilled per case
+    # the clauses follow from the cases as EnforcerReport defines them, with
+    # the red-black kernel's scan and the mirror spec's generic one
     for prof in all_profiles(n):
         assert verify_enforcer(prof, spec) == _placed_window_report(prof, spec), prof
+
+
+def _recorded_window_checks(monkeypatch) -> list:
+    """The rows of every ``_window_compat`` call the test makes, in order."""
+    calls = []
+    real = epitomes._window_compat
+
+    def record(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(epitomes, "_window_compat", record)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_enforcer_route_bits_match_verify_enforcer(n, monkeypatch):
+    # one placement pass per profile; its bits are verify_enforcer's flags
+    calls = _recorded_window_checks(monkeypatch)
+    rep = epitome_property_check(RB, profile_family(), n)
+    profs = list(all_profiles(n))
+    assert rep.ok and len(calls) == len(profs)
+    for prof, rows in zip(profs, calls):
+        assert [bool(row) for row in rows] == [c.compatible for c in verify_enforcer(prof).cases]
+
+
+def test_enforcer_route_needs_the_own_profile(monkeypatch):
+    # a window enforcing a lower profile admits only profiles below that one,
+    # so every bit it sets is a profile <= P, yet P itself is not admitted
+    real = epitomes.build_enforcer
+
+    def lowered(prof):
+        return real(Profile(tuple(max(k - 1, 0) for k in prof.counts)))
+
+    monkeypatch.setattr(epitomes, "build_enforcer", lowered)
+    rep = epitome_property_check(RB, profile_family(), 2)
+    reports = [verify_enforcer(prof) for prof in all_profiles(2)]
+    assert [e["pass"] for e in rep.entries] == [r.clause1 and r.clause2 for r in reports]
+    assert [e["pass"] for e in rep.entries] == [True] + [False] * 8
+    assert all(r.clause2 for r in reports)
+    assert rep.counterexample == {"detail": "see enforcer sweep"}
+
+
+@pytest.mark.parametrize("n, margin", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_mirror_route_matches_per_candidate_scans(n, margin, monkeypatch):
+    # the sparse witness windows against the forbidden list, placement by
+    # placement, agree with a scan of each filled window
+    calls = _recorded_window_checks(monkeypatch)
+    rep = epitome_property_check(MI, mirror_family(), n, margin)
+    blocks = [Pattern(BWR, cells) for cells in _extendable_blocks(MI, n, margin)]
+    candidates = list(iter_rect_patterns(MI, n, n))
+    assert len(calls) == len(blocks) == len(rep.entries)
+    for p, rows, entry in zip(blocks, calls, rep.entries):
+        window = _mirror_window(p)
+        want = [contains_forbidden(window.union(q), MI) is None for q in candidates]
+        assert [bool(row) for row in rows] == want, p.rows()
+        assert entry["compatible_count"] == sum(want)
 
 
 def test_verify_enforcer_rejects_a_binary_spec():

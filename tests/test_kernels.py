@@ -33,6 +33,8 @@ from shiftlab.core import (
 )
 from shiftlab.epitomes import (
     _annulus_cells,
+    _digit_mask,
+    _slot_index,
     _window_compat,
     epitome_property_check,
     identity_family,
@@ -47,6 +49,15 @@ RB_FORBIDDEN = RB_SPEC.enumerator(4)
 
 def _domino_spec(name):
     return spec_from_patterns(name, BWR, [BB])
+
+
+def _annulus_compat(spec, n, margin, annulus, candidates, lo, hi):
+    """``_window_compat`` as the generic route calls it: the candidates in
+    the slot at (margin, margin) of a full window, the kernel's plan."""
+    side = n + 2 * margin
+    plan = kernel_of(spec).window_plan(side)
+    index = _slot_index(q.translate(margin, margin).cells for q in candidates)
+    return _window_compat(spec, plan, (0, 0, side - 1, side - 1), {}, annulus, index, lo, hi)
 
 
 def _capped_spec(cap):
@@ -235,14 +246,14 @@ def test_run_mask_window_compat_matches_generic_exhaustive():
     # the red-black kernel's sparse-square plan against the listed squares
     annulus = _annulus_cells(1, 1)
     candidates = [make_pattern([a], BWR) for a in BWR.letters]
-    fast = _window_compat(RB_SPEC, 1, 1, annulus, candidates, 0, 3**8)
-    slow = _window_compat(_capped_spec(3), 1, 1, annulus, candidates, 0, 3**8)
+    fast = _annulus_compat(RB_SPEC, 1, 1, annulus, candidates, 0, 3**8)
+    slow = _annulus_compat(_capped_spec(3), 1, 1, annulus, candidates, 0, 3**8)
     assert fast == slow
     assert len(fast) == 3 and all(row >> 3**8 == 0 for row in fast)
     assert 0 < sum(row.bit_count() for row in fast) < 3 * 3**8
     # a block is the same columns of the whole matrix
     for spec in (RB_SPEC, _capped_spec(3)):
-        block = _window_compat(spec, 1, 1, annulus, candidates, 100, 2000)
+        block = _annulus_compat(spec, 1, 1, annulus, candidates, 100, 2000)
         assert block == [row >> 100 & (1 << 1900) - 1 for row in fast]
 
 
@@ -273,7 +284,7 @@ def _per_pair_window_compat(spec, n, margin, annulus, candidates, lo, hi):
 def _assert_matches_per_pair(spec, n, margin, lo, hi):
     annulus = _annulus_cells(n, margin)
     candidates = list(iter_rect_patterns(spec, n, n))
-    got = _window_compat(spec, n, margin, annulus, candidates, lo, hi)
+    got = _annulus_compat(spec, n, margin, annulus, candidates, lo, hi)
     want = _per_pair_window_compat(spec, n, margin, annulus, candidates, lo, hi)
     assert len(got) == len(candidates)
     assert all(0 <= row < 1 << (hi - lo) for row in got)
@@ -322,6 +333,57 @@ def test_placement_masks_match_per_pair_scans_on_random_specs(case):
     _assert_matches_per_pair(*case)
 
 
+@st.composite
+def sparse_windows(draw):
+    """A spec of ``user_specs_and_sizes``, an n x n slot at the origin with
+    n <= 2, and a window around it in the box of margin 2: some cells fixed,
+    up to two cells of the annulus (a block lo < hi of at most 6 of their
+    colorings), and the rest holes."""
+    spec, n = draw(user_specs_and_sizes())
+    n = min(n, 2)
+    letters = spec.alphabet.letters
+    box = [(r, c) for r in range(-2, n + 2) for c in range(-2, n + 2)]
+    ring = [(r, c) for r, c in box if not (0 <= r < n and 0 <= c < n)]
+    cells = draw(st.lists(st.sampled_from(ring), unique=True))
+    annulus = cells[: draw(st.integers(min_value=0, max_value=2))]
+    fixed = {cell: draw(st.sampled_from(letters)) for cell in cells[len(annulus):]}
+    combos = len(letters) ** len(annulus)
+    lo = draw(st.integers(min_value=0, max_value=combos - 1))
+    hi = draw(st.integers(min_value=lo + 1, max_value=min(combos, lo + 6)))
+    return spec, n, fixed, annulus, lo, hi
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_windows())
+def test_window_check_on_sparse_windows_matches_per_candidate_scans(case):
+    # with the forbidden list as the plan, a placement over a hole matches
+    # nothing, as a scan of the window with its holes finds nothing there
+    spec, n, fixed, annulus, lo, hi = case
+    letters = spec.alphabet.letters
+    base = len(letters)
+    candidates = list(iter_rect_patterns(spec, n, n))
+    plan = [tuple(f.items()) for f in spec.enumerator(n + 4)]
+    index = _slot_index(q.cells for q in candidates)
+    rows = _window_compat(spec, plan, (-2, -2, n + 1, n + 1), fixed, annulus, index, lo, hi)
+    assert len(rows) == len(candidates)
+    for i in range(lo, hi):
+        coloring = {cell: letters[i // base**t % base] for t, cell in enumerate(annulus)}
+        for q, row in zip(candidates, rows):
+            window = Pattern(spec.alphabet, {**fixed, **coloring, **q.cells})
+            assert (row >> (i - lo) & 1) == (contains_forbidden(window, spec) is None)
+
+
+def test_digit_masks_match_their_definition():
+    # blocks at 0, inside one period, across a run's end, and across a
+    # period's end while the period is longer than the block
+    for base in (2, 3):
+        for t in range(5):
+            for x in range(base):
+                for lo, hi in ((0, 1), (0, 200), (5, 40), (26, 30), (70, 100), (100, 250)):
+                    want = sum(((lo + i) // base**t % base == x) << i for i in range(hi - lo))
+                    assert _digit_mask(base, t, x, lo, hi) == want, (base, t, x, lo, hi)
+
+
 @pytest.mark.parametrize("lo", [5 * 3**12, 5 * 3**19])
 def test_digit_masks_stay_within_the_block(lo):
     # red-black n = 1, margin 2 has 3^24 colorings; a block far from 0 must
@@ -330,7 +392,7 @@ def test_digit_masks_stay_within_the_block(lo):
     candidates = list(iter_rect_patterns(RB_SPEC, 1, 1))
     tracemalloc.start()
     try:
-        rows = _window_compat(RB_SPEC, 1, 2, annulus, candidates, lo, lo + 2000)
+        rows = _annulus_compat(RB_SPEC, 1, 2, annulus, candidates, lo, lo + 2000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,0 +1,170 @@
+"""Mutation check for shiftlab's fast paths.
+
+Each mutant is a named source substitution plus the tests that should fail
+under it.  For each mutant the script copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory, applies the substitution
+there, runs the mutant's tests with pytest and reports the mutant killed
+(a test failed) or survived (every test passed).  A survivor is a finding:
+add a test that kills it, or say why the mutant is equivalent.  The tests
+first run on an unmutated copy, so that a kill means the mutant did it.
+
+Standard library only (pytest and hypothesis run the tests); not part of
+the tier-1 suite, since each mutant costs a partial test run.
+
+    python3 tools/mutants.py              # every mutant
+    python3 tools/mutants.py NAME ...     # the named ones
+
+Prints one JSON object and exits 0 when every mutant run was killed, 1 when
+one survived, 2 when the unmutated tests fail or a substitution no longer
+matches its source exactly once.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EPITOMES = "src/shiftlab/epitomes.py"
+CORE = "src/shiftlab/core.py"
+SPARSE = "tests/test_kernels.py::test_window_check_on_sparse_windows_matches_per_candidate_scans"
+PER_PAIR = "tests/test_kernels.py::test_placement_masks_match_per_pair_scans"
+RUN_MASK = "tests/test_kernels.py::test_run_mask_window_compat_matches_generic_exhaustive"
+BRUTE = "tests/test_epitomes.py::test_generic_route_matches_brute_force"
+DIGITS = "tests/test_kernels.py::test_digit_masks_match_their_definition"
+
+# name -> (file, text, replacement, tests that should kill it)
+MUTANTS = {
+    # the window check
+    "holes-match": (
+        EPITOMES, "elif fixed.get(cell) != a:", "elif fixed.get(cell, a) != a:",
+        [SPARSE, "tests/test_epitomes.py::test_mirror_route_matches_per_candidate_scans"],
+    ),
+    "index-from-first-filling": (
+        EPITOMES,
+        "for count, cells in enumerate(fillings, 1):",
+        "for count, cells in enumerate(itertools.islice(fillings, 1), 1):",
+        [SPARSE, "tests/test_epitomes.py::test_enforcer_route_bits_match_verify_enforcer"],
+    ),
+    "no-whole-row-clearing": (
+        EPITOMES, "everywhere |= colorings", "everywhere |= 0", [PER_PAIR],
+    ),
+    "window-plan-without-largest-square": (
+        CORE, "for s in range(2, side + 1)", "for s in range(2, side)", [RUN_MASK, PER_PAIR],
+    ),
+    # digit masks of the annulus colorings
+    "digit-mask-from-coloring-0": (
+        EPITOMES,
+        "return (mask >> (lo % period)) & ((1 << width) - 1)",
+        "return mask & ((1 << width) - 1)",
+        [DIGITS, RUN_MASK, PER_PAIR],
+    ),
+    "digit-mask-one-run": (
+        EPITOMES,
+        "for a in (start, start + period):",
+        "for a in (start,):",
+        [DIGITS, PER_PAIR],
+    ),
+    # the routes
+    "enforcer-own-bit-dropped": (
+        EPITOMES,
+        "passed = bool(rows[j]) and all(",
+        "passed = all(",
+        ["tests/test_epitomes.py::test_enforcer_route_needs_the_own_profile"],
+    ),
+    "mirror-plan-at-2n": (
+        EPITOMES,
+        "spec.enumerator(2 * n + 1)",
+        "spec.enumerator(2 * n)",
+        ["tests/test_epitomes.py::test_mirror_route_matches_per_candidate_scans"],
+    ),
+    "generic-no-twice": (EPITOMES, "twice |= once & hits", "twice |= 0", [BRUTE]),
+    "generic-highest-bit-first": (
+        EPITOMES,
+        "first[j] = lo + (row & -row).bit_length() - 1",
+        "first[j] = lo + row.bit_length() - 1",
+        [BRUTE],
+    ),
+    "counterexample-column-at-next-coloring": (
+        EPITOMES,
+        "annulus, index, i, i + 1)",
+        "annulus, index, i + 1, i + 2)",
+        [BRUTE],
+    ),
+}
+
+
+def _copy_tree(dest: pathlib.Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _run_tests(tree: pathlib.Path, tests: list[str]) -> tuple[bool, float]:
+    """Whether every test passed in ``tree``, and the seconds it took."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=tree,
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        timeout=1800,
+    )
+    return proc.returncode == 0, round(time.perf_counter() - t0, 1)
+
+
+def _apply(tree: pathlib.Path, path: str, text: str, replacement: str) -> None:
+    source = (tree / path).read_text()
+    if source.count(text) != 1:
+        raise ValueError(f"{text!r} occurs {source.count(text)} times in {path}, not once")
+    (tree / path).write_text(source.replace(text, replacement))
+
+
+def main(names: list[str]) -> int:
+    unknown = [name for name in names if name not in MUTANTS]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = names or list(MUTANTS)
+    report: dict = {"mutants": [], "survived": []}
+    with tempfile.TemporaryDirectory(prefix="shiftlab-mutants-") as tmp:
+        clean = pathlib.Path(tmp) / "clean"
+        _copy_tree(clean)
+        tests = sorted({test for name in chosen for test in MUTANTS[name][3]})
+        passed, seconds = _run_tests(clean, tests)
+        report["baseline"] = {"passed": passed, "seconds": seconds}
+        if not passed:
+            print(json.dumps(report, indent=2))
+            return 2
+        for name in chosen:
+            path, text, replacement, tests = MUTANTS[name]
+            tree = pathlib.Path(tmp) / name
+            _copy_tree(tree)
+            try:
+                _apply(tree, path, text, replacement)
+            except ValueError as exc:
+                print(f"{name}: {exc}", file=sys.stderr)
+                return 2
+            passed, seconds = _run_tests(tree, tests)
+            status = "survived" if passed else "killed"
+            report["mutants"].append(
+                {"name": name, "file": path, "tests": tests, "status": status, "seconds": seconds}
+            )
+            if passed:
+                report["survived"].append(name)
+            shutil.rmtree(tree)
+    print(json.dumps(report, indent=2))
+    return 1 if report["survived"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
