@@ -89,6 +89,12 @@ class StepMeter:
 _EMPTY = RunOutcome(True, "", 0)
 _OPCODES = {format(op, "03b"): op for op in range(8)}
 _TAILS = tuple(format(v, "08b") for v in range(256))  # every 8-bit tail, in order
+# WHILE count minus ENDW count of every list of at most three opcodes
+_BRACKET_DELTA = {
+    "".join(ops): ops.count("100") - ops.count("101")
+    for n in range(4)
+    for ops in itertools.product(_OPCODES, repeat=n)
+}
 
 
 def _interpret(code: str, budget: int, meter: StepMeter | None) -> RunOutcome:
@@ -101,10 +107,17 @@ def _interpret(code: str, budget: int, meter: StepMeter | None) -> RunOutcome:
     output, are skipped up to the budget and the rest is stepped, so the
     outcome equals plain stepping's.  Loops whose counters grow never
     repeat and are stepped throughout.
+
+    A list whose WHILE and ENDW counts differ is refused before decoding,
+    nine bits at a time; an ENDW with no open WHILE is refused while
+    decoding.
     """
-    ops = [_OPCODES[code[i : i + 3]] for i in range(0, len(code), 3)]
-    if ops.count(WHILE) != ops.count(ENDW):
+    depth = 0
+    for i in range(0, len(code), 9):
+        depth += _BRACKET_DELTA[code[i : i + 9]]
+    if depth:
         return tuple.__new__(RunOutcome, (False, "", budget))
+    ops = [_OPCODES[code[i : i + 3]] for i in range(0, len(code), 3)]
     match: dict[int, int] = {}
     stack = []
     for i, op in enumerate(ops):

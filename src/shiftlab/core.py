@@ -76,9 +76,10 @@ class Pattern:
     __slots__ = ("alphabet", "_cells", "_bbox", "_hash")
 
     def __init__(self, alphabet: Alphabet, cells: dict[tuple[int, int], str]):
-        for (r, c), letter in cells.items():
-            if letter not in alphabet:
-                raise PatternError(f"letter {letter!r} at {(r, c)} not in alphabet")
+        if not set(cells.values()).issubset(alphabet.letters):
+            for (r, c), letter in cells.items():
+                if letter not in alphabet:
+                    raise PatternError(f"letter {letter!r} at {(r, c)} not in alphabet")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "_cells", dict(cells))
         if cells:
@@ -270,10 +271,11 @@ def subpattern(p: Pattern, rect: tuple[int, int, int, int]) -> Pattern:
     r0, c0, h, w = rect
     if h < 0 or w < 0:
         raise PatternError(f"bad rectangle {rect}")
+    src = p._cells  # noqa: SLF001 - read only
     cells = {}
     for r in range(h):
         for c in range(w):
-            letter = p.at(r0 + r, c0 + c)
+            letter = src.get((r0 + r, c0 + c))
             if letter is None:
                 raise PatternError(f"rectangle {rect} leaves the support at {(r0 + r, c0 + c)}")
             cells[(r, c)] = letter

@@ -74,8 +74,9 @@ class NNSpec:
         return self.spec.alphabet
 
 
-# The largest level built.  `lowcfg-build --k 11` (side 2049) takes 27 s for
-# hard-square on a 2-core Xeon, and each level up costs about four times more.
+# The largest level built.  `lowcfg-build --k 11` (side 2049) takes 9.0 s and
+# peaks at 829 MB for hard-square on a 2-core Xeon, and each level up costs
+# about four times more.
 MAX_LEVEL = 11
 
 
@@ -92,12 +93,14 @@ def _check_level(k: int) -> None:
 
 def ring_cells(side: int) -> list[tuple[int, int]]:
     """Border ring of a side x side square anchored at the origin, row-major."""
-    return [
-        (r, c)
-        for r in range(side)
-        for c in range(side)
-        if r in (0, side - 1) or c in (0, side - 1)
-    ]
+    if side <= 2:
+        return [(r, c) for r in range(side) for c in range(side)]
+    last = side - 1
+    return (
+        [(0, c) for c in range(side)]
+        + [cell for r in range(1, last) for cell in ((r, 0), (r, last))]
+        + [(last, c) for c in range(side)]
+    )
 
 
 def _interior_cells(r0: int, c0: int, side: int, assigned) -> list[tuple[int, int]]:
@@ -130,17 +133,44 @@ def choose_border(nn: NNSpec, k: int) -> Pattern:
     raise InfeasibleError(f"no completable border at level {k} for {spec.name!r}")
 
 
+def _fill_order(side: int) -> list[tuple[int, int]]:
+    """Every centerline cell of the side x side square, in fill order: the
+    inner cells of the centre row left to right, then those of the centre
+    column top to bottom (the centre counted once), then the order of the
+    quadrants (0, 0), (0, mid), (mid, 0), (mid, mid), each the order of side
+    mid + 1 translated.  Sub-squares come in pre-order, so each one's
+    centerlines (2 * size - 5 cells) are a contiguous run."""
+    if side < 3:
+        return []
+    mid = (side - 1) // 2
+    inner = range(1, side - 1)
+    quad = _fill_order(mid + 1)
+    return (
+        [(mid, c) for c in inner]
+        + [(r, mid) for r in inner if r != mid]
+        + quad
+        + [(r, c + mid) for r, c in quad]
+        + [(r + mid, c) for r, c in quad]
+        + [(r + mid, c + mid) for r, c in quad]
+    )
+
+
 def standard_square(nn: NNSpec, border: Pattern, m: int) -> Pattern:
     """The level-m standard square over a given border ring.
 
     Deterministic: centerlines are filled lex-first (row cells left-to-right,
     then column cells top-to-bottom, centre counted once) subject to local
     admissibility and completability of the remaining interior, then the four
-    quadrants recurse with their borders now fixed."""
+    quadrants recurse with their borders now fixed.
+
+    With a filler letter every locally admissible assignment completes and
+    the filler fits every cell, so one lex-first pass over ``_fill_order``
+    never backtracks and its first filling is the recursion's.  Without one,
+    each sub-square of side >= 3 takes its run of the order in pre-order and
+    certifies it with ``completable``."""
     _check_level(m)
     side = side_of_level(m)
-    expected = set(ring_cells(side))
-    if set(border.support) != expected:
+    if border.support != frozenset(ring_cells(side)):
         raise PatternError(f"border support is not the level-{m} ring")
     spec = nn.spec
     if border.alphabet.letters != spec.alphabet.letters:
@@ -148,39 +178,35 @@ def standard_square(nn: NNSpec, border: Pattern, m: int) -> Pattern:
     letters = spec.alphabet.letters
     kernel = kernel_of(spec)
     state = kernel.state((0, 0, side - 1, side - 1))
-    state.load(border.cells)
-    if state.scan() is not None:
-        raise PatternError("border ring is not locally admissible")
-    always = kernel.filler(side) is not None  # every admissible centerline completes
+    # an occurrence made of ring cells alone is refused as its last cell goes in
+    for cell, letter in border.items():
+        if not state.assign(cell, letter):
+            raise PatternError("border ring is not locally admissible")
+    if kernel.filler(side) is not None:
+        for _ in lex_assignments(state, _fill_order(side), letters):
+            break  # the filler fits every cell: the first filling always comes
+        return Pattern(spec.alphabet, state.cells)
 
-    def fill(r0: int, c0: int, size: int) -> None:
-        if size < 3:
-            return
-        mid = (size - 1) // 2
-        row_cells = [(r0 + mid, c0 + j) for j in range(size)]
-        col_cells = [(r0 + i, c0 + mid) for i in range(size)]
-        center = []
-        seen = set()
-        for cell in row_cells + col_cells:
-            if cell in state.cells or cell in seen:
-                continue
-            seen.add(cell)
-            center.append(cell)
-
-        for _ in lex_assignments(state, center, letters):
-            if always or completable(state, _interior_cells(r0, c0, size, state.cells), letters):
+    order = _fill_order(side)
+    pos = 0
+    squares = [(0, 0, side)] if side >= 3 else []
+    while squares:
+        r0, c0, size = squares.pop()
+        end = pos + 2 * size - 5
+        for _ in lex_assignments(state, order[pos:end], letters):
+            if completable(state, _interior_cells(r0, c0, size, state.cells), letters):
                 break
         else:
             raise InfeasibleError(
                 f"centerlines of the square at ({r0}, {c0}) size {size} "
                 "admit no completable assignment"
             )
-        half = mid
-        for dr in (0, half):
-            for dc in (0, half):
-                fill(r0 + dr, c0 + dc, half + 1)
-
-    fill(0, 0, side)
+        pos = end
+        half = (size - 1) // 2
+        if half >= 2:  # quadrants of side 2 have no centerlines
+            # pushed last-first, so they pop in the order of _fill_order
+            for dr, dc in ((half, half), (half, 0), (0, half), (0, 0)):
+                squares.append((r0 + dr, c0 + dc, half + 1))
     return Pattern(spec.alphabet, state.cells)
 
 
@@ -261,11 +287,11 @@ def reconstruct_subpattern(desc: SquareDescription, nn: NNSpec) -> Pattern:
     cells: dict[tuple[int, int], str] = {}
     for idx, sq in enumerate(squares):
         gi, gj = divmod(idx, dj)
-        for (r, c), letter in sq.items():
-            cell = (gi * g + r, gj * g + c)
-            if cells.get(cell, letter) != letter:
-                raise PatternError("covering squares disagree on a shared line")
-            cells[cell] = letter
+        top, left = gi * g, gj * g
+        placed = {(r + top, c + left): letter for (r, c), letter in sq.items()}
+        if any(cells[cell] != placed[cell] for cell in cells.keys() & placed.keys()):
+            raise PatternError("covering squares disagree on a shared line")
+        cells.update(placed)
     dr, dc = desc.offset
     h, w = desc.shape
     out = {(r, c): cells[(dr + r, dc + c)] for r in range(h) for c in range(w)}

@@ -38,6 +38,10 @@ PER_PAIR = "tests/test_kernels.py::test_placement_masks_match_per_pair_scans"
 RUN_MASK = "tests/test_kernels.py::test_run_mask_window_compat_matches_generic_exhaustive"
 BRUTE = "tests/test_epitomes.py::test_generic_route_matches_brute_force"
 DIGITS = "tests/test_kernels.py::test_digit_masks_match_their_definition"
+LOWCFG = "src/shiftlab/lowcfg.py"
+COMPLEXITY = "src/shiftlab/complexity.py"
+RECURSIVE_FILL = "tests/test_lowcfg.py::test_standard_square_matches_the_recursive_fill"
+VISIT_ORDER = "tests/test_lowcfg.py::test_fill_order_is_the_recursions_visit_order"
 
 # name -> (file, text, replacement, tests that should kill it)
 MUTANTS = {
@@ -96,6 +100,41 @@ MUTANTS = {
         "annulus, index, i, i + 1)",
         "annulus, index, i + 1, i + 2)",
         [BRUTE],
+    ),
+    # standard squares
+    "fill-order-quadrants-swapped": (
+        LOWCFG,
+        "+ [(r, c + mid) for r, c in quad]\n        + [(r + mid, c) for r, c in quad]",
+        "+ [(r + mid, c) for r, c in quad]\n        + [(r, c + mid) for r, c in quad]",
+        [VISIT_ORDER, "tests/test_lowcfg.py::test_filler_less_level_3_squares_match_the_recursive_fill"],
+    ),
+    "one-pass-without-filler": (
+        LOWCFG,
+        "if kernel.filler(side) is not None:",
+        "if True:",
+        [RECURSIVE_FILL, "tests/test_lowcfg.py::test_uncompletable_border_is_refused"],
+    ),
+    "border-assign-ignored": (
+        LOWCFG,
+        "if not state.assign(cell, letter):",
+        "if not state.assign(cell, letter) and False:",
+        [RECURSIVE_FILL, "tests/test_lowcfg.py::test_standard_square_border_guards"],
+    ),
+    "column-below-centre-dropped": (
+        LOWCFG,
+        "[(r, mid) for r in inner if r != mid]",
+        "[(r, mid) for r in inner if r < mid]",
+        [VISIT_ORDER, RECURSIVE_FILL],
+    ),
+    # the description machine
+    "bracket-precheck-off-by-one": (
+        COMPLEXITY,
+        "if depth:",
+        "if depth > 1:",
+        [
+            "tests/test_complexity.py::test_library_agrees_with_reference_interpreter",
+            "tests/test_complexity.py::test_random_loops_agree_with_reference",
+        ],
     ),
 }
 
