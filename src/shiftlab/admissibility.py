@@ -15,6 +15,19 @@ which then lies in the block too.  ``count_admissible`` and the dictionaries
 of ``deepshift.two_part_code`` then need no ring search.  The lex-first
 witness of ``extendable`` is not the all-f ring in general, so
 ``extendable`` always searches.
+
+So the margin cannot matter at margin 0 or with such a filler, and
+``count_admissible`` counts the locally admissible n x n blocks with
+``core.count_rect_patterns``, a row transfer over placements of the
+kernel's ``window_plan(n)``.  That plan is exact in a full rectangle: a
+``window_plan(side)`` pattern occurs in a fully coloured window of extent
+at most ``side`` exactly where a pattern of the forbidden list does
+(``ShiftSpec``), an n x n block is such a window for side n, and a
+forbidden pattern of larger extent does not fit in it.  The red-black
+plan's squares have no interior, so they match wherever a listed square
+does only because every interior cell is coloured; in a window with holes
+they would not.  Without a filler at a positive margin, each block gets
+its own ring search.
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ from .core import (
     PatternError,
     ShiftSpec,
     _bbox_of,
+    _row_transfer,
     completable,
     contains_forbidden,
     kernel_of,
@@ -70,7 +84,7 @@ def lex_first_completion(region: CompletionRegion, spec: ShiftSpec) -> Pattern |
     if state.scan() is not None:
         return None
     for _ in lex_assignments(state, free, spec.alphabet.letters):
-        return Pattern(spec.alphabet, state.cells)
+        return Pattern._adopt(spec.alphabet, state.cells)  # noqa: SLF001 - the state dies here
     return None
 
 
@@ -134,11 +148,34 @@ def _extendable_blocks(
             yield state.cells
 
 
+def block_count(spec: ShiftSpec, n: int, margin: int) -> tuple[int, dict]:
+    """The count of ``count_admissible`` and how it was reached: ``filler``,
+    the kernel's filler for the margin box or None; ``route``,
+    ``"row-transfer"`` when the margin cannot matter (margin 0 or a filler)
+    and ``"ring-search"`` otherwise; and for the row transfer ``rows``, the
+    admissible rows of width n, and ``states``, its largest state dict
+    (None on the ring search).
+
+    Raises ``InfeasibleError`` before counting when the row transfer is over
+    its bounds (``core.MAX_ROW_WORDS``, ``core.MAX_TRANSFER_STEPS``)."""
+    if n < 1:
+        raise PatternError("n must be positive")
+    if margin < 0:
+        raise PatternError("margin must be nonnegative")
+    filler = kernel_of(spec).filler(n + 2 * margin)
+    if margin and filler is None:
+        count = sum(1 for _ in _extendable_blocks(spec, n, margin))
+        return count, {"filler": None, "route": "ring-search", "rows": None, "states": None}
+    count, rows, states = _row_transfer(spec, n, n)
+    return count, {"filler": filler, "route": "row-transfer", "rows": rows, "states": states}
+
+
 def count_admissible(spec: ShiftSpec, n: int, margin: int) -> int:
     """Number of locally admissible n x n patterns with an admissible margin
     extension.
 
     When the spec's kernel has a filler for extent n + 2 * margin, every
     locally admissible pattern extends (module docstring), so this is the
-    margin-0 count and no ring is searched."""
-    return sum(1 for _ in _extendable_blocks(spec, n, margin))
+    margin-0 count, taken by a row transfer; otherwise each block gets a
+    ring search.  ``block_count`` also says which route ran."""
+    return block_count(spec, n, margin)[0]

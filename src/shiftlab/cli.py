@@ -5,8 +5,9 @@ effective configuration, the results, and a timing block in which wall-clock
 seconds and simulated machine steps are kept strictly apart (``render`` is
 the one plain-text exception).  Commands that run the description machine,
 an epitome check or a block count add a ``metrics`` block of work counters
-(for ``block-count``, the filler letter that spared the ring searches, or
-null), kept out of the results.  Exit codes: 0 success, 1 bad usage or bad
+(for ``block-count``, the filler letter that spares the ring searches, or
+null, the route that counted, and the row transfer's row and state counts),
+kept out of the results.  Exit codes: 0 success, 1 bad usage or bad
 input or a reader that closed stdout early, 2 a verification or consistency
 check failed, 3 the request is infeasible at the attempted scale.
 """
@@ -20,7 +21,7 @@ import sys
 import time
 
 from . import __version__
-from .admissibility import count_admissible
+from .admissibility import block_count
 from .complexity import (
     StepMeter,
     ctime,
@@ -31,7 +32,7 @@ from .complexity import (
     rank_width,
     tuple_threshold,
 )
-from .core import InfeasibleError, Pattern, PatternError, get_spec, kernel_of
+from .core import InfeasibleError, Pattern, PatternError, get_spec
 from .deepshift import (
     build_family,
     decode_two_part,
@@ -108,10 +109,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _cmd_block_count(args):
-    spec = get_spec(args.spec)
-    count = count_admissible(spec, args.n, args.margin)
-    # with a filler letter every block extends and no ring search ran
-    metrics = {"filler": kernel_of(spec).filler(args.n + 2 * args.margin)}
+    count, metrics = block_count(get_spec(args.spec), args.n, args.margin)
     return {"count": count}, True, None, metrics
 
 

@@ -76,12 +76,23 @@ class Pattern:
     __slots__ = ("alphabet", "_cells", "_bbox", "_hash")
 
     def __init__(self, alphabet: Alphabet, cells: dict[tuple[int, int], str]):
+        self._take(alphabet, dict(cells))
+
+    @classmethod
+    def _adopt(cls, alphabet: Alphabet, cells: dict[tuple[int, int], str]) -> "Pattern":
+        """A pattern that takes over ``cells`` without copying it.  For a
+        dict whose owner is thrown away, so nothing else changes it."""
+        p = cls.__new__(cls)
+        p._take(alphabet, cells)
+        return p
+
+    def _take(self, alphabet: Alphabet, cells: dict[tuple[int, int], str]) -> None:
         if not set(cells.values()).issubset(alphabet.letters):
             for (r, c), letter in cells.items():
                 if letter not in alphabet:
                     raise PatternError(f"letter {letter!r} at {(r, c)} not in alphabet")
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "_cells", dict(cells))
+        object.__setattr__(self, "_cells", cells)
         if cells:
             rs = [r for r, _ in cells]
             cs = [c for _, c in cells]
@@ -418,6 +429,148 @@ def iter_rect_patterns(spec: ShiftSpec, h: int, w: int) -> Iterator[Pattern]:
     cells = [(r, c) for r in range(h) for c in range(w)]
     letters = spec.alphabet.letters
     return (Pattern(spec.alphabet, state.cells) for _ in lex_assignments(state, cells, letters))
+
+
+# Refusal bounds of the row transfer, both checked before it runs, so that
+# an admitted count takes seconds (2-core Xeon, Python 3.11).  Listing the
+# 3^11 rows of width 11 over three letters takes about 1 s.  Red-black 4
+# takes 1,069,524 steps of ``_transfer_steps`` in about 1 s and mirror 5
+# 2,408,901 in about 3 s (1.1 million states, 150 MB); red-black 5 and
+# hard-square 13 are refused.
+MAX_ROW_WORDS = 3**11
+MAX_TRANSFER_STEPS = 3_000_000
+
+
+def _members(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _transfer_steps(rows: int, depth: int, h: int) -> int:
+    """Most (state, row) pairs a transfer over ``rows`` admissible rows with
+    states of ``depth`` rows visits on h rows: before row i + 1 there are at
+    most rows^min(i, depth) states, each trying every row, and each state
+    before the last row takes one popcount."""
+    return sum(rows ** (min(i, depth) + 1) for i in range(h - 1)) + rows ** min(h - 1, depth)
+
+
+def count_rect_patterns(spec: ShiftSpec, h: int, w: int) -> int:
+    """The number of locally admissible h x w patterns of ``spec``: the count
+    of ``iter_rect_patterns``, by a row transfer (Calkin & Wilf 1998)."""
+    return _row_transfer(spec, h, w)[0]
+
+
+def _row_transfer(spec: ShiftSpec, h: int, w: int) -> tuple[int, int, int]:
+    """``(count, rows, states)``: the count of ``count_rect_patterns``, the
+    number of admissible rows of width w and the size of the largest state
+    dict.
+
+    The rows are listed once with ``lex_assignments`` on a 1 x w state, and
+    ``has[c][a]`` is the bitset of rows with letter a in column c.  Every
+    placement of a ``window_plan(max(h, w))`` pattern spanning two or more
+    rows becomes the rows it allows at each distance above its bottom row
+    and the bitset of bottom rows it forbids; one-row patterns are the row
+    listing's.  A placement with cells in two rows is folded into
+    ``bad[distance][row]``.  One with cells in more rows is filed under its
+    distance with the fewest allowed rows, in ``multi[distance][row]``, and
+    tested on each state that holds one of those rows there.  A state is
+    the tuple of the last D rows placed, D the largest distance a fitting
+    placement spans, and maps to its number of admissible histories; the
+    last row adds each count times the number of rows still allowed.  The
+    plan is exact here because the rectangle is fully coloured (see
+    ``ShiftSpec``).
+
+    Raises ``InfeasibleError`` before the transfer when |alphabet|^w is
+    over ``MAX_ROW_WORDS`` or its step bound over ``MAX_TRANSFER_STEPS``."""
+    if h < 0 or w < 0:
+        raise PatternError(f"negative rectangle size {h} x {w}")
+    letters = spec.alphabet.letters
+    if len(letters) ** w > MAX_ROW_WORDS:
+        raise InfeasibleError(
+            f"{len(letters)}^{w} candidate rows exceed the {MAX_ROW_WORDS} the row transfer lists"
+        )
+    kernel = kernel_of(spec)
+    state = kernel.state((0, 0, 0, w - 1))
+    row_cells = [(0, c) for c in range(w)]
+    rows = [tuple(state.cells[cell] for cell in row_cells)
+            for _ in lex_assignments(state, row_cells, letters)]
+    full = (1 << len(rows)) - 1
+    has = [
+        {a: int("".join("1" if row[c] == a else "0" for row in reversed(rows)) or "0", 2)
+         for a in letters}
+        for c in range(w)
+    ]
+
+    placements = []  # (row span, column span, cells re-anchored at their bbox)
+    for fcells in kernel.window_plan(max(h, w)):
+        r0, c0, r1, c1 = _bbox_of([cell for cell, _ in fcells])
+        if 2 <= r1 - r0 + 1 <= h and c1 - c0 + 1 <= w:
+            cells = tuple(((r - r0, c - c0), a) for (r, c), a in fcells)
+            placements.append((r1 - r0 + 1, c1 - c0 + 1, cells))
+    depth = max((span - 1 for span, _, _ in placements), default=0)
+    if not depth:  # no placement spans two rows: the rows stack freely
+        return len(rows) ** h, len(rows), 1
+    steps = _transfer_steps(len(rows), depth, h)
+    if steps > MAX_TRANSFER_STEPS:
+        raise InfeasibleError(
+            f"a row transfer over {len(rows)} rows with {depth}-row states may take "
+            f"{steps} steps, over the {MAX_TRANSFER_STEPS} allowed"
+        )
+
+    bad = [[0] * len(rows) for _ in range(depth + 1)]  # bad[k][a]: rows banned k below a
+    # multi[k][a]: (the other (distance, rows allowed) pairs, rows banned) of
+    # each placement over three or more rows whose fewest allowed rows are
+    # at distance k and include row a
+    multi: list[list[list]] = [[[] for _ in rows] for _ in range(depth + 1)]
+    for span, cspan, cells in placements:
+        for x in range(w - cspan + 1):
+            masks: dict[int, int] = {}
+            for (r, c), a in cells:
+                masks[r] = masks.get(r, full) & has[c + x][a]
+            banned = masks.pop(span - 1)
+            above = sorted(((span - 1 - r, m) for r, m in masks.items()),
+                           key=lambda km: km[1].bit_count())
+            if not banned or not above[0][1]:
+                continue
+            (k, top), *rest = above
+            if rest:
+                for a in _members(top):
+                    multi[k][a].append((rest, banned))
+            else:
+                for a in _members(top):
+                    bad[k][a] |= banned
+
+    def allowed(t: tuple[int, ...]) -> int:
+        banned = 0
+        for k, a in enumerate(reversed(t), 1):
+            banned |= bad[k][a]
+            for rest, rows_banned in multi[k][a]:
+                for j, m in rest:
+                    if j > len(t) or not m >> t[-j] & 1:
+                        break
+                else:
+                    banned |= rows_banned
+        return full & ~banned
+
+    counts: dict[tuple[int, ...], int] = {(): 1}
+    largest = 1
+    for _ in range(h - 1):
+        nxt: dict[tuple[int, ...], int] = {}
+        for t, k in counts.items():
+            m = allowed(t)
+            t = t[max(len(t) + 1 - depth, 0):]  # with the new row, the last depth rows
+            while m:
+                low = m & -m
+                key = (*t, low.bit_length() - 1)
+                nxt[key] = nxt.get(key, 0) + k
+                m ^= low
+        counts = nxt
+        largest = max(largest, len(counts))
+    total = sum(k * allowed(t).bit_count() for t, k in counts.items())
+    return total, len(rows), largest
 
 
 def _bbox_of(cells) -> tuple[int, int, int, int]:

@@ -185,7 +185,7 @@ def standard_square(nn: NNSpec, border: Pattern, m: int) -> Pattern:
     if kernel.filler(side) is not None:
         for _ in lex_assignments(state, _fill_order(side), letters):
             break  # the filler fits every cell: the first filling always comes
-        return Pattern(spec.alphabet, state.cells)
+        return Pattern._adopt(spec.alphabet, state.cells)  # noqa: SLF001 - the state dies here
 
     order = _fill_order(side)
     pos = 0
@@ -207,7 +207,7 @@ def standard_square(nn: NNSpec, border: Pattern, m: int) -> Pattern:
             # pushed last-first, so they pop in the order of _fill_order
             for dr, dc in ((half, half), (half, 0), (0, half), (0, 0)):
                 squares.append((r0 + dr, c0 + dc, half + 1))
-    return Pattern(spec.alphabet, state.cells)
+    return Pattern._adopt(spec.alphabet, state.cells)  # noqa: SLF001 - the state dies here
 
 
 def build_Pk(nn: NNSpec, k: int) -> Pattern:

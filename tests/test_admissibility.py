@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from shiftlab.admissibility import (
     CompletionRegion,
     _extendable_blocks,
+    block_count,
     count_admissible,
     extendable,
     lex_first_completion,
@@ -19,6 +20,7 @@ from shiftlab.core import (
     Pattern,
     PatternError,
     contains_forbidden,
+    count_rect_patterns,
     hard_square_spec,
     iter_rect_patterns,
     make_pattern,
@@ -366,3 +368,41 @@ def test_dead_end_spec_drops_blocks_at_positive_margin():
 )
 def test_builtin_extendable_blocks_match_filtered_enumeration(spec, n, margin):
     _assert_matches_oracle(spec, n, margin)
+
+
+# ---------------------------------------------------------------------------
+# the row-transfer route against enumeration
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def row_spread_specs(draw):
+    """A spec of one to three forbidden patterns, each of one to four cells
+    in a 3 x 3 box, so patterns cover one to three rows and some leave rows
+    between their cells empty; half the draws add a horizontal domino of two
+    different letters, whose two cells span its box for neither letter, so
+    that often no letter is a filler."""
+    alphabet = draw(st.sampled_from((BINARY, BWR)))
+    box = [(r, c) for r in range(3) for c in range(3)]
+    forbidden = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        support = draw(st.sets(st.sampled_from(box), min_size=1, max_size=4))
+        forbidden.append(
+            Pattern(alphabet, {cell: draw(st.sampled_from(alphabet.letters)) for cell in support})
+        )
+    if draw(st.booleans()):
+        a, b = draw(st.permutations(alphabet.letters))[:2]
+        forbidden.append(make_pattern([a + b], alphabet))
+    return spec_from_patterns("user", alphabet, forbidden)
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_spread_specs(), st.integers(0, 3), st.integers(0, 3), st.integers(1, 2))
+@example(DEAD_END, 3, 3, 2)  # no filler
+@example(HS, 3, 2, 2)  # filler 0
+def test_row_transfer_matches_enumeration(spec, h, w, n):
+    assert count_rect_patterns(spec, h, w) == sum(1 for _ in iter_rect_patterns(spec, h, w))
+    count, metrics = block_count(spec, n, 1)
+    assert metrics["route"] == ("ring-search" if metrics["filler"] is None else "row-transfer")
+    blocks = sum(1 for _ in _extendable_blocks(spec, n, 1))
+    assert count == count_admissible(spec, n, 1) == blocks

@@ -158,21 +158,53 @@ def test_block_count_hard_square(capsys):
     rc, report, _ = run_json(capsys, "block-count", "hard-square", "2")
     assert rc == 0
     assert report["result"] == {"count": 7}
-    assert report["metrics"] == {"filler": "0"}
+    assert report["metrics"] == {"filler": "0", "route": "row-transfer", "rows": 3, "states": 3}
+
+
+RING_SEARCH = {"filler": None, "route": "ring-search", "rows": None, "states": None}
 
 
 def test_block_count_reports_the_filler_route(capsys, tmp_path):
     rc, report, _ = run_json(capsys, "block-count", "red-black", "2", "--margin", "1")
-    assert (rc, report["result"], report["metrics"]) == (0, {"count": 80}, {"filler": "W"})
+    assert (rc, report["result"], report["metrics"]) == (
+        0, {"count": 80}, {"filler": "W", "route": "row-transfer", "rows": 9, "states": 9}
+    )
     rc, report, _ = run_json(capsys, "block-count", "mirror", "2", "--margin", "1")
-    assert rc == 0 and report["metrics"] == {"filler": None}
+    assert rc == 0 and report["metrics"] == RING_SEARCH
     # no 000 and no 111 in a row: a 1 x 1 block alone fits neither, but
     # its margin box does, and there no letter is a filler
     for name in ("000", "111"):
         (tmp_path / name).write_text(f"3 1 2\n{name}\n")
     spec = f"file:{tmp_path / '000'},{tmp_path / '111'}"
     rc, report, _ = run_json(capsys, "block-count", spec, "1", "--margin", "1")
-    assert (rc, report["result"], report["metrics"]) == (0, {"count": 2}, {"filler": None})
+    assert (rc, report["result"], report["metrics"]) == (0, {"count": 2}, RING_SEARCH)
+
+
+@pytest.mark.parametrize(
+    "argv, count, filler, rows, states",
+    [
+        # the benchmark's two counts: rows of width n, and the largest state
+        # dict (one row for hard-square, two for red-black 3)
+        (("hard-square", "4", "--margin", "1"), 1234, "0", 8, 8),
+        (("red-black", "3", "--margin", "1"), 18748, "W", 27, 712),
+        # OEIS A006506
+        (("hard-square", "7"), 1280128950, "0", 34, 34),
+        (("hard-square", "8"), 660647962955, "0", 55, 55),
+    ],
+)
+def test_block_count_row_transfer_metrics(capsys, argv, count, filler, rows, states):
+    rc, report, _ = run_json(capsys, "block-count", *argv)
+    assert (rc, report["result"]) == (0, {"count": count})
+    assert report["metrics"] == {
+        "filler": filler, "route": "row-transfer", "rows": rows, "states": states
+    }
+
+
+def test_block_count_over_the_transfer_bounds_exits_3(capsys):
+    # 243 rows of width 5 and 4-row states: refused before any state is built
+    rc, report, _ = run_json(capsys, "block-count", "red-black", "5")
+    assert rc == 3 and report["infeasible"]
+    assert "row transfer" in report["error"]
 
 
 def test_block_count_negative_n_exits_1(capsys):

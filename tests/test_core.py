@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from shiftlab.core import (
     BINARY,
     BWR,
+    MAX_ROW_WORDS,
+    InfeasibleError,
     Occurrence,
     Pattern,
     PatternError,
     ShiftSpec,
     contains_forbidden,
+    count_rect_patterns,
     get_spec,
     hard_square_spec,
     invert,
@@ -66,6 +69,14 @@ def test_rows_requires_rectangular():
     assert not sparse.is_rectangular
     with pytest.raises(PatternError):
         sparse.rows()
+
+
+def test_adopted_cells_are_checked_and_not_copied():
+    cells = {(0, 0): "1"}
+    p = Pattern._adopt(BINARY, cells)  # noqa: SLF001
+    assert p == Pattern(BINARY, cells) and p._cells is cells  # noqa: SLF001
+    with pytest.raises(PatternError, match="not in alphabet"):
+        Pattern._adopt(BINARY, {(0, 0): "R"})  # noqa: SLF001
 
 
 def test_translate_and_reanchor():
@@ -195,17 +206,75 @@ def _hard_square_transfer_count(n):
     return sum(ways.values())
 
 
-# OEIS A006506: n x n binary matrices with no two adjacent 1s, n = 0..7
-A006506 = (1, 2, 7, 63, 1234, 55447, 5598861, 1280128950)
+# OEIS A006506: n x n binary matrices with no two adjacent 1s, n = 0..10
+A006506 = (
+    1, 2, 7, 63, 1234, 55447, 5598861, 1280128950, 660647962955, 770548397261707,
+    2030049051145980050,
+)
 
 
 def test_hard_square_transfer_matrix_matches_oeis():
-    assert tuple(_hard_square_transfer_count(n) for n in range(8)) == A006506
+    assert tuple(_hard_square_transfer_count(n) for n in range(8)) == A006506[:8]
 
 
 @pytest.mark.parametrize("n", range(6))
 def test_iter_rect_patterns_hard_square_matches_transfer_matrix(n):
     assert sum(1 for _ in iter_rect_patterns(hard_square_spec(), n, n)) == A006506[n]
+
+
+# ---------------------------------------------------------------------------
+# count_rect_patterns: the row transfer against frozen values and enumeration
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_count_rect_patterns_hard_square_matches_oeis(n):
+    assert count_rect_patterns(hard_square_spec(), n, n) == A006506[n]
+
+
+@pytest.mark.parametrize("spec", [hard_square_spec(), red_black_spec(), mirror_spec()],
+                         ids=lambda s: s.name)
+@pytest.mark.parametrize("h, w", [(h, w) for h in range(4) for w in range(4)])
+def test_count_rect_patterns_matches_enumeration(spec, h, w):
+    assert count_rect_patterns(spec, h, w) == sum(1 for _ in iter_rect_patterns(spec, h, w))
+
+
+# mirror: its three-row columns are tested per state; red-black 4 x 4 takes
+# the enumerator most of a minute, so its count is frozen below
+@pytest.mark.parametrize("spec, count", [(hard_square_spec(), 1234), (mirror_spec(), 74240)],
+                         ids=lambda x: getattr(x, "name", None))
+def test_count_rect_patterns_matches_enumeration_at_4(spec, count):
+    assert count_rect_patterns(spec, 4, 4) == count
+    assert sum(1 for _ in iter_rect_patterns(spec, 4, 4)) == count
+
+
+def test_count_rect_patterns_reads_placements_top_down():
+    # a two-row and a three-row column, neither the other's mirror image:
+    # reading either one bottom up changes the count
+    spec = spec_from_patterns(
+        "down", BINARY, [make_pattern(["0", "1"]), make_pattern(["1", "1", "0"])]
+    )
+    for h in range(1, 5):
+        for w in range(1, 3):
+            assert count_rect_patterns(spec, h, w) == sum(1 for _ in iter_rect_patterns(spec, h, w))
+
+
+def test_red_black_4_frozen():
+    # the enumerator's count (47.7 s); 4-row squares need 3-row states
+    assert count_rect_patterns(red_black_spec(), 4, 4) == 38559440
+
+
+def test_count_rect_patterns_refusals():
+    with pytest.raises(PatternError):
+        count_rect_patterns(hard_square_spec(), -1, 2)
+    # too many candidate rows to list
+    free = spec_from_patterns("free", BWR, [make_pattern(["RR", "RR"])])
+    wide = next(w for w in itertools.count() if 3**w > MAX_ROW_WORDS)
+    with pytest.raises(InfeasibleError, match="candidate rows"):
+        count_rect_patterns(free, 2, wide)
+    # too many transfer steps: 243 rows, 4-row states
+    with pytest.raises(InfeasibleError, match="steps"):
+        count_rect_patterns(red_black_spec(), 5, 5)
 
 
 def test_lex_key_row_major():

@@ -42,6 +42,11 @@ LOWCFG = "src/shiftlab/lowcfg.py"
 COMPLEXITY = "src/shiftlab/complexity.py"
 RECURSIVE_FILL = "tests/test_lowcfg.py::test_standard_square_matches_the_recursive_fill"
 VISIT_ORDER = "tests/test_lowcfg.py::test_fill_order_is_the_recursions_visit_order"
+RED_BLACK_4 = "tests/test_core.py::test_red_black_4_frozen"
+OEIS = "tests/test_core.py::test_count_rect_patterns_hard_square_matches_oeis"
+AT_4 = "tests/test_core.py::test_count_rect_patterns_matches_enumeration_at_4"
+TRANSFER_DIFF = "tests/test_admissibility.py::test_row_transfer_matches_enumeration"
+TOP_DOWN = "tests/test_core.py::test_count_rect_patterns_reads_placements_top_down"
 
 # name -> (file, text, replacement, tests that should kill it)
 MUTANTS = {
@@ -125,6 +130,25 @@ MUTANTS = {
         "[(r, mid) for r in inner if r != mid]",
         "[(r, mid) for r in inner if r < mid]",
         [VISIT_ORDER, RECURSIVE_FILL],
+    ),
+    # the row transfer of count_rect_patterns
+    "transfer-state-one-row-short": (
+        CORE,
+        "t = t[max(len(t) + 1 - depth, 0):]",
+        "t = t[max(len(t) + 2 - depth, 0):]",
+        [RED_BLACK_4],
+    ),
+    "transfer-last-column-offset-dropped": (
+        CORE, "for x in range(w - cspan + 1):", "for x in range(w - cspan):", [OEIS],
+    ),
+    "transfer-multi-row-placements-ignored": (
+        CORE, "multi[k][a].append((rest, banned))", "pass", [AT_4, TRANSFER_DIFF],
+    ),
+    "transfer-two-row-folded-on-bottom-row": (
+        CORE,
+        "for a in _members(top):\n                    bad[k][a] |= banned",
+        "for a in _members(banned):\n                    bad[k][a] |= top",
+        [TOP_DOWN],
     ),
     # the description machine
     "bracket-precheck-off-by-one": (
