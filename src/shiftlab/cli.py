@@ -485,11 +485,16 @@ def _write_stdout(text: str) -> bool:
 
 
 def _emit(args, report: dict) -> bool:
-    """Write the report; False when stdout was closed before it was."""
+    """Write the report; False when stdout was closed before it was, or when
+    ``--out-file`` cannot be written (said in one line on stderr)."""
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if getattr(args, "out_file", None):
-        with open(args.out_file, "w", encoding="ascii") as fh:
-            fh.write(text)
+        try:
+            with open(args.out_file, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"shiftlab: {exc}", file=sys.stderr)
+            return False
         return True
     return _write_stdout(text)
 

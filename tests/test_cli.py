@@ -83,6 +83,19 @@ def test_out_file_writes_report(tmp_path, capsys):
     assert report["result"] == {"simple_patterns": 2}
 
 
+@pytest.mark.parametrize(
+    "argv", [("census", "2"), ("block-count", "red-black", "5")], ids=["ok", "infeasible"]
+)
+def test_unwritable_out_file_exits_1_with_one_line(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "r.json"
+    rc, out, err = run_cli(capsys, "--out-file", str(path), *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("shiftlab: ") and err.count("\n") == 1
+    assert str(path) in err
+    assert not path.exists()
+
+
 def test_closed_stdout_exits_1_without_traceback(child_env):
     # the reader is gone before the report is written
     read_end, write_end = os.pipe()

@@ -275,13 +275,18 @@ def _recorded_window_checks(monkeypatch) -> list:
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_enforcer_route_bits_match_verify_enforcer(n, monkeypatch):
-    # one placement pass per profile; its bits are verify_enforcer's flags
+    # one placement pass for the whole check: row j is profile j's window,
+    # and its bit i is verify_enforcer's flag for simple pattern i
     calls = _recorded_window_checks(monkeypatch)
     rep = epitome_property_check(RB, profile_family(), n)
     profs = list(all_profiles(n))
-    assert rep.ok and len(calls) == len(profs)
-    for prof, rows in zip(profs, calls):
-        assert [bool(row) for row in rows] == [c.compatible for c in verify_enforcer(prof).cases]
+    assert rep.ok and len(calls) == 1
+    (rows,) = calls
+    assert len(rows) == len(profs)
+    for prof, row in zip(profs, rows):
+        cases = verify_enforcer(prof).cases
+        assert [bool(row >> i & 1) for i in range(len(cases))] == [c.compatible for c in cases]
+        assert row >> len(cases) == 0
 
 
 def test_enforcer_route_needs_the_own_profile(monkeypatch):
@@ -303,18 +308,35 @@ def test_enforcer_route_needs_the_own_profile(monkeypatch):
 
 @pytest.mark.parametrize("n, margin", [(1, 0), (1, 1), (2, 0), (2, 1)])
 def test_mirror_route_matches_per_candidate_scans(n, margin, monkeypatch):
-    # the sparse witness windows against the forbidden list, placement by
-    # placement, agree with a scan of each filled window
+    # the sparse witness windows against the forbidden list, in one
+    # placement pass for the whole check (row j is block j's window, bit i
+    # candidate i), agree with a scan of each filled window
     calls = _recorded_window_checks(monkeypatch)
     rep = epitome_property_check(MI, mirror_family(), n, margin)
     blocks = [Pattern(BWR, cells) for cells in _extendable_blocks(MI, n, margin)]
     candidates = list(iter_rect_patterns(MI, n, n))
-    assert len(calls) == len(blocks) == len(rep.entries)
-    for p, rows, entry in zip(blocks, calls, rep.entries):
+    assert len(calls) == 1
+    (rows,) = calls
+    assert len(rows) == len(blocks) == len(rep.entries)
+    for p, row, entry in zip(blocks, rows, rep.entries):
         window = _mirror_window(p)
         want = [contains_forbidden(window.union(q), MI) is None for q in candidates]
-        assert [bool(row) for row in rows] == want, p.rows()
+        assert [bool(row >> i & 1) for i in range(len(candidates))] == want, p.rows()
+        assert row >> len(candidates) == 0
         assert entry["compatible_count"] == sum(want)
+
+
+def test_mirror_route_n3_frozen():
+    rep = epitome_property_check(MI, mirror_family(), 3, 1)
+    assert rep.ok and len(rep.entries) == 648
+    assert all(e["pass"] for e in rep.entries)
+    assert sum(e["compatible_count"] for e in rep.entries) == 8768
+
+
+def test_enforcer_route_n4_frozen():
+    rep = epitome_property_check(RB, profile_family(), 4)
+    assert rep.ok and len(rep.entries) == 625
+    assert all(e["pass"] for e in rep.entries)
 
 
 def test_verify_enforcer_rejects_a_binary_spec():
@@ -386,8 +408,13 @@ def test_routes_follow_the_family_object(spec, fam, builtin, margin):
         assert own.ok and set(own.work) == {"window_scans"}
 
 
-def test_identity_family_rejected_with_counterexample():
+def test_identity_family_rejected_with_counterexample(monkeypatch):
+    # one placement pass per block of 2^15 of the 3^12 colorings, and one
+    # more for the counterexample's column: a bit per candidate
+    calls = _recorded_window_checks(monkeypatch)
     rep = epitome_property_check(RB, identity_family(), 2)
+    assert len(calls) == -(-3**12 // 2**15) + 1 == 18
+    assert len(calls[-1]) == 80 and all(row in (0, 1) for row in calls[-1])
     assert not rep.ok
     assert len(rep.entries) == 80 and not any(e["pass"] for e in rep.entries)
     # the first failure: the first candidate, its first compatible annulus

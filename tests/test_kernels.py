@@ -33,6 +33,7 @@ from shiftlab.core import (
 )
 from shiftlab.epitomes import (
     _annulus_cells,
+    _coloring_index,
     _digit_mask,
     _slot_index,
     _window_compat,
@@ -57,7 +58,8 @@ def _annulus_compat(spec, n, margin, annulus, candidates, lo, hi):
     side = n + 2 * margin
     plan = kernel_of(spec).window_plan(side)
     index = _slot_index(q.translate(margin, margin).cells for q in candidates)
-    return _window_compat(spec, plan, (0, 0, side - 1, side - 1), {}, annulus, index, lo, hi)
+    box = (0, 0, side - 1, side - 1)
+    return _window_compat(plan, box, index, _coloring_index(spec, plan, box, annulus)(lo, hi))
 
 
 def _capped_spec(cap):
@@ -333,44 +335,50 @@ def test_placement_masks_match_per_pair_scans_on_random_specs(case):
     _assert_matches_per_pair(*case)
 
 
+@settings(max_examples=50, deadline=None)
+@given(plan_specs_and_blocks())
+def test_swapping_rows_and_columns_transposes_the_bits(case):
+    spec, n, margin, lo, hi = case
+    side = n + 2 * margin
+    plan = kernel_of(spec).window_plan(side)
+    box = (0, 0, side - 1, side - 1)
+    index = _slot_index(q.translate(margin, margin).cells for q in iter_rect_patterns(spec, n, n))
+    colorings = _coloring_index(spec, plan, box, _annulus_cells(n, margin))(lo, hi)
+    rows = _window_compat(plan, box, index, colorings)
+    cols = _window_compat(plan, box, colorings, index)
+    assert len(cols) == hi - lo
+    assert cols == [sum((row >> i & 1) << j for j, row in enumerate(rows)) for i in range(hi - lo)]
+
+
 @st.composite
 def sparse_windows(draw):
     """A spec of ``user_specs_and_sizes``, an n x n slot at the origin with
-    n <= 2, and a window around it in the box of margin 2: some cells fixed,
-    up to two cells of the annulus (a block lo < hi of at most 6 of their
-    colorings), and the rest holes."""
+    n <= 2, and one to four windows around it in the box of margin 2, each
+    holding its own cells of the ring, the rest holes."""
     spec, n = draw(user_specs_and_sizes())
     n = min(n, 2)
-    letters = spec.alphabet.letters
     box = [(r, c) for r in range(-2, n + 2) for c in range(-2, n + 2)]
     ring = [(r, c) for r, c in box if not (0 <= r < n and 0 <= c < n)]
-    cells = draw(st.lists(st.sampled_from(ring), unique=True))
-    annulus = cells[: draw(st.integers(min_value=0, max_value=2))]
-    fixed = {cell: draw(st.sampled_from(letters)) for cell in cells[len(annulus):]}
-    combos = len(letters) ** len(annulus)
-    lo = draw(st.integers(min_value=0, max_value=combos - 1))
-    hi = draw(st.integers(min_value=lo + 1, max_value=min(combos, lo + 6)))
-    return spec, n, fixed, annulus, lo, hi
+    window = st.dictionaries(st.sampled_from(ring), st.sampled_from(spec.alphabet.letters))
+    return spec, n, draw(st.lists(window, min_size=1, max_size=4))
 
 
 @settings(max_examples=100, deadline=None)
 @given(sparse_windows())
 def test_window_check_on_sparse_windows_matches_per_candidate_scans(case):
     # with the forbidden list as the plan, a placement over a hole matches
-    # nothing, as a scan of the window with its holes finds nothing there
-    spec, n, fixed, annulus, lo, hi = case
-    letters = spec.alphabet.letters
-    base = len(letters)
+    # nothing, as a scan of the window with its holes finds nothing there;
+    # each window's holes are its own
+    spec, n, windows = case
     candidates = list(iter_rect_patterns(spec, n, n))
     plan = [tuple(f.items()) for f in spec.enumerator(n + 4)]
-    index = _slot_index(q.cells for q in candidates)
-    rows = _window_compat(spec, plan, (-2, -2, n + 1, n + 1), fixed, annulus, index, lo, hi)
-    assert len(rows) == len(candidates)
-    for i in range(lo, hi):
-        coloring = {cell: letters[i // base**t % base] for t, cell in enumerate(annulus)}
-        for q, row in zip(candidates, rows):
-            window = Pattern(spec.alphabet, {**fixed, **coloring, **q.cells})
-            assert (row >> (i - lo) & 1) == (contains_forbidden(window, spec) is None)
+    fillings = _slot_index(q.cells for q in candidates)
+    rows = _window_compat(plan, (-2, -2, n + 1, n + 1), _slot_index(windows), fillings)
+    assert len(rows) == len(windows)
+    for window, row in zip(windows, rows):
+        for i, q in enumerate(candidates):
+            filled = Pattern(spec.alphabet, {**window, **q.cells})
+            assert (row >> i & 1) == (contains_forbidden(filled, spec) is None)
 
 
 def test_digit_masks_match_their_definition():

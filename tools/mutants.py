@@ -47,25 +47,44 @@ OEIS = "tests/test_core.py::test_count_rect_patterns_hard_square_matches_oeis"
 AT_4 = "tests/test_core.py::test_count_rect_patterns_matches_enumeration_at_4"
 TRANSFER_DIFF = "tests/test_admissibility.py::test_row_transfer_matches_enumeration"
 TOP_DOWN = "tests/test_core.py::test_count_rect_patterns_reads_placements_top_down"
+ENFORCER_BITS = "tests/test_epitomes.py::test_enforcer_route_bits_match_verify_enforcer"
+MIRROR_BITS = "tests/test_epitomes.py::test_mirror_route_matches_per_candidate_scans"
+VACUOUS = "tests/test_epitomes.py::test_vacuous_property_check_refused_before_any_window_check"
+REFERENCE_VM = "tests/test_complexity.py::test_library_agrees_with_reference_interpreter"
 
 # name -> (file, text, replacement, tests that should kill it)
 MUTANTS = {
     # the window check
     "holes-match": (
-        EPITOMES, "elif fixed.get(cell) != a:", "elif fixed.get(cell, a) != a:",
-        [SPARSE, "tests/test_epitomes.py::test_mirror_route_matches_per_candidate_scans"],
+        # a row that lacks a cell (a hole in its window) matches any letter there
+        EPITOMES,
+        "hit_rows &= row_index[cell].get(a, 0)",
+        "hit_rows &= row_index[cell].get(a, 0) | every & ~sum(row_index[cell].values())",
+        [SPARSE, MIRROR_BITS],
+    ),
+    "unheld-cell-skipped": (
+        EPITOMES,
+        "else:\n                        break\n                    if not (hit_rows",
+        "else:\n                        continue\n                    if not (hit_rows",
+        [SPARSE, MIRROR_BITS],
     ),
     "index-from-first-filling": (
         EPITOMES,
         "for count, cells in enumerate(fillings, 1):",
         "for count, cells in enumerate(itertools.islice(fillings, 1), 1):",
-        [SPARSE, "tests/test_epitomes.py::test_enforcer_route_bits_match_verify_enforcer"],
+        [SPARSE, ENFORCER_BITS],
     ),
     "no-whole-row-clearing": (
-        EPITOMES, "everywhere |= colorings", "everywhere |= 0", [PER_PAIR],
+        EPITOMES, "everywhere |= hit_cols", "everywhere |= 0", [PER_PAIR],
     ),
     "window-plan-without-largest-square": (
         CORE, "for s in range(2, side + 1)", "for s in range(2, side)", [RUN_MASK, PER_PAIR],
+    ),
+    "plan-square-bottom-row-short": (
+        CORE,
+        'tuple(((s - 1, c), "B") for c in range(s))',
+        'tuple(((s - 1, c), "B") for c in range(s - 1))',
+        [RUN_MASK, PER_PAIR, ENFORCER_BITS],
     ),
     # digit masks of the annulus colorings
     "digit-mask-from-coloring-0": (
@@ -80,12 +99,28 @@ MUTANTS = {
         "for a in (start,):",
         [DIGITS, PER_PAIR],
     ),
+    "coloring-letter-left-out": (
+        # the letter of the plan's first cell gets no digit mask
+        EPITOMES,
+        "if (cell, a) in reads",
+        "if (cell, a) in reads and a != plan[0][0][1]",
+        [PER_PAIR, BRUTE],
+    ),
+    "coloring-reads-one-row-short": (
+        EPITOMES, "r1 - fr1 + dr + 1)", "r1 - fr1 + dr)", [PER_PAIR, BRUTE],
+    ),
     # the routes
     "enforcer-own-bit-dropped": (
         EPITOMES,
-        "passed = bool(rows[j]) and all(",
+        "passed = bool(row >> j & 1) and all(",
         "passed = all(",
         ["tests/test_epitomes.py::test_enforcer_route_needs_the_own_profile"],
+    ),
+    "enforcer-rows-and-columns-swapped": (
+        EPITOMES,
+        "4 * n - 1), windows, fillings)",
+        "4 * n - 1), fillings, windows)",
+        [ENFORCER_BITS],
     ),
     "mirror-plan-at-2n": (
         EPITOMES,
@@ -101,10 +136,33 @@ MUTANTS = {
         [BRUTE],
     ),
     "counterexample-column-at-next-coloring": (
+        EPITOMES, "colorings(i, i + 1))", "colorings(i + 1, i + 2))", [BRUTE],
+    ),
+    # the refusals of checks that would hold vacuously
+    "generic-vacuity-refusal-removed": (
+        EPITOMES, "if all(v is None for v in values):", "if False:", [VACUOUS],
+    ),
+    "no-entries-refusal-removed": (
         EPITOMES,
-        "annulus, index, i, i + 1)",
-        "annulus, index, i + 1, i + 2)",
-        [BRUTE],
+        "if not entries:",
+        "if False:",
+        ["tests/test_epitomes.py::test_property_check_refuses_a_sweep_without_entries"],
+    ),
+    "border-vacuity-refusal-removed": (
+        EPITOMES,
+        "if all(v is None for vals in groups.values() for v in vals):",
+        "if False:",
+        ["tests/test_epitomes.py::test_vacuous_border_consistency_refused"],
+    ),
+    # the filler letter
+    "filler-without-span-test": (
+        CORE,
+        "return bool(rest) and _bbox_of(rest) == _bbox_of([cell for cell, _ in fcells])",
+        "return bool(rest)",
+        [
+            "tests/test_filler.py::test_builtin_fillers",
+            "tests/test_filler.py::test_filler_cell_outside_the_other_cells_box_rules_out_its_letter",
+        ],
     ),
     # standard squares
     "fill-order-quadrants-swapped": (
@@ -155,10 +213,22 @@ MUTANTS = {
         COMPLEXITY,
         "if depth:",
         "if depth > 1:",
-        [
-            "tests/test_complexity.py::test_library_agrees_with_reference_interpreter",
-            "tests/test_complexity.py::test_random_loops_agree_with_reference",
-        ],
+        [REFERENCE_VM, "tests/test_complexity.py::test_random_loops_agree_with_reference"],
+    ),
+    "memo-keyed-by-program": (
+        COMPLEXITY,
+        "outcome = memo.get(code)\n        if outcome is None:\n            outcome = memo[code] =",
+        "outcome = memo.get(program)\n        if outcome is None:\n            outcome = memo[program] =",
+        ["tests/test_complexity.py::test_memo_is_per_budget_and_shared_by_trailing_bits"],
+    ),
+    "memo-keyed-by-shorter-list": (
+        COMPLEXITY, "outcome = memo.get(code)", "outcome = memo.get(code[3:])", [REFERENCE_VM],
+    ),
+    "brent-repeat-ignores-b": (
+        COMPLEXITY,
+        "if a == saved_a and pc == saved_pc and b == saved_b:",
+        "if a == saved_a and pc == saved_pc:",
+        ["tests/test_complexity.py::test_random_loops_agree_with_reference"],
     ),
 }
 
