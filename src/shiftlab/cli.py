@@ -4,12 +4,14 @@ Every subcommand prints a JSON report carrying the package version, the
 effective configuration, the results, and a timing block in which wall-clock
 seconds and simulated machine steps are kept strictly apart (``render`` is
 the one plain-text exception).  Commands that run the description machine,
-an epitome check or a block count add a ``metrics`` block of work counters
-(for ``block-count``, the filler letter that spares the ring searches, or
-null, the route that counted, and the row transfer's row and state counts),
-kept out of the results.  Exit codes: 0 success, 1 bad usage or bad
-input or a reader that closed stdout early, 2 a verification or consistency
-check failed, 3 the request is infeasible at the attempted scale.
+an epitome check, a block count or a lowcfg roundtrip add a ``metrics``
+block of work counters (for ``block-count``, the filler letter that spares
+the ring searches, or null, the route that counted, and the row transfer's
+row and state counts; for ``lowcfg-roundtrip``, the covering squares
+described and the distinct ones built), kept out of the results.  Exit
+codes: 0 success, 1 bad usage or bad input or a reader that closed stdout
+early, 2 a verification or consistency check failed, 3 the request is
+infeasible at the attempted scale.
 """
 
 from __future__ import annotations
@@ -194,7 +196,8 @@ def _cmd_lowcfg_roundtrip(args):
         r0 = rng.randrange(0, side - h + 1)
         c0 = rng.randrange(0, side - w + 1)
         rects.append((r0, c0, h, w))
-    entries = lowcfg_roundtrip(nn, pk, args.k, rects)
+    metrics: dict = {}
+    entries = lowcfg_roundtrip(nn, pk, args.k, rects, metrics)
     ok = all(e["ok"] and e["within_bound"] for e in entries)
     payload = {
         "constant": description_constant(nn.spec.alphabet),
@@ -204,7 +207,7 @@ def _cmd_lowcfg_roundtrip(args):
         desc = describe_subpattern(nn, pk, args.k, rects[0])
         save_description(desc, args.out)
         payload["written"] = args.out
-    return payload, ok, None
+    return payload, ok, None, metrics
 
 
 def _cmd_kc_exact(args):

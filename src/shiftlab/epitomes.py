@@ -17,7 +17,9 @@ pattern row r (top-down) lands in window row 2n + r, i.e. line n - r.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -599,6 +601,20 @@ def _check_generic(spec, fam, n, margin):
     return entries, counterexample, work
 
 
+def _profiles_below(profs) -> list[int]:
+    """Per profile j, the bitset of the profiles i with ``profile_leq(profs[i],
+    profs[j])``: the AND over rows r of the bitsets of the profiles with at
+    most ``profs[j].counts[r]`` blacks in row r."""
+    _, exact = _slot_index(dict(enumerate(p.counts)) for p in profs)
+    at_most = {
+        r: {k: sum(m for x, m in ks.items() if x <= k) for k in ks} for r, ks in exact.items()
+    }
+    return [
+        functools.reduce(operator.and_, (at_most[r][k] for r, k in enumerate(p.counts)))
+        for p in profs
+    ]
+
+
 def _check_red_black_profiles(spec, n):
     """The enforcer route: one placement pass with every profile's window as
     a row and every simple slot pattern (slot at (2n, 3n - 1)) as a column.
@@ -609,9 +625,10 @@ def _check_red_black_profiles(spec, n):
     fillings = _slot_index(_simple_cells(cand, 2 * n, 3 * n - 1) for cand in profs)
     plan = kernel_of(spec).window_plan(4 * n)
     rows = _window_compat(plan, (0, 0, 3 * n - 1, 4 * n - 1), windows, fillings)
+    below = _profiles_below(profs)
     entries = []
     for j, (prof, row) in enumerate(zip(profs, rows)):
-        passed = bool(row >> j & 1) and all(profile_leq(profs[i], prof) for i in _members(row))
+        passed = bool(row >> j & 1) and not row & ~below[j]
         entries.append(
             {
                 "pattern": simple_pattern(prof).rows(),

@@ -20,6 +20,7 @@ square with f completes every locally admissible partial assignment.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -279,23 +280,71 @@ def describe_subpattern(
     )
 
 
-def reconstruct_subpattern(desc: SquareDescription, nn: NNSpec) -> Pattern:
-    """Rebuild the described rectangle from borders alone."""
+def _check_description(desc: SquareDescription) -> None:
+    """Refuse a description whose grid, borders, shape and offset do not fit
+    together: ``load_description`` checks only their types."""
+    _check_level(desc.level)
+    di, dj = desc.grid
+    if di not in (1, 2) or dj not in (1, 2):
+        raise PatternError(f"description grid {desc.grid} is not 1 or 2 squares each way")
+    if len(desc.borders) != di * dj:
+        raise PatternError(f"description has {len(desc.borders)} borders for a {di}x{dj} grid")
+    (dr, dc), (h, w) = desc.offset, desc.shape
+    if h < 1 or w < 1:
+        raise PatternError(f"description shape {desc.shape} is empty")
+    g = 2**desc.level
+    if dr < 0 or dc < 0 or dr + h > di * g + 1 or dc + w > dj * g + 1:
+        raise PatternError(
+            f"description offset {desc.offset} and shape {desc.shape} leave the covering block"
+        )
+
+
+def reconstruct_subpattern(
+    desc: SquareDescription, nn: NNSpec, squares: dict | None = None
+) -> Pattern:
+    """Rebuild the described rectangle from borders alone.
+
+    ``squares`` maps (level, border) to the row strings of the square built
+    over it, so a caller that passes one dict to many descriptions of one
+    ``nn`` builds each distinct square once; ``standard_square`` is
+    deterministic, so the memo changes no answer.  Adjacent covering squares
+    share only ring cells, which ``standard_square`` keeps as given, so the
+    shared-line check reads O(side) cells, and each rectangle cell is read
+    straight out of its covering square by grid index."""
+    _check_description(desc)
+    if squares is None:
+        squares = {}
     g = 2**desc.level
     di, dj = desc.grid
-    squares = [standard_square(nn, b, desc.level) for b in desc.borders]
-    cells: dict[tuple[int, int], str] = {}
-    for idx, sq in enumerate(squares):
-        gi, gj = divmod(idx, dj)
-        top, left = gi * g, gj * g
-        placed = {(r + top, c + left): letter for (r, c), letter in sq.items()}
-        if any(cells[cell] != placed[cell] for cell in cells.keys() & placed.keys()):
+    built = []
+    for border in desc.borders:
+        key = (desc.level, border)
+        if key not in squares:
+            squares[key] = standard_square(nn, border, desc.level).rows()
+        built.append(squares[key])
+    for a, b in itertools.combinations(range(len(built)), 2):
+        (ia, ja), (ib, jb) = divmod(a, dj), divmod(b, dj)
+        rs = range(max(ia, ib) * g, min(ia, ib) * g + g + 1)
+        cs = range(max(ja, jb) * g, min(ja, jb) * g + g + 1)
+        if any(built[a][r - ia * g][c - ja * g] != built[b][r - ib * g][c - jb * g]
+               for r in rs for c in cs):
             raise PatternError("covering squares disagree on a shared line")
-        cells.update(placed)
+
+    def split(x: int, n: int) -> tuple[int, int]:
+        """The grid index of block coordinate x, and x inside that square."""
+        i = min(x // g, n - 1)
+        return i, x - i * g
+
     dr, dc = desc.offset
     h, w = desc.shape
-    out = {(r, c): cells[(dr + r, dc + c)] for r in range(h) for c in range(w)}
-    return Pattern(nn.alphabet, out)
+    rows = [split(dr + r, di) for r in range(h)]
+    cols = [split(dc + c, dj) for c in range(w)]
+    out = {
+        (r, c): built[i * dj + j][rr][cc]
+        for r, (i, rr) in enumerate(rows)
+        for c, (j, cc) in enumerate(cols)
+    }
+    return Pattern._adopt(nn.alphabet, out)  # noqa: SLF001 - out dies here
 
 
 def description_bits(desc: SquareDescription, alphabet: Alphabet) -> int:
@@ -380,14 +429,23 @@ def load_description(dirpath: str) -> SquareDescription:
 
 
 def lowcfg_roundtrip(
-    nn: NNSpec, pk: Pattern, k: int, rects: list[tuple[int, int, int, int]]
+    nn: NNSpec,
+    pk: Pattern,
+    k: int,
+    rects: list[tuple[int, int, int, int]],
+    metrics: dict | None = None,
 ) -> list[dict]:
     """Describe/reconstruct each rectangle and compare against the direct
-    restriction; returns one report entry per rectangle."""
+    restriction; returns one report entry per rectangle.  The rectangles
+    share one memo of built squares.  A ``metrics`` dict receives the number
+    of covering squares described and of squares built."""
+    squares: dict = {}
+    described = 0
     out = []
     for rect in rects:
         desc = describe_subpattern(nn, pk, k, rect)
-        rebuilt = reconstruct_subpattern(desc, nn)
+        described += len(desc.borders)
+        rebuilt = reconstruct_subpattern(desc, nn, squares)
         direct = subpattern(pk, rect)
         bits = description_bits(desc, nn.alphabet)
         bound = description_constant(nn.alphabet) * max(rect[2], rect[3])
@@ -400,6 +458,8 @@ def lowcfg_roundtrip(
                 "within_bound": bits <= bound,
             }
         )
+    if metrics is not None:
+        metrics.update(squares_described=described, squares_built=len(squares))
     return out
 
 

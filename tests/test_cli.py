@@ -484,6 +484,10 @@ def test_lowcfg_roundtrip_ok(tmp_path, capsys):
     assert len(res["rects"]) == 5
     assert all(e["ok"] and e["within_bound"] for e in res["rects"])
     assert (tmp_path / "desc" / "description.json").exists()
+    # five rectangles on one grid square each; every hard-square standard
+    # square is all 0, so one square is built per level met
+    assert report["metrics"] == {"squares_described": 5, "squares_built": 2}
+    assert "metrics" not in res
 
 
 @pytest.mark.parametrize("command", ["lowcfg-build", "lowcfg-roundtrip"])

@@ -47,6 +47,7 @@ from shiftlab.deepshift import (
     verify_archive,
     witness_bit_length,
 )
+from shiftlab.lowcfg import NNSpec, build_Pk, choose_border
 
 HS = hard_square_spec()
 
@@ -290,6 +291,17 @@ def test_benchmark_families_are_constant(which, request):
     for i in range(fam.depth + 1):
         for j, q in enumerate(fam.blocks(i)):
             assert set(q.cells.values()) == {str(j)}
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_hard_square_standard_squares_are_constant(k):
+    # the benchmark's lowcfg roundtrip is vacuous in the same way: the
+    # lex-least completable hard-square border is all 0, and 0 is both the
+    # filler and the least letter, so the lex-first fill is all 0 too and
+    # every covering square the roundtrip rebuilds is constant
+    nn = NNSpec(HS)
+    assert set(choose_border(nn, k).cells.values()) == {"0"}
+    assert set(build_Pk(nn, k).cells.values()) == {"0"}
 
 
 @pytest.mark.parametrize(

@@ -49,6 +49,7 @@ from shiftlab.epitomes import (
     _SIMPLE,
     _annulus_cells,
     _mirror_window,
+    _profiles_below,
 )
 
 RB = red_black_spec()
@@ -304,6 +305,27 @@ def test_enforcer_route_needs_the_own_profile(monkeypatch):
     assert [e["pass"] for e in rep.entries] == [True] + [False] * 8
     assert all(r.clause2 for r in reports)
     assert rep.counterexample == {"detail": "see enforcer sweep"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_profile_bitsets_agree_with_profile_leq(n, monkeypatch):
+    # bit i of below[j] is profile_leq(profs[i], profs[j]), so the bitset
+    # test of a window row is the all(profile_leq(...)) of its members, on
+    # every row of the placement pass
+    profs = list(all_profiles(n))
+    below = _profiles_below(profs)
+    for j, b in enumerate(profs):
+        assert [bool(below[j] >> i & 1) for i in range(len(profs))] == [
+            profile_leq(a, b) for a in profs
+        ]
+    calls = _recorded_window_checks(monkeypatch)
+    epitome_property_check(RB, profile_family(), n)
+    (rows,) = calls
+    for j, row in enumerate(rows):
+        want = all(profile_leq(profs[i], profs[j]) for i in range(len(profs)) if row >> i & 1)
+        assert (not row & ~below[j]) == want
+        with_top = row | 1 << len(profs) - 1  # the top profile is below only itself
+        assert (not with_top & ~below[j]) == (j == len(profs) - 1)
 
 
 @pytest.mark.parametrize("n, margin", [(1, 0), (1, 1), (2, 0), (2, 1)])

@@ -1,6 +1,7 @@
 """Standard squares for nearest-neighbour specs and their short
 sub-rectangle descriptions."""
 
+import dataclasses
 import json
 import random
 import re
@@ -26,6 +27,7 @@ from shiftlab.core import (
     spec_from_patterns,
     subpattern,
 )
+from shiftlab import lowcfg
 from shiftlab.lowcfg import (
     MAX_LEVEL,
     NNSpec,
@@ -517,12 +519,113 @@ def test_description_bits_within_declared_constant(p4_hs):
 
 
 def test_tampered_description_differs(p3, nn_no00):
-    import dataclasses
-
     rect = (2, 2, 3, 2)
     desc = describe_subpattern(nn_no00, p3, 3, rect)
     skewed = dataclasses.replace(desc, offset=(desc.offset[0], desc.offset[1] + 1))
     assert reconstruct_subpattern(skewed, nn_no00) != subpattern(p3, rect)
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"offset": (0, 1)}, "leave the covering block"),
+        ({"offset": (-1, 0)}, "leave the covering block"),
+        ({"shape": (9, 10)}, "leave the covering block"),
+        ({"shape": (0, 3)}, "is empty"),
+        ({"shape": (3, -1)}, "is empty"),
+        ({"grid": (2, 2)}, "1 borders for a 2x2 grid"),
+        ({"grid": (1, 3)}, "is not 1 or 2"),
+        ({"grid": (0, 1), "borders": ()}, "is not 1 or 2"),
+    ],
+    ids=[
+        "offset-past-the-block",
+        "negative-offset",
+        "shape-past-the-block",
+        "empty-shape",
+        "negative-shape",
+        "too-few-borders",
+        "grid-of-three",
+        "grid-of-none",
+    ],
+)
+def test_malformed_description_refused_before_any_build(
+    p3, nn_no00, monkeypatch, change, named
+):
+    # a full-square description of the level-3 square, made malformed
+    desc = dataclasses.replace(describe_subpattern(nn_no00, p3, 3, (0, 0, 9, 9)), **change)
+
+    def no_build(*args):
+        raise AssertionError("a malformed description reached standard_square")
+
+    monkeypatch.setattr(lowcfg, "standard_square", no_build)
+    with pytest.raises(PatternError, match=re.escape(named)):
+        reconstruct_subpattern(desc, nn_no00)
+
+
+def _level_1_square(cells=None):
+    ring = dict.fromkeys(ring_cells(3), "0")
+    return Pattern(BINARY, {**ring, **(cells or {})})
+
+
+def test_covering_squares_disagreeing_on_a_shared_column_refused():
+    # the left square's column 2 is all 0, the right square's column 0 has a
+    # 1 in the middle; both rings are admissible hard-square borders
+    left, right = _level_1_square(), _level_1_square({(1, 0): "1"})
+    desc = lowcfg.SquareDescription(1, (1, 2), (0, 0), (3, 5), (left, right))
+    with pytest.raises(PatternError, match="covering squares disagree on a shared line"):
+        reconstruct_subpattern(desc, NN_HS)
+    # agreeing borders rebuild; a border that fails to build is refused
+    # before any disagreement is looked for
+    ok = dataclasses.replace(desc, borders=(left, left))
+    assert reconstruct_subpattern(ok, NN_HS).rows() == ["00000"] * 3
+    bad = _level_1_square({(1, 0): "1", (2, 0): "1"})
+    with pytest.raises(PatternError, match="border ring is not locally admissible"):
+        reconstruct_subpattern(dataclasses.replace(desc, borders=(left, bad)), NN_HS)
+
+
+def test_reconstruction_memo_builds_each_distinct_square_once(p3, nn_no00, monkeypatch):
+    calls = []
+    real = lowcfg.standard_square
+
+    def counted(nn, border, m):
+        calls.append((m, border))
+        return real(nn, border, m)
+
+    monkeypatch.setattr(lowcfg, "standard_square", counted)
+    squares: dict = {}
+    rects = [(0, 0, 5, 5), (4, 4, 5, 5), (0, 0, 5, 5)]
+    descs = [describe_subpattern(nn_no00, p3, 3, rect) for rect in rects]
+    for desc, rect in zip(descs, rects):
+        assert reconstruct_subpattern(desc, nn_no00, squares) == subpattern(p3, rect)
+    keys = {(d.level, b) for d in descs for b in d.borders}
+    assert len(calls) == len(squares) == len(keys) and set(squares) == keys
+    # a lone call builds every covering square of its own
+    calls.clear()
+    reconstruct_subpattern(descs[0], nn_no00)
+    assert len(calls) == len(descs[0].borders)
+
+
+def test_reconstruction_memo_is_keyed_by_level():
+    # the same border is a level-1 ring only: met again at level 2 it is
+    # refused, not served from the memo
+    border = _level_1_square()
+    squares: dict = {}
+    one = lowcfg.SquareDescription(1, (1, 1), (0, 0), (3, 3), (border,))
+    assert reconstruct_subpattern(one, NN_HS, squares).rows() == ["000"] * 3
+    two = dataclasses.replace(one, level=2)
+    with pytest.raises(PatternError, match="border support is not the level-2 ring"):
+        reconstruct_subpattern(two, NN_HS, squares)
+
+
+def test_roundtrip_metrics_count_described_and_built_squares(p4_hs):
+    rects = [(0, 0, 17, 17), (5, 5, 7, 7), (3, 3, 7, 7), (16, 0, 1, 17)]
+    metrics: dict = {}
+    reports = lowcfg_roundtrip(NN_HS, p4_hs, 4, rects, metrics)
+    assert all(rep["ok"] for rep in reports)
+    # one level-4 square, 4 + 4 level-3 squares over the all-0 ring, and one
+    # level-4 square for the bottom row: two distinct (level, border) pairs
+    assert metrics == {"squares_described": 10, "squares_built": 2}
+    assert lowcfg_roundtrip(NN_HS, p4_hs, 4, rects) == reports
 
 
 def test_description_save_load(p3, nn_no00, tmp_path):

@@ -50,6 +50,7 @@ TOP_DOWN = "tests/test_core.py::test_count_rect_patterns_reads_placements_top_do
 ENFORCER_BITS = "tests/test_epitomes.py::test_enforcer_route_bits_match_verify_enforcer"
 MIRROR_BITS = "tests/test_epitomes.py::test_mirror_route_matches_per_candidate_scans"
 VACUOUS = "tests/test_epitomes.py::test_vacuous_property_check_refused_before_any_window_check"
+ROUNDTRIP = "tests/test_lowcfg.py::test_roundtrip_random_rects"
 REFERENCE_VM = "tests/test_complexity.py::test_library_agrees_with_reference_interpreter"
 
 # name -> (file, text, replacement, tests that should kill it)
@@ -112,9 +113,15 @@ MUTANTS = {
     # the routes
     "enforcer-own-bit-dropped": (
         EPITOMES,
-        "passed = bool(row >> j & 1) and all(",
-        "passed = all(",
+        "passed = bool(row >> j & 1) and not row & ~below[j]",
+        "passed = not row & ~below[j]",
         ["tests/test_epitomes.py::test_enforcer_route_needs_the_own_profile"],
+    ),
+    "profile-bitset-strict": (
+        EPITOMES,
+        "if x <= k)",
+        "if x < k)",
+        ["tests/test_epitomes.py::test_profile_bitsets_agree_with_profile_leq", ENFORCER_BITS],
     ),
     "enforcer-rows-and-columns-swapped": (
         EPITOMES,
@@ -188,6 +195,25 @@ MUTANTS = {
         "[(r, mid) for r in inner if r != mid]",
         "[(r, mid) for r in inner if r < mid]",
         [VISIT_ORDER, RECURSIVE_FILL],
+    ),
+    # reconstruction from covering squares
+    "shared-line-check-dropped": (
+        LOWCFG,
+        'raise PatternError("covering squares disagree on a shared line")',
+        "pass",
+        ["tests/test_lowcfg.py::test_covering_squares_disagreeing_on_a_shared_column_refused"],
+    ),
+    "memo-key-without-level": (
+        LOWCFG,
+        "key = (desc.level, border)",
+        "key = border",
+        ["tests/test_lowcfg.py::test_reconstruction_memo_is_keyed_by_level"],
+    ),
+    "cut-without-grid-clamp": (
+        LOWCFG,
+        "i = min(x // g, n - 1)",
+        "i = x // g",
+        ["tests/test_lowcfg.py::test_describe_full_square", ROUNDTRIP],
     ),
     # the row transfer of count_rect_patterns
     "transfer-state-one-row-short": (
