@@ -34,7 +34,7 @@ from .complexity import (
     rank_width,
     tuple_threshold,
 )
-from .core import InfeasibleError, Pattern, PatternError, get_spec
+from .core import InfeasibleError, PatternError, get_spec, read_head, read_pattern, write_pattern
 from .deepshift import (
     build_family,
     decode_two_part,
@@ -88,13 +88,6 @@ def _family_of(args):
     if args.family != "interior-popcount":
         raise PatternError(f"--kind applies to the interior-popcount family only, not {args.family}")
     return factory(kind=args.kind)
-
-
-def _read_pattern(path: str) -> Pattern:
-    if path == "-":
-        return Pattern.from_text(sys.stdin.read())
-    with open(path, "r", encoding="ascii") as fh:
-        return Pattern.from_text(fh.read())
 
 
 def _int_list(text: str) -> list[int]:
@@ -151,7 +144,7 @@ def _cmd_deep_build(args):
 
 def _cmd_deep_member(args):
     fam = load_family(args.family)
-    p = _read_pattern(args.pattern)
+    p = read_pattern(args.pattern)
     res = member(p, fam)
     payload = {
         "accepted": res.accepted,
@@ -170,10 +163,8 @@ def _cmd_lowcfg_build(args):
     pk = build_Pk(nn, args.k)
     payload = {"k": args.k, "side": pk.height}
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"P_{args.k}.txt")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(pk.to_text())
+        write_pattern(pk, path)
         payload["written"] = path
     else:
         payload["pattern"] = pk.rows()
@@ -315,7 +306,7 @@ def _cmd_border_consistency(args):
 
 def _cmd_two_part_code(args):
     spec = get_spec(args.spec)
-    p = _read_pattern(args.pattern)
+    p = read_pattern(args.pattern)
     code = two_part_code(p, args.k, spec, margin=args.margin)
     roundtrip = decode_two_part(code.bits) == p
     payload = {
@@ -333,15 +324,12 @@ def _cmd_two_part_code(args):
 
 
 def _cmd_render(args):
-    p = _read_pattern(args.pattern)
+    p = read_pattern(args.pattern)
     return p.render()
 
 
 def _cmd_verify_archive(args):
-    expected = None
-    if args.expect_params:
-        with open(args.expect_params, "r", encoding="ascii") as fh:
-            expected = params_from_dict(json.load(fh))
+    expected = params_from_dict(read_head(args.expect_params)) if args.expect_params else None
     rep = verify_archive(args.archive, expected_params=expected)
     payload = {
         "ok": rep.ok,

@@ -17,6 +17,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import json
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -238,6 +241,8 @@ class Pattern:
         body = lines[1 : 1 + h]
         if len(body) != h:
             raise PatternError(f"expected {h} rows, found {len(body)}")
+        if any(line.strip() for line in lines[1 + h :]):
+            raise PatternError(f"text follows the {h} rows")
         cells: dict[tuple[int, int], str] = {}
         for r, line in enumerate(body):
             if len(line) != w:
@@ -982,22 +987,111 @@ def spec_from_patterns(name: str, alphabet: Alphabet, patterns: Iterable[Pattern
     return ShiftSpec(name, alphabet, enumerator)
 
 
-def spec_from_files(name: str, paths: Iterable[str]) -> ShiftSpec:
-    """Load forbidden patterns from text files (one pattern per file)."""
-    pats = []
-    for path in paths:
-        with open(path, "r", encoding="ascii") as fh:
-            pats.append(Pattern.from_text(fh.read()))
-    if not pats:
-        raise PatternError("no forbidden pattern files given")
-    return spec_from_patterns(name, pats[0].alphabet, pats)
-
-
 def get_spec(name: str) -> ShiftSpec:
     """Resolve a built-in spec name or a ``file:`` prefixed pattern path list."""
     if name in BUILTIN_SPECS:
         return BUILTIN_SPECS[name]()
     if name.startswith("file:"):
-        paths = name[len("file:") :].split(",")
-        return spec_from_files("user", paths)
+        pats = [read_pattern(path) for path in name[len("file:") :].split(",")]
+        return spec_from_patterns("user", pats[0].alphabet, pats)
     raise PatternError(f"unknown shift spec {name!r}")
+
+
+# ---------------------------------------------------------------------------
+# Archives: directories of pattern files named by a JSON head
+# ---------------------------------------------------------------------------
+
+
+def read_pattern(path: str) -> Pattern:
+    """One pattern file; ``-`` reads standard input."""
+    if path == "-":
+        return Pattern.from_text(sys.stdin.read())
+    with open(path, "r", encoding="ascii") as fh:
+        return Pattern.from_text(fh.read())
+
+
+def read_head(path: str):
+    """One JSON head, parsed but not checked."""
+    with open(path, "r", encoding="ascii") as fh:
+        return json.load(fh)
+
+
+def write_pattern(p: Pattern, path: str) -> None:
+    """Write one pattern file, making its parent directories."""
+    _write(path, p.to_text())
+
+
+def write_head(head: dict, path: str) -> None:
+    """Write one JSON head (indent 2, sorted keys, a trailing newline),
+    making its parent directories."""
+    _write(path, json.dumps(head, indent=2, sort_keys=True) + "\n")
+
+
+def _write(path: str, text: str) -> None:
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
+
+
+def require_keys(d, keys: Iterable[str], what: str) -> None:
+    """Refuse a head part that is not an object or lacks a key (all named)."""
+    if not isinstance(d, dict):
+        raise PatternError(f"{what} is not a JSON object")
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise PatternError(f"{what} lacks {', '.join(map(repr, missing))}")
+
+
+def int_field(v, what: str) -> int:
+    """``v`` if it is an int; bools and floats are refused."""
+    if type(v) is not int:
+        raise PatternError(f"{what} is not an int: {v!r}")
+    return v
+
+
+def list_field(v, what: str, length: int | None = None) -> list:
+    """``v`` if it is a list, of ``length`` entries when that is given."""
+    if not isinstance(v, list):
+        raise PatternError(f"{what} is not a list: {v!r}")
+    if length not in (None, len(v)):
+        raise PatternError(f"{what} has {len(v)} entries, not {length}")
+    return v
+
+
+def int_list(v, what: str, length: int | None = None) -> tuple[int, ...]:
+    """A list of ints, of ``length`` entries when that is given, as a tuple."""
+    return tuple(int_field(x, f"{what} entry") for x in list_field(v, what, length))
+
+
+def archive_path(dirpath: str, rel, what: str) -> str:
+    """``rel`` joined to ``dirpath``, refused unless it names a file inside
+    that directory: a relative path with no '..' component whose last
+    component is a name."""
+    parts = rel.replace(os.sep, "/").split("/") if isinstance(rel, str) else None
+    if (
+        parts is None
+        or ".." in parts
+        or parts[-1] in ("", ".")
+        or "\0" in rel
+        or os.path.isabs(rel)
+    ):
+        raise PatternError(f"{what} {rel!r} is not a file inside the directory")
+    return os.path.join(dirpath, rel)
+
+
+def gamma_encode(v: int) -> str:
+    """Elias gamma code of a positive integer."""
+    if v < 1:
+        raise ValueError("gamma codes positive integers")
+    b = bin(v)[2:]
+    return "0" * (len(b) - 1) + b
+
+
+def gamma_decode(bits: str, pos: int) -> tuple[int, int]:
+    z = 0
+    while pos + z < len(bits) and bits[pos + z] == "0":
+        z += 1
+    end = pos + z + z + 1
+    if end > len(bits):
+        raise PatternError("truncated gamma code")
+    return int(bits[pos + z : end], 2), end

@@ -19,7 +19,6 @@ bit-exactly from their manifests.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterable
@@ -39,8 +38,19 @@ from .core import (
     Pattern,
     PatternError,
     ShiftSpec,
+    archive_path,
+    gamma_decode,
+    gamma_encode,
+    int_field,
+    int_list,
     invert,
+    list_field,
+    read_head,
+    read_pattern,
+    require_keys,
     subpattern,
+    write_head,
+    write_pattern,
 )
 
 TWO_BLOCK = "two-block"
@@ -427,24 +437,6 @@ def witness_bit_length(res: MemberResult, fam: StandardBlockFamily) -> int:
 # ---------------------------------------------------------------------------
 
 
-def gamma_encode(v: int) -> str:
-    """Elias gamma code of a positive integer."""
-    if v < 1:
-        raise ValueError("gamma codes positive integers")
-    b = bin(v)[2:]
-    return "0" * (len(b) - 1) + b
-
-
-def gamma_decode(bits: str, pos: int) -> tuple[int, int]:
-    z = 0
-    while pos + z < len(bits) and bits[pos + z] == "0":
-        z += 1
-    end = pos + z + z + 1
-    if end > len(bits):
-        raise PatternError("truncated gamma code")
-    return int(bits[pos + z : end], 2), end
-
-
 @dataclass(frozen=True)
 class TwoPartCode:
     bits: str
@@ -585,47 +577,41 @@ def params_to_dict(params: DeepParams) -> dict:
     }
 
 
-def _require(d, keys: Iterable[str], what: str) -> None:
-    """Refuse a manifest part that is not an object or lacks a key, naming
-    every missing key."""
-    if not isinstance(d, dict):
-        raise PatternError(f"{what} is not a JSON object")
-    missing = [k for k in keys if k not in d]
-    if missing:
-        raise PatternError(f"{what} lacks {', '.join(map(repr, missing))}")
-
-
 def params_from_dict(d: dict) -> DeepParams:
-    _require(d, [f.name for f in fields(DeepParams)], "params")
+    """A manifest's ``params``, with the type of every field and the length
+    of every per-level list checked."""
+    require_keys(d, [f.name for f in fields(DeepParams)], "params")
     # older manifests name the search that picked each level; a non-exact
     # one would be rebuilt with a different search, so it is refused
     if d.get("oracle", "exact") != "exact":
         raise PatternError(f"params 'oracle' is {d['oracle']!r}; only exact searches rebuild")
+    depth = int_field(d["depth"], "params 'depth'")
+    if depth < 1:
+        raise PatternError(f"params 'depth' is {depth}, below 1")
+    if d["mode"] not in (TWO_BLOCK, MULTI_BLOCK):
+        raise PatternError(f"params 'mode' {d['mode']!r} is unknown")
+    override = d["structural_override"]
+    if override is not None:
+        override = int_list(override, "params 'structural_override'")
+    sizes = {"n": depth + 2, "N": depth + 1, "block_counts": depth + 1, "thresholds": depth + 1}
     return DeepParams(
-        n0=d["n0"],
-        c=d["c"],
-        depth=d["depth"],
+        n0=int_field(d["n0"], "params 'n0'"),
+        c=int_field(d["c"], "params 'c'"),
+        depth=depth,
         mode=d["mode"],
-        structural_override=tuple(d["structural_override"])
-        if d["structural_override"] is not None
-        else None,
-        n=tuple(d["n"]),
-        N=tuple(d["N"]),
-        block_counts=tuple(d["block_counts"]),
-        thresholds=tuple(d["thresholds"]),
-        budgets=tuple(LevelBudget(*b) for b in d["budgets"]),
+        structural_override=override,
+        budgets=tuple(
+            LevelBudget(*int_list(b, "params 'budgets' entry", 3))
+            for b in list_field(d["budgets"], "params 'budgets'", depth + 1)
+        ),
+        **{key: int_list(d[key], f"params {key!r}", size) for key, size in sizes.items()},
     )
-
-
-def _block_relpath(level: int, j: int) -> str:
-    return f"level_{level}/Q_{j}.txt"
 
 
 def save_family(fam: StandardBlockFamily, dirpath: str) -> dict:
     """Write the archive: a JSON manifest plus one pattern file per block and
     per selector matrix.  Everything needed for a bit-exact rebuild is in the
     manifest."""
-    os.makedirs(dirpath, exist_ok=True)
     manifest: dict = {
         "format_version": 1,
         "package_version": __version__,
@@ -635,57 +621,63 @@ def save_family(fam: StandardBlockFamily, dirpath: str) -> dict:
         "levels": [],
     }
     for entry in fam.levels:
-        os.makedirs(os.path.join(dirpath, f"level_{entry.level}"), exist_ok=True)
-        files = []
-        for j, block in enumerate(entry.blocks):
-            rel = _block_relpath(entry.level, j)
-            with open(os.path.join(dirpath, rel), "w", encoding="ascii") as fh:
-                fh.write(block.to_text())
-            files.append(rel)
+        files = [f"level_{entry.level}/Q_{j}.txt" for j in range(len(entry.blocks))]
+        for rel, block in zip(files, entry.blocks):
+            write_pattern(block, os.path.join(dirpath, rel))
         level_entry: dict = {"level": entry.level, "block_files": files}
         if entry.witness_matrix is not None:
             rel = f"level_{entry.level}/R.txt"
-            with open(os.path.join(dirpath, rel), "w", encoding="ascii") as fh:
-                fh.write(entry.witness_matrix.to_text())
+            write_pattern(entry.witness_matrix, os.path.join(dirpath, rel))
             level_entry["witness_matrix"] = rel
         if entry.witness_perms is not None:
             level_entry["witness_perms"] = [list(p) for p in entry.witness_perms]
         manifest["levels"].append(level_entry)
-    with open(os.path.join(dirpath, "manifest.json"), "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_head(manifest, os.path.join(dirpath, "manifest.json"))
     return manifest
 
 
-def _read_manifest(dirpath: str) -> dict:
-    """The archive's manifest, with every key the readers use checked."""
-    with open(os.path.join(dirpath, "manifest.json"), "r", encoding="ascii") as fh:
-        manifest = json.load(fh)
-    _require(manifest, ("params", "measured_steps", "levels"), "manifest")
-    if not isinstance(manifest["levels"], list):
-        raise PatternError("manifest levels is not a JSON list")
-    for le in manifest["levels"]:
-        _require(le, ("level", "block_files"), "manifest level entry")
-    return manifest
+def _level_files(dirpath: str, i: int, le, params: DeepParams):
+    """The checked entry of level i: its number, its block files (as many as
+    ``block_counts[i]``), its matrix file and its permutations."""
+    what = f"manifest level {i}"
+    require_keys(le, ("level", "block_files"), what)
+    if int_field(le["level"], f"{what} 'level'") != i:
+        raise PatternError(f"{what} is numbered {le['level']}; levels run 0..depth in order")
+    rels = list_field(le["block_files"], f"{what} 'block_files'", params.block_counts[i])
+    files = [archive_path(dirpath, rel, f"{what} block file") for rel in rels]
+    wm = wp = None
+    if "witness_matrix" in le:
+        wm = archive_path(dirpath, le["witness_matrix"], f"{what} 'witness_matrix'")
+    if "witness_perms" in le:
+        perms = list_field(le["witness_perms"], f"{what} 'witness_perms'")
+        wp = tuple(int_list(p, f"{what} permutation") for p in perms)
+    return files, wm, wp
+
+
+def _read_archive(dirpath: str) -> tuple[StandardBlockFamily, list]:
+    """The archive's family and its manifest's level entries.  Every key,
+    type, count and path of the manifest is checked before a file it names
+    is opened; then each block must be an N_i x N_i binary square."""
+    manifest = read_head(os.path.join(dirpath, "manifest.json"))
+    require_keys(manifest, ("params", "measured_steps", "levels"), "manifest")
+    params = params_from_dict(manifest["params"])
+    steps = int_list(manifest["measured_steps"], "manifest 'measured_steps'", params.depth + 1)
+    entries = list_field(manifest["levels"], "manifest 'levels'", params.depth + 1)
+    checked = [_level_files(dirpath, i, le, params) for i, le in enumerate(entries)]
+    levels = []
+    for i, (files, wm, wp) in enumerate(checked):
+        blocks = tuple(map(read_pattern, files))
+        side = params.N[i]
+        if not all(b.is_rectangular and b.height == b.width == side and b.alphabet == BINARY
+                   for b in blocks):
+            raise PatternError(f"manifest level {i} lists a block that is not {side}x{side} binary")
+        levels.append(LevelBlocks(i, blocks, None if wm is None else read_pattern(wm), wp))
+    return StandardBlockFamily(params, levels, steps), entries
 
 
 def load_family(dirpath: str) -> StandardBlockFamily:
     """Read an archive back without rebuilding (no searches re-run)."""
-    manifest = _read_manifest(dirpath)
-    params = params_from_dict(manifest["params"])
-    levels = []
-    for le in manifest["levels"]:
-        blocks = []
-        for rel in le["block_files"]:
-            with open(os.path.join(dirpath, rel), "r", encoding="ascii") as fh:
-                blocks.append(Pattern.from_text(fh.read()))
-        wm = None
-        if "witness_matrix" in le:
-            with open(os.path.join(dirpath, le["witness_matrix"]), "r", encoding="ascii") as fh:
-                wm = Pattern.from_text(fh.read())
-        wp = tuple(tuple(p) for p in le["witness_perms"]) if "witness_perms" in le else None
-        levels.append(LevelBlocks(le["level"], tuple(blocks), wm, wp))
-    return StandardBlockFamily(params, levels, tuple(manifest["measured_steps"]))
+    return _read_archive(dirpath)[0]
 
 
 @dataclass(frozen=True)
@@ -697,38 +689,29 @@ class ArchiveReport:
 
 def verify_archive(dirpath: str, expected_params: DeepParams | None = None) -> ArchiveReport:
     """Rebuild the family from the manifest alone (budgets taken verbatim)
-    and bit-compare every stored file; optionally first diff the manifest's
-    parameters against an expected configuration."""
-    manifest = _read_manifest(dirpath)
-    params = params_from_dict(manifest["params"])
+    and compare every stored block, matrix and permutation; optionally first
+    diff the manifest's parameters against an expected configuration."""
+    fam, entries = _read_archive(dirpath)
     diffs: list[str] = []
     if expected_params is not None:
-        got = manifest["params"]
+        got = params_to_dict(fam.params)
         want = params_to_dict(expected_params)
         for key in sorted(want):
-            if got.get(key) != want[key]:
-                diffs.append(f"params.{key}: manifest={got.get(key)!r} expected={want[key]!r}")
-    rebuilt = build_family(params, budgets_final=True)
+            if got[key] != want[key]:
+                diffs.append(f"params.{key}: manifest={got[key]!r} expected={want[key]!r}")
+    rebuilt = build_family(fam.params, budgets_final=True)
     mismatches: list[str] = []
-    for le in manifest["levels"]:
-        i = le["level"]
-        for j, rel in enumerate(le["block_files"]):
-            with open(os.path.join(dirpath, rel), "r", encoding="ascii") as fh:
-                stored = fh.read()
-            if stored != rebuilt.levels[i].blocks[j].to_text():
+    for le, mine, theirs in zip(entries, fam.levels, rebuilt.levels):
+        i = mine.level
+        if len(mine.blocks) != len(theirs.blocks):
+            mismatches.append(f"block count at level {i}")
+        for j, (rel, a, b) in enumerate(zip(le["block_files"], mine.blocks, theirs.blocks)):
+            if a != b:
                 mismatches.append(f"Q_{i}^{j} ({rel})")
-        if "witness_matrix" in le:
-            with open(os.path.join(dirpath, le["witness_matrix"]), "r", encoding="ascii") as fh:
-                stored = fh.read()
-            if stored != rebuilt.levels[i].witness_matrix.to_text():
-                mismatches.append(f"R_{i} ({le['witness_matrix']})")
-        if "witness_perms" in le:
-            if [list(p) for p in rebuilt.levels[i].witness_perms] != le["witness_perms"]:
-                mismatches.append(f"permutations at level {i}")
-    if list(rebuilt.measured_steps) != manifest["measured_steps"]:
+        if mine.witness_matrix != theirs.witness_matrix:
+            mismatches.append(f"R_{i} ({le.get('witness_matrix', 'missing')})")
+        if mine.witness_perms != theirs.witness_perms:
+            mismatches.append(f"permutations at level {i}")
+    if fam.measured_steps != rebuilt.measured_steps:
         mismatches.append("measured_steps")
-    return ArchiveReport(
-        ok=not diffs and not mismatches,
-        manifest_diff=tuple(diffs),
-        mismatches=tuple(mismatches),
-    )
+    return ArchiveReport(not diffs and not mismatches, tuple(diffs), tuple(mismatches))

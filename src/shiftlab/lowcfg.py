@@ -21,7 +21,6 @@ square with f completes every locally admissible partial assignment.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from dataclasses import dataclass
 
@@ -31,12 +30,21 @@ from .core import (
     Pattern,
     PatternError,
     ShiftSpec,
+    archive_path,
     completable,
+    gamma_encode,
+    int_field,
+    int_list,
     kernel_of,
     lex_assignments,
+    list_field,
+    read_head,
+    read_pattern,
+    require_keys,
     subpattern,
+    write_head,
+    write_pattern,
 )
-from .deepshift import _require, gamma_encode
 
 _NN_SUPPORTS = (
     frozenset({(0, 0)}),
@@ -368,13 +376,9 @@ def description_constant(alphabet: Alphabet) -> int:
 
 
 def save_description(desc: SquareDescription, dirpath: str) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    files = []
-    for ix, b in enumerate(desc.borders):
-        rel = f"border_{ix}.txt"
-        with open(os.path.join(dirpath, rel), "w", encoding="ascii") as fh:
-            fh.write(b.to_text())
-        files.append(rel)
+    files = [f"border_{ix}.txt" for ix in range(len(desc.borders))]
+    for rel, border in zip(files, desc.borders):
+        write_pattern(border, os.path.join(dirpath, rel))
     head = {
         "format_version": 1,
         "level": desc.level,
@@ -383,49 +387,21 @@ def save_description(desc: SquareDescription, dirpath: str) -> None:
         "shape": list(desc.shape),
         "border_files": files,
     }
-    with open(os.path.join(dirpath, "description.json"), "w", encoding="ascii") as fh:
-        json.dump(head, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _int_pair(head: dict, key: str) -> tuple[int, int]:
-    v = head[key]
-    if not (isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v)):
-        raise PatternError(f"description.json {key!r} is not a list of two ints: {v!r}")
-    return (v[0], v[1])
-
-
-def _border_file(rel) -> str:
-    """A border file name, refused unless it names a file inside the
-    description directory: no absolute path and no '..' component."""
-    if (
-        not isinstance(rel, str)
-        or rel in ("", ".")
-        or os.path.isabs(rel)
-        or ".." in rel.replace(os.sep, "/").split("/")
-    ):
-        raise PatternError(
-            f"description.json 'border_files' entry {rel!r} is not a file inside the directory"
-        )
-    return rel
+    write_head(head, os.path.join(dirpath, "description.json"))
 
 
 def load_description(dirpath: str) -> SquareDescription:
     """Read a description back, refusing with ``PatternError`` a head whose
-    keys are missing or of the wrong type."""
-    with open(os.path.join(dirpath, "description.json"), "r", encoding="ascii") as fh:
-        head = json.load(fh)
-    _require(head, ["level", "grid", "offset", "shape", "border_files"], "description.json")
-    if type(head["level"]) is not int:
-        raise PatternError(f"description.json 'level' is not an int: {head['level']!r}")
-    pairs = {key: _int_pair(head, key) for key in ("grid", "offset", "shape")}
-    if not isinstance(head["border_files"], list):
-        raise PatternError("description.json 'border_files' is not a list")
-    borders = []
-    for rel in [_border_file(rel) for rel in head["border_files"]]:
-        with open(os.path.join(dirpath, rel), "r", encoding="ascii") as fh:
-            borders.append(Pattern.from_text(fh.read()))
-    return SquareDescription(level=head["level"], borders=tuple(borders), **pairs)
+    keys are missing or of the wrong type, or that names a file outside the
+    directory."""
+    what = "description.json"
+    head = read_head(os.path.join(dirpath, what))
+    require_keys(head, ["level", "grid", "offset", "shape", "border_files"], what)
+    level = int_field(head["level"], f"{what} 'level'")
+    pairs = {key: int_list(head[key], f"{what} {key!r}", 2) for key in ("grid", "offset", "shape")}
+    rels = list_field(head["border_files"], f"{what} 'border_files'")
+    files = [archive_path(dirpath, rel, f"{what} 'border_files' entry") for rel in rels]
+    return SquareDescription(level=level, borders=tuple(map(read_pattern, files)), **pairs)
 
 
 def lowcfg_roundtrip(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 from dataclasses import replace
@@ -411,6 +412,70 @@ def test_verify_archive_expect_params_diff(archive, tmp_path, capsys):
     )
     assert rc == 2
     assert any("params.budgets" in d for d in report["result"]["manifest_diff"])
+
+
+def _absolute_block(archive_dir):
+    return os.path.join(archive_dir, "level_1", "Q_1.txt")
+
+
+def _outside_block(archive_dir):
+    """A copy of a valid level-1 block outside the archive, as a path relative
+    to it: a reader that let the path through would load and answer."""
+    outside = pathlib.Path(archive_dir).parent / "outside.txt"
+    outside.write_text(pathlib.Path(_absolute_block(archive_dir)).read_text())
+    return os.path.relpath(outside, archive_dir)
+
+
+def _put(*path, value):
+    """Set the manifest node at ``path``; a callable value is called with the
+    archive directory."""
+    def tamper(manifest, archive_dir):
+        for key in path[:-1]:
+            manifest = manifest[key]
+        manifest[path[-1]] = value(archive_dir) if callable(value) else value
+
+    return tamper
+
+
+@pytest.mark.parametrize(
+    "tamper, named",
+    [
+        # field types
+        (_put("levels", 1, "block_files", value=[5, 6]), "block file 5"),
+        (_put("levels", 1, "witness_matrix", value=7), "'witness_matrix' 7"),
+        (_put("levels", 1, "witness_perms", value=5), "'witness_perms' is not a list"),
+        (_put("measured_steps", value=5), "'measured_steps' is not a list"),
+        (_put("params", "N", value=5), "params 'N' is not a list"),
+        (_put("params", "budgets", value=[[1, 2]]), "params 'budgets' has 1 entries, not 4"),
+        (_put("levels", 1, "level", value="x"), "'level' is not an int"),
+        # paths that leave the archive, to blocks that would load
+        (_put("levels", 1, "block_files", 0, value=_absolute_block), "not a file inside"),
+        (_put("levels", 1, "block_files", 0, value=_outside_block), "not a file inside"),
+        # level shapes
+        (lambda m, d: m["levels"].pop(), "'levels' has 3 entries, not 4"),
+        (lambda m, d: m["levels"].reverse(), "manifest level 0 is numbered 3"),
+        (lambda m, d: m["levels"][1]["block_files"].pop(), "has 1 entries, not 2"),
+        (_put("levels", 1, "block_files", 0, value="level_0/Q_0.txt"), "not 4x4 binary"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [("deep-member", "--family", "{out}", "--pattern", "{probe}"), ("verify-archive", "{out}")],
+    ids=["deep-member", "verify-archive"],
+)
+def test_malformed_manifest_exits_1_with_one_line(archive, tmp_path, capsys, argv, tamper, named):
+    out, _ = archive
+    mpath = pathlib.Path(out) / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    tamper(manifest, out)
+    mpath.write_text(json.dumps(manifest))
+    probe = tmp_path / "probe.txt"
+    probe.write_text(make_pattern(["00", "00"]).to_text())
+    argv = [a.format(out=out, probe=probe) for a in argv]
+    rc, stdout, err = run_cli(capsys, *argv)
+    assert (rc, stdout) == (1, "")
+    assert err.startswith("shiftlab:") and err.count("\n") == 1
+    assert named in err
 
 
 def test_deep_build_multi_block_infeasible(tmp_path, capsys):

@@ -110,6 +110,14 @@ def test_from_text_truncated_body():
         Pattern.from_text("2 2 2\n01\n")
 
 
+def test_from_text_refuses_text_after_the_grid():
+    # an archive reader compares patterns, so a stored file may not carry
+    # rows the pattern drops; blank lines at the end are allowed
+    with pytest.raises(PatternError, match="text follows the 1 rows"):
+        Pattern.from_text("2 1 2\n01\n10\n")
+    assert Pattern.from_text("2 1 2\n01\n\n") == make_pattern(["01"])
+
+
 def test_render_is_body_of_to_text():
     p = make_pattern(["00", "00"])
     assert p.render() == "00\n00\n"

@@ -700,6 +700,42 @@ def test_verify_archive_detects_tampered_measurements(structural_fam, tmp_path):
     assert "measured_steps" in report.mismatches
 
 
+@pytest.mark.parametrize(
+    "key, named",
+    [("witness_matrix", "R_1 (missing)"), ("witness_perms", "permutations at level 1")],
+)
+def test_verify_archive_detects_a_dropped_witness(structural_fam, multi_fam, tmp_path, key, named):
+    fam = structural_fam if key == "witness_matrix" else multi_fam
+    d = str(tmp_path / "fam")
+    save_family(fam, d)
+    mpath = tmp_path / "fam" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    del manifest["levels"][1][key]
+    mpath.write_text(json.dumps(manifest))
+    report = verify_archive(d)
+    assert not report.ok
+    assert report.mismatches == (named,)
+
+
+def test_verify_archive_detects_a_block_the_rebuild_lacks(structural_fam, tmp_path):
+    # a two-block manifest that claims three blocks a level loads, but the
+    # rebuild makes two
+    d = str(tmp_path / "fam")
+    save_family(structural_fam, d)
+    mpath = tmp_path / "fam" / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["params"]["block_counts"] = [3] * len(manifest["levels"])
+    for le in manifest["levels"]:
+        le["block_files"].append(le["block_files"][0])
+    mpath.write_text(json.dumps(manifest))
+    assert len(load_family(d).blocks(1)) == 3
+    report = verify_archive(d)
+    assert not report.ok
+    assert [m for m in report.mismatches if m.startswith("block count")] == [
+        f"block count at level {i}" for i in range(len(manifest["levels"]))
+    ]
+
+
 def test_verify_archive_params_diff(structural_fam, tmp_path):
     d = str(tmp_path / "fam")
     save_family(structural_fam, d)

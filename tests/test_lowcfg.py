@@ -5,6 +5,8 @@ import dataclasses
 import json
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -635,6 +637,19 @@ def test_description_save_load(p3, nn_no00, tmp_path):
     back = load_description(str(tmp_path / "d"))
     assert back == desc
     assert reconstruct_subpattern(back, nn_no00) == subpattern(p3, rect)
+
+
+def test_lowcfg_imports_only_core(child_env):
+    # the archive format and the gamma code live in core, so lowcfg loads
+    # neither the program search nor the completion search
+    snippet = "import json, sys, shiftlab.lowcfg; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", snippet], capture_output=True, text=True, timeout=120, env=child_env
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "shiftlab.lowcfg" in loaded
+    assert not loaded & {"shiftlab.deepshift", "shiftlab.complexity", "shiftlab.admissibility"}
 
 
 _DESCRIPTION = {"level": 1, "grid": [1, 1], "offset": [0, 0], "shape": [1, 1], "border_files": []}

@@ -40,6 +40,7 @@ BRUTE = "tests/test_epitomes.py::test_generic_route_matches_brute_force"
 DIGITS = "tests/test_kernels.py::test_digit_masks_match_their_definition"
 LOWCFG = "src/shiftlab/lowcfg.py"
 COMPLEXITY = "src/shiftlab/complexity.py"
+DEEPSHIFT = "src/shiftlab/deepshift.py"
 RECURSIVE_FILL = "tests/test_lowcfg.py::test_standard_square_matches_the_recursive_fill"
 VISIT_ORDER = "tests/test_lowcfg.py::test_fill_order_is_the_recursions_visit_order"
 RED_BLACK_4 = "tests/test_core.py::test_red_black_4_frozen"
@@ -52,6 +53,8 @@ MIRROR_BITS = "tests/test_epitomes.py::test_mirror_route_matches_per_candidate_s
 VACUOUS = "tests/test_epitomes.py::test_vacuous_property_check_refused_before_any_window_check"
 ROUNDTRIP = "tests/test_lowcfg.py::test_roundtrip_random_rects"
 REFERENCE_VM = "tests/test_complexity.py::test_library_agrees_with_reference_interpreter"
+BAD_MANIFEST = "tests/test_cli.py::test_malformed_manifest_exits_1_with_one_line"
+BAD_DESCRIPTION = "tests/test_lowcfg.py::test_load_description_refuses_malformed_heads"
 
 # name -> (file, text, replacement, tests that should kill it)
 MUTANTS = {
@@ -214,6 +217,17 @@ MUTANTS = {
         "i = min(x // g, n - 1)",
         "i = x // g",
         ["tests/test_lowcfg.py::test_describe_full_square", ROUNDTRIP],
+    ),
+    # the archive readers
+    "archive-dotdot-allowed": (CORE, 'or ".." in parts', "or False", [BAD_MANIFEST, BAD_DESCRIPTION]),
+    "archive-absolute-allowed": (
+        CORE, "or os.path.isabs(rel)", "or False", [BAD_MANIFEST, BAD_DESCRIPTION],
+    ),
+    "level-count-unchecked": (
+        DEEPSHIFT,
+        'list_field(manifest["levels"], "manifest \'levels\'", params.depth + 1)',
+        'list_field(manifest["levels"], "manifest \'levels\'")',
+        [BAD_MANIFEST],
     ),
     # the row transfer of count_rect_patterns
     "transfer-state-one-row-short": (
