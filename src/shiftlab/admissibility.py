@@ -41,6 +41,7 @@ from .core import (
     ShiftSpec,
     _bbox_of,
     _row_transfer,
+    annulus,
     completable,
     contains_forbidden,
     kernel_of,
@@ -98,16 +99,8 @@ def extendable(p: Pattern, spec: ShiftSpec, margin: int) -> Pattern | None:
         raise PatternError("extendable requires a rectangular pattern")
     if margin < 0:
         raise PatternError("margin must be nonnegative")
-    host = p.translate(margin, margin)
-    height = p.height + 2 * margin
-    width = p.width + 2 * margin
-    free = tuple(
-        (r, c)
-        for r in range(height)
-        for c in range(width)
-        if (r, c) not in host
-    )
-    return lex_first_completion(CompletionRegion(host, free), spec)
+    free = tuple(annulus(p.height, p.width, margin))
+    return lex_first_completion(CompletionRegion(p.translate(margin, margin), free), spec)
 
 
 def _extendable_blocks(
@@ -133,12 +126,7 @@ def _extendable_blocks(
         margin = 0  # every block extends
     state = kernel.state((-margin, -margin, n + margin - 1, n + margin - 1))
     interior = [(r, c) for r in range(n) for c in range(n)]
-    ring = [
-        (r, c)
-        for r in range(-margin, n + margin)
-        for c in range(-margin, n + margin)
-        if not (0 <= r < n and 0 <= c < n)
-    ]
+    ring = [(r - margin, c - margin) for r, c in annulus(n, n, margin)]
     letters = spec.alphabet.letters
     if not ring:  # nothing to extend into
         yield from (state.cells for _ in lex_assignments(state, interior, letters))

@@ -118,7 +118,7 @@ def _cmd_deep_build(args):
         args.c,
         args.depth,
         mode=args.mode,
-        structural_override=tuple(args.override) if args.override else None,
+        structural_override=None if args.override is None else tuple(args.override),
     )
     fam = build_family(params)
     manifest = save_family(fam, args.out)

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .core import BINARY, InfeasibleError, Pattern, PatternError
+from .core import BINARY, InfeasibleError, Pattern, PatternError, word_square
 
 OUT0, OUT1, INC, DEC, WHILE, ENDW, SWAP, HALT = range(8)
 
@@ -299,11 +299,6 @@ def printable_strings(
     return out
 
 
-def _bits_to_square(bits: str, n: int) -> Pattern:
-    cells = {(r, c): bits[r * n + c] for r in range(n) for c in range(n)}
-    return Pattern(BINARY, cells)
-
-
 def lex_first_incompressible(
     n: int,
     budget: int,
@@ -330,7 +325,7 @@ def lex_first_incompressible(
         if bits not in printable:
             if meter is not None:
                 meter.exclusions.update(printable=len(printable), passed_over=v)
-            return _bits_to_square(bits, n)
+            return word_square(bits, n, BINARY)
     raise InfeasibleError("every matrix is printable below the threshold")  # pragma: no cover
 
 
@@ -392,7 +387,7 @@ def incompressible_permutations(
     the threshold alone to rule out repetitions).
     """
     if l < 1 or count < 1:
-        raise InfeasibleError("need l >= 1 and count >= 1")
+        raise PatternError("need l >= 1 and count >= 1")
     if distinct and count > math.factorial(l):
         raise InfeasibleError(f"cannot pick {count} distinct permutations of 1..{l}")
     threshold = tuple_threshold(l, count)

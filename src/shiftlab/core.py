@@ -21,7 +21,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class PatternError(ValueError):
@@ -60,6 +60,11 @@ class Alphabet:
 
     def __contains__(self, letter: str) -> bool:
         return letter in self.letters
+
+    @property
+    def letter_bits(self) -> int:
+        """Bits per letter of a fixed-width code: ceil(log2 |alphabet|)."""
+        return (len(self.letters) - 1).bit_length()
 
 
 BINARY = Alphabet(("0", "1"))
@@ -276,7 +281,39 @@ def make_pattern(rows: Iterable[str], alphabet: Alphabet | None = None) -> Patte
         else:
             raise PatternError(f"cannot infer alphabet from letters {sorted(used)}")
     cells = {(r, c): ch for r, line in enumerate(rows) for c, ch in enumerate(line)}
-    return Pattern(alphabet, cells)
+    return Pattern._adopt(alphabet, cells)
+
+
+def word_square(word: str, n: int, alphabet: Alphabet | None = None) -> Pattern:
+    """The n x n pattern whose row-major letters are ``word`` (n * n letters)."""
+    return make_pattern((word[r * n : r * n + n] for r in range(n)), alphabet)
+
+
+def tile(blocks: Sequence[Pattern], grid: Sequence[Sequence[int]]) -> Pattern:
+    """``blocks[grid[i][j]]`` at block row i, block column j: the blocks are
+    rectangles of one shape h x w, so cell (r, c) of the block at (i, j)
+    lands at (i * h + r, j * w + c).  Each block's rows are read once."""
+    if len({(b.height, b.width) for b in blocks}) > 1:
+        raise PatternError("blocks must share a shape")
+    rows_of = [b.rows() for b in blocks]
+    h = blocks[0].height
+    return make_pattern(
+        ("".join(rows_of[ix][r] for ix in line) for line in grid for r in range(h)),
+        blocks[0].alphabet,
+    )
+
+
+def annulus(h: int, w: int, width: int) -> list[tuple[int, int]]:
+    """The cells of the (h + 2 * width) x (w + 2 * width) box anchored at the
+    origin that lie outside its central h x w rectangle, row-major; every
+    cell of the box when h <= 0 or w <= 0."""
+    cols = range(w + 2 * width)
+    sides = [*range(width), *range(width + w, len(cols))] if w > 0 else cols
+    return [
+        (r, c)
+        for r in range(h + 2 * width)
+        for c in (sides if width <= r < width + h else cols)
+    ]
 
 
 def subpattern(p: Pattern, rect: tuple[int, int, int, int]) -> Pattern:
@@ -466,6 +503,26 @@ def count_rect_patterns(spec: ShiftSpec, h: int, w: int) -> int:
     """The number of locally admissible h x w patterns of ``spec``: the count
     of ``iter_rect_patterns``, by a row transfer (Calkin & Wilf 1998)."""
     return _row_transfer(spec, h, w)[0]
+
+
+# The most candidate squares a check lists one by one, each built as a
+# ``Pattern``: hard-square 5 (55,447), red-black 3 (18,748) and mirror 4
+# (74,240) are listed, red-black 4 (38,559,440) and mirror 5 (35,718,144)
+# refused once counted.  The generic epitome check also sweeps at most
+# ``MAX_ANNULUS_COLORINGS`` colorings of its annulus.
+MAX_CANDIDATES = 100_000
+MAX_ANNULUS_COLORINGS = 2_000_000
+
+
+def bound_candidates(spec: ShiftSpec, n: int) -> None:
+    """Refuse with ``InfeasibleError``, before any is built, more than
+    ``MAX_CANDIDATES`` locally admissible n x n patterns of ``spec``."""
+    count = count_rect_patterns(spec, n, n)
+    if count > MAX_CANDIDATES:
+        raise InfeasibleError(
+            f"{count} admissible {n}x{n} patterns of {spec.name} exceed the "
+            f"{MAX_CANDIDATES} a check lists; lower the size"
+        )
 
 
 def _row_transfer(spec: ShiftSpec, h: int, w: int) -> tuple[int, int, int]:

@@ -39,6 +39,7 @@ from .core import (
     PatternError,
     ShiftSpec,
     archive_path,
+    bound_candidates,
     gamma_decode,
     gamma_encode,
     int_field,
@@ -49,6 +50,8 @@ from .core import (
     read_pattern,
     require_keys,
     subpattern,
+    tile,
+    word_square,
     write_head,
     write_pattern,
 )
@@ -204,15 +207,7 @@ def substitute(R: Pattern, block0: Pattern, block1: Pattern) -> Pattern:
     """Replace each 0/1 of the binary matrix R by the corresponding block."""
     if R.alphabet.letters != BINARY.letters or not R.is_rectangular:
         raise PatternError("R must be a rectangular binary pattern")
-    if block0.height != block1.height or block0.width != block1.width:
-        raise PatternError("blocks must share a shape")
-    Nb = block0.height
-    cells: dict[tuple[int, int], str] = {}
-    for (i, j), bit in R.items():
-        src = block1 if bit == "1" else block0
-        for (u, v), letter in src.items():
-            cells[(i * Nb + u, j * Nb + v)] = letter
-    return Pattern(block0.alphabet, cells)
+    return tile((block0, block1), [[int(bit) for bit in row] for row in R.rows()])
 
 
 def arrange(perm: tuple[int, ...], blocks: tuple[Pattern, ...], n: int) -> Pattern:
@@ -220,37 +215,19 @@ def arrange(perm: tuple[int, ...], blocks: tuple[Pattern, ...], n: int) -> Patte
     n x n arrangement; ``perm`` is a permutation of 1..len(blocks)."""
     if len(perm) != n * n or sorted(perm) != list(range(1, len(blocks) + 1)):
         raise PatternError("perm must be a permutation of 1..l with l = n^2")
-    Nb = blocks[0].height
-    cells: dict[tuple[int, int], str] = {}
-    for pos, b_ix in enumerate(perm):
-        gi, gj = divmod(pos, n)
-        for (u, v), letter in blocks[b_ix - 1].items():
-            cells[(gi * Nb + u, gj * Nb + v)] = letter
-    return Pattern(blocks[0].alphabet, cells)
-
-
-def _all_const(n: int, bit: str) -> Pattern:
-    return Pattern(BINARY, {(r, c): bit for r in range(n) for c in range(n)})
+    return tile(blocks, [[ix - 1 for ix in perm[i * n : i * n + n]] for i in range(n)])
 
 
 def build_family(params: DeepParams, budgets_final: bool = False) -> StandardBlockFamily:
     """Build all levels.  With ``budgets_final`` the t budgets are taken
     verbatim from ``params`` (archive rebuilds); otherwise the measured
     machine cost of the lower levels is folded in and recorded."""
+    n0 = params.n0
     if params.mode == TWO_BLOCK:
-        level0 = LevelBlocks(0, (_all_const(params.n0, "0"), _all_const(params.n0, "1")))
+        words = ["0" * n0 * n0, "1" * n0 * n0]
     else:
-        width = params.n0 * params.n0
-        blocks0 = tuple(
-            Pattern(BINARY, {
-                (r, c): format(v, f"0{width}b")[r * params.n0 + c]
-                for r in range(params.n0)
-                for c in range(params.n0)
-            })
-            for v in range(params.block_counts[0])
-        )
-        level0 = LevelBlocks(0, blocks0)
-    levels = [level0]
+        words = [format(v, f"0{n0 * n0}b") for v in range(params.block_counts[0])]
+    levels = [LevelBlocks(0, tuple(word_square(word, n0, BINARY) for word in words))]
     measured = [0]
     meters = []
     final_budgets = [params.budgets[0]]
@@ -469,12 +446,13 @@ def two_part_code(p: Pattern, k: int, spec: ShiftSpec, margin: int = 0) -> TwoPa
     if k < 1 or p.height % k:
         raise PatternError(f"side {p.height} is not a multiple of k={k}")
     N = p.height // k
+    bound_candidates(spec, k)
     dictionary = [Pattern(spec.alphabet, cells) for cells in _extendable_blocks(spec, k, margin)]
     L = len(dictionary)
     if L == 0:
         raise InfeasibleError("no admissible blocks at this size")
     pos = {q.lex_key(): ix for ix, q in enumerate(dictionary)}
-    letter_width = (len(spec.alphabet) - 1).bit_length()
+    letter_width = spec.alphabet.letter_bits
     index_width = (L - 1).bit_length() if L > 1 else 0
     header = (
         gamma_encode(len(spec.alphabet)) + gamma_encode(N) + gamma_encode(k) + gamma_encode(L)
@@ -506,8 +484,8 @@ def two_part_code(p: Pattern, k: int, spec: ShiftSpec, margin: int = 0) -> TwoPa
 
 # The largest side N*k a code may name.  With one dictionary block the index
 # field is empty, so a 27-bit code names a 1024 x 1024 pattern; decoding it
-# takes 1.6 s and peaks at 224 MB on a 2-core Xeon, and each doubling of the
-# side takes about five times as long.
+# takes 0.6-1.0 s and the process peaks at 177 MB on a 2-core Xeon, and each
+# doubling of the side takes about four times as long.
 MAX_TWO_PART_SIDE = 1024
 
 
@@ -527,32 +505,25 @@ def decode_two_part(bits: str) -> Pattern:
     if N * k > MAX_TWO_PART_SIDE:
         raise InfeasibleError(f"side {N * k} exceeds the decoding limit {MAX_TWO_PART_SIDE}")
     L, pos = gamma_decode(bits, pos)
-    letter_width = (size - 1).bit_length()
+    letter_width = alphabet.letter_bits
     index_width = (L - 1).bit_length() if L > 1 else 0
-    need = pos + L * k * k * letter_width + N * N * index_width
+    end = pos + L * k * k * letter_width  # where the dictionary ends and the body starts
+    need = end + N * N * index_width
     if len(bits) != need:
         raise PatternError(f"the header implies a {need}-bit code, got {len(bits)} bits")
-    dictionary = []
-    for _ in range(L):
-        cells = {}
-        for r in range(k):
-            for c in range(k):
-                ix = int(bits[pos : pos + letter_width], 2)
-                pos += letter_width
-                if ix >= size:
-                    raise PatternError(f"letter index {ix} is out of range")
-                cells[(r, c)] = alphabet.letters[ix]
-        dictionary.append(Pattern(alphabet, cells))
-    cells = {}
-    for I in range(N):
-        for J in range(N):
-            ix = int(bits[pos : pos + index_width], 2) if index_width else 0
-            pos += index_width
-            if ix >= L:
-                raise PatternError(f"block index {ix} is not below L={L}")
-            for (r, c), letter in dictionary[ix].items():
-                cells[(I * k + r, J * k + c)] = letter
-    return Pattern(alphabet, cells)
+    letters = [int(bits[i : i + letter_width], 2) for i in range(pos, end, letter_width)]
+    if max(letters) >= size:
+        raise PatternError(f"letter index {max(letters)} is out of range")
+    word = "".join(alphabet.letters[ix] for ix in letters)
+    dictionary = [word_square(word[e * k * k : (e + 1) * k * k], k, alphabet) for e in range(L)]
+    if index_width:
+        body = [int(bits[i : i + index_width], 2) for i in range(end, need, index_width)]
+    else:
+        body = [0] * (N * N)
+    bad = next((ix for ix in body if ix >= L), None)
+    if bad is not None:
+        raise PatternError(f"block index {bad} is not below L={L}")
+    return tile(dictionary, [body[I * N : I * N + N] for I in range(N)])
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .admissibility import _extendable_blocks
 from .core import (
     BWR,
     BINARY,
+    MAX_ANNULUS_COLORINGS,
     InfeasibleError,
     Occurrence,
     Pattern,
@@ -36,6 +37,8 @@ from .core import (
     _bbox_of,
     _members,
     _mirror_enumerator,
+    annulus,
+    bound_candidates,
     contains_forbidden,
     iter_rect_patterns,
     kernel_of,
@@ -359,16 +362,6 @@ class PropertyReport:
     )
 
 
-def _annulus_cells(n: int, margin: int) -> list[tuple[int, int]]:
-    side = n + 2 * margin
-    return [
-        (r, c)
-        for r in range(side)
-        for c in range(side)
-        if not (margin <= r < margin + n and margin <= c < margin + n)
-    ]
-
-
 def _annulus_pattern(spec, annulus, combo_index):
     letters = spec.alphabet.letters
     base = len(letters)
@@ -507,12 +500,13 @@ def _check_generic(spec, fam, n, margin):
     compatible anywhere, whether some compatible coloring witnesses it (no
     more tests once one has), and its first compatible coloring, whose
     column a counterexample is read from."""
-    annulus = _annulus_cells(n, margin)
-    combos = len(spec.alphabet) ** len(annulus)
-    if combos > 2_000_000:
+    ring = annulus(n, n, margin)
+    combos = len(spec.alphabet) ** len(ring)
+    if combos > MAX_ANNULUS_COLORINGS:
         raise InfeasibleError(
             f"annulus search over {combos} colorings is infeasible; lower --n or --margin"
         )
+    bound_candidates(spec, n)
     candidates = list(iter_rect_patterns(spec, n, n))
     values = [fam.evaluate(q) for q in candidates]
     if all(v is None for v in values):
@@ -542,7 +536,7 @@ def _check_generic(spec, fam, n, margin):
     plan = kernel_of(spec).window_plan(side)
     box = (0, 0, side - 1, side - 1)
     index = _slot_index(q.translate(margin, margin).cells for q in candidates)
-    colorings = _coloring_index(spec, plan, box, annulus)
+    colorings = _coloring_index(spec, plan, box, ring)
     first: dict[int, int] = {}  # j -> its first compatible coloring
     passed = [False] * len(candidates)
     for lo in range(0, combos, _BLOCK):
@@ -589,7 +583,7 @@ def _check_generic(spec, fam, n, margin):
             conflict = next(jj for jj, vv in enumerate(values) if column[jj] and conflicts(vv, v))
             counterexample = {
                 "pattern": q.rows(),
-                "annulus": _annulus_pattern(spec, annulus, i).render(),
+                "annulus": _annulus_pattern(spec, ring, i).render(),
                 "also_compatible": candidates[conflict].rows(),
                 "other_value": repr(values[conflict]),
             }
@@ -669,6 +663,7 @@ def _check_mirror(spec, n, margin):
     as a column.  The windows have holes, so the plan is the forbidden list
     itself, up to the extent 2n + 1 of the box (0, -1, 2n, n) that holds
     each window and its slot."""
+    bound_candidates(spec, n)
     candidates = list(iter_rect_patterns(spec, n, n))
     blocks = [Pattern(spec.alphabet, cells) for cells in _extendable_blocks(spec, n, margin)]
     windows = _slot_index(_mirror_window(p).cells for p in blocks)
@@ -784,12 +779,8 @@ def border_epitome_consistency(
             f"projection leaves out {', '.join(map(repr, missing))} "
             f"of the {spec.name} alphabet"
         )
-    ring = [
-        (r, c)
-        for r in range(n)
-        for c in range(n)
-        if r in (0, n - 1) or c in (0, n - 1)
-    ]
+    bound_candidates(spec, n)
+    ring = annulus(n - 2, n - 2, 1)
     groups: dict[str, list] = {}
     for q in iter_rect_patterns(spec, n, n):
         key = "".join(q.at(r, c) for r, c in ring)
@@ -818,12 +809,11 @@ def border_epitome_consistency(
                 flagged=flagged,
             )
         )
-    letter_width = (len(spec.alphabet) - 1).bit_length()
     return ConsistencyReport(
         n=n,
         family=fam.name,
         kind=fam.kind,
         groups=tuple(out),
         flagged_count=flagged_count,
-        ledger_bits=(4 * n - 4) * letter_width,
+        ledger_bits=(4 * n - 4) * spec.alphabet.letter_bits,
     )

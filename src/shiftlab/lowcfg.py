@@ -30,6 +30,7 @@ from .core import (
     Pattern,
     PatternError,
     ShiftSpec,
+    annulus,
     archive_path,
     completable,
     gamma_encode,
@@ -102,14 +103,7 @@ def _check_level(k: int) -> None:
 
 def ring_cells(side: int) -> list[tuple[int, int]]:
     """Border ring of a side x side square anchored at the origin, row-major."""
-    if side <= 2:
-        return [(r, c) for r in range(side) for c in range(side)]
-    last = side - 1
-    return (
-        [(0, c) for c in range(side)]
-        + [cell for r in range(1, last) for cell in ((r, 0), (r, last))]
-        + [(last, c) for c in range(side)]
-    )
+    return annulus(side - 2, side - 2, 1)
 
 
 def _interior_cells(r0: int, c0: int, side: int, assigned) -> list[tuple[int, int]]:
@@ -358,7 +352,6 @@ def reconstruct_subpattern(
 def description_bits(desc: SquareDescription, alphabet: Alphabet) -> int:
     """Measured size: gamma-coded header plus the border cells at
     ceil(log2 |alphabet|) bits per cell."""
-    letter_width = (len(alphabet) - 1).bit_length()
     dr, dc = desc.offset
     h, w = desc.shape
     header = sum(
@@ -366,13 +359,12 @@ def description_bits(desc: SquareDescription, alphabet: Alphabet) -> int:
         for v in (desc.level + 1, desc.grid[0], desc.grid[1], dr + 1, dc + 1, h, w)
     )
     side = side_of_level(desc.level)
-    return header + len(desc.borders) * (4 * side - 4) * letter_width
+    return header + len(desc.borders) * (4 * side - 4) * alphabet.letter_bits
 
 
 def description_constant(alphabet: Alphabet) -> int:
     """Declared constant C with description_bits <= C * max(h, w)."""
-    letter_width = (len(alphabet) - 1).bit_length()
-    return 32 * letter_width + 16
+    return 32 * alphabet.letter_bits + 16
 
 
 def save_description(desc: SquareDescription, dirpath: str) -> None:

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import pytest
 
+from shiftlab import epitomes
 from shiftlab.cli import main
 from shiftlab.core import Pattern, make_pattern
 from shiftlab.deepshift import LevelBudget, params_to_dict, schedule_params
@@ -248,6 +249,10 @@ def test_block_count_negative_n_exits_1(capsys):
         ("verify-archive", "{tmp}/proxy"),
         ("deep-member", "--family", "{tmp}/proxy", "--pattern", "x"),
         ("kc-incompressible", "--side", "2", "--threshold", "-3", "--budget", "10"),
+        ("kc-incompressible", "--mode", "perms", "--length", "0", "--budget", "10"),
+        ("kc-incompressible", "--mode", "perms", "--count", "0", "--budget", "10"),
+        ("deep-build", "--n0", "2", "--depth", "1", "--override", "", "--out", "{tmp}/x"),
+        ("deep-build", "--n0", "2", "--depth", "1", "--override", ",,", "--out", "{tmp}/x"),
         ("lowcfg-roundtrip", "--k", "3", "--rects", "-5"),
     ],
 )
@@ -267,6 +272,26 @@ def test_sizes_below_range_exit_1(capsys, tmp_path, argv):
     assert rc == 1
     assert out == ""
     assert err.startswith("shiftlab:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("border-consistency", "--n", "6"),
+        ("epitome-verify", "--spec", "hard-square", "--family", "identity", "--n", "6",
+         "--margin", "0"),
+    ],
+)
+def test_candidate_enumerations_are_bounded(capsys, monkeypatch, argv):
+    """5,598,861 hard-square 6 x 6 candidates: refused once counted, before
+    one is built."""
+    def listed(*_):
+        raise AssertionError("a candidate was built")
+
+    monkeypatch.setattr(epitomes, "iter_rect_patterns", listed)
+    rc, report, _ = run_json(capsys, *argv)
+    assert rc == 3 and report["infeasible"] is True
+    assert "5598861" in report["error"]
 
 
 @pytest.mark.parametrize(

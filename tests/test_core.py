@@ -15,6 +15,7 @@ from shiftlab.core import (
     Pattern,
     PatternError,
     ShiftSpec,
+    annulus,
     contains_forbidden,
     count_rect_patterns,
     get_spec,
@@ -29,6 +30,8 @@ from shiftlab.core import (
     run_mask,
     spec_from_patterns,
     subpattern,
+    tile,
+    word_square,
 )
 
 
@@ -134,6 +137,41 @@ def test_subpattern_outside_support_rejected():
     p = make_pattern(["00", "00"])
     with pytest.raises(PatternError):
         subpattern(p, (1, 1, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "h, w", [(1, 1), (1, 3), (3, 1), (2, 5), (4, 2), (0, 3), (3, 0), (-1, 2), (2, -3), (-2, -2)]
+)
+@pytest.mark.parametrize("width", [0, 1, 2])
+def test_annulus_matches_its_definition(h, w, width):
+    want = [
+        (r, c)
+        for r in range(h + 2 * width)
+        for c in range(w + 2 * width)
+        if h <= 0 or w <= 0 or not (width <= r < width + h and width <= c < width + w)
+    ]
+    assert annulus(h, w, width) == want
+
+
+def test_tile_matches_a_cell_by_cell_layout():
+    # 2 x 3 blocks on a 3 x 2 grid, one block used twice and one not at all
+    blocks = [make_pattern(rows, BWR) for rows in (["BWR", "RRB"], ["WWW", "BRW"], ["RBB", "WBR"])]
+    grid = [[0, 2], [2, 2], [1, 0]]
+    want = {
+        (i * 2 + r, j * 3 + c): blocks[ix].at(r, c)
+        for i, line in enumerate(grid)
+        for j, ix in enumerate(line)
+        for r in range(2)
+        for c in range(3)
+    }
+    assert tile(blocks, grid) == Pattern(BWR, want)
+    with pytest.raises(PatternError, match="share a shape"):
+        tile([blocks[0], make_pattern(["BW", "RR"], BWR)], grid)
+
+
+def test_word_square_is_row_major():
+    assert word_square("0110", 2) == make_pattern(["01", "10"])
+    assert word_square("BWRRWBBBB", 3, BWR).rows() == ["BWR", "RWB", "BBB"]
 
 
 def test_invert_involution_and_constants():

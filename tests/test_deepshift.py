@@ -19,6 +19,7 @@ from shiftlab.core import (
     red_black_spec,
     subpattern,
 )
+from shiftlab import deepshift
 from shiftlab.deepshift import (
     MULTI_BLOCK,
     TWO_BLOCK,
@@ -586,6 +587,15 @@ def test_two_part_code_rejects_inadmissible_block():
     p = make_pattern(["1100", "0000", "0000", "0000"])
     with pytest.raises(InfeasibleError):
         two_part_code(p, 2, HS)
+
+
+def test_two_part_code_bounds_its_dictionary(monkeypatch):
+    def listed(*_):
+        raise AssertionError("a block was listed")
+
+    monkeypatch.setattr(deepshift, "_extendable_blocks", listed)
+    with pytest.raises(InfeasibleError, match="5598861 admissible 6x6"):
+        two_part_code(make_pattern(["0" * 6] * 6), 6, HS)
 
 
 def test_two_part_code_shape_guards():

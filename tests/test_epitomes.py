@@ -15,6 +15,7 @@ from shiftlab.core import (
     InfeasibleError,
     Pattern,
     PatternError,
+    annulus,
     contains_forbidden,
     hard_square_spec,
     iter_rect_patterns,
@@ -47,7 +48,6 @@ from shiftlab.epitomes import (
     simple_pattern_census,
     verify_enforcer,
     _SIMPLE,
-    _annulus_cells,
     _mirror_window,
     _profiles_below,
 )
@@ -462,15 +462,15 @@ def _brute_compatible(spec, n, margin):
     """For each annulus coloring i (digit t of i in base |alphabet| is the
     letter at annulus cell t), the candidates compatible with it, found by
     one contains_forbidden scan per (coloring, candidate) pair."""
-    annulus = _annulus_cells(n, margin)
+    cells = annulus(n, n, margin)
     letters = spec.alphabet.letters
     base = len(letters)
     candidates = list(iter_rect_patterns(spec, n, n))
     shifted = [q.translate(margin, margin) for q in candidates]
     rings, compatible = [], []
-    for i in range(base ** len(annulus)):
+    for i in range(base ** len(cells)):
         ring = Pattern(
-            spec.alphabet, {cell: letters[i // base**t % base] for t, cell in enumerate(annulus)}
+            spec.alphabet, {cell: letters[i // base**t % base] for t, cell in enumerate(cells)}
         )
         rings.append(ring)
         compatible.append(

@@ -21,6 +21,7 @@ from shiftlab.core import (
     ShiftSpec,
     _square_plan,
     _squares_at,
+    annulus,
     contains_forbidden,
     hard_square_spec,
     iter_rect_patterns,
@@ -32,7 +33,6 @@ from shiftlab.core import (
     spec_from_patterns,
 )
 from shiftlab.epitomes import (
-    _annulus_cells,
     _coloring_index,
     _digit_mask,
     _slot_index,
@@ -246,16 +246,16 @@ def test_load_over_filled_cells_overwrites(box, over, data):
 
 def test_run_mask_window_compat_matches_generic_exhaustive():
     # the red-black kernel's sparse-square plan against the listed squares
-    annulus = _annulus_cells(1, 1)
+    ring = annulus(1, 1, 1)
     candidates = [make_pattern([a], BWR) for a in BWR.letters]
-    fast = _annulus_compat(RB_SPEC, 1, 1, annulus, candidates, 0, 3**8)
-    slow = _annulus_compat(_capped_spec(3), 1, 1, annulus, candidates, 0, 3**8)
+    fast = _annulus_compat(RB_SPEC, 1, 1, ring, candidates, 0, 3**8)
+    slow = _annulus_compat(_capped_spec(3), 1, 1, ring, candidates, 0, 3**8)
     assert fast == slow
     assert len(fast) == 3 and all(row >> 3**8 == 0 for row in fast)
     assert 0 < sum(row.bit_count() for row in fast) < 3 * 3**8
     # a block is the same columns of the whole matrix
     for spec in (RB_SPEC, _capped_spec(3)):
-        block = _annulus_compat(spec, 1, 1, annulus, candidates, 100, 2000)
+        block = _annulus_compat(spec, 1, 1, ring, candidates, 100, 2000)
         assert block == [row >> 100 & (1 << 1900) - 1 for row in fast]
 
 
@@ -284,10 +284,10 @@ def _per_pair_window_compat(spec, n, margin, annulus, candidates, lo, hi):
 
 
 def _assert_matches_per_pair(spec, n, margin, lo, hi):
-    annulus = _annulus_cells(n, margin)
+    ring = annulus(n, n, margin)
     candidates = list(iter_rect_patterns(spec, n, n))
-    got = _annulus_compat(spec, n, margin, annulus, candidates, lo, hi)
-    want = _per_pair_window_compat(spec, n, margin, annulus, candidates, lo, hi)
+    got = _annulus_compat(spec, n, margin, ring, candidates, lo, hi)
+    want = _per_pair_window_compat(spec, n, margin, ring, candidates, lo, hi)
     assert len(got) == len(candidates)
     assert all(0 <= row < 1 << (hi - lo) for row in got)
     assert got == want
@@ -323,7 +323,7 @@ def plan_specs_and_blocks(draw):
     spec, _ = draw(user_specs_and_sizes())
     n = draw(st.integers(min_value=1, max_value=2))
     margin = draw(st.integers(min_value=0, max_value=1))
-    combos = len(spec.alphabet) ** len(_annulus_cells(n, margin))
+    combos = len(spec.alphabet) ** len(annulus(n, n, margin))
     lo = draw(st.integers(min_value=0, max_value=combos - 1))
     hi = draw(st.integers(min_value=lo + 1, max_value=min(combos, lo + 100)))
     return spec, n, margin, lo, hi
@@ -343,7 +343,7 @@ def test_swapping_rows_and_columns_transposes_the_bits(case):
     plan = kernel_of(spec).window_plan(side)
     box = (0, 0, side - 1, side - 1)
     index = _slot_index(q.translate(margin, margin).cells for q in iter_rect_patterns(spec, n, n))
-    colorings = _coloring_index(spec, plan, box, _annulus_cells(n, margin))(lo, hi)
+    colorings = _coloring_index(spec, plan, box, annulus(n, n, margin))(lo, hi)
     rows = _window_compat(plan, box, index, colorings)
     cols = _window_compat(plan, box, colorings, index)
     assert len(cols) == hi - lo
@@ -396,11 +396,11 @@ def test_digit_masks_match_their_definition():
 def test_digit_masks_stay_within_the_block(lo):
     # red-black n = 1, margin 2 has 3^24 colorings; a block far from 0 must
     # cost bits for its own width, not for every coloring below it
-    annulus = _annulus_cells(1, 2)
+    ring = annulus(1, 1, 2)
     candidates = list(iter_rect_patterns(RB_SPEC, 1, 1))
     tracemalloc.start()
     try:
-        rows = _annulus_compat(RB_SPEC, 1, 2, annulus, candidates, lo, lo + 2000)
+        rows = _annulus_compat(RB_SPEC, 1, 2, ring, candidates, lo, lo + 2000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

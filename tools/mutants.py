@@ -229,6 +229,35 @@ MUTANTS = {
         'list_field(manifest["levels"], "manifest \'levels\'")',
         [BAD_MANIFEST],
     ),
+    # rectangle geometry
+    "annulus-centre-one-column-short": (
+        CORE,
+        "range(width + w, len(cols))",
+        "range(width + w - 1, len(cols))",
+        [
+            "tests/test_core.py::test_annulus_matches_its_definition",
+            "tests/test_lowcfg.py::test_ring_cells_match_their_definition",
+        ],
+    ),
+    "tile-grid-transposed": (
+        CORE,
+        "for line in grid for r in range(h)",
+        "for line in zip(*grid) for r in range(h)",
+        [
+            "tests/test_core.py::test_tile_matches_a_cell_by_cell_layout",
+            "tests/test_deepshift.py::test_arrange_uses_each_block_once",
+        ],
+    ),
+    # the bound on listed candidates
+    "candidate-bound-removed": (
+        CORE,
+        "if count > MAX_CANDIDATES:",
+        "if False:",
+        [
+            "tests/test_cli.py::test_candidate_enumerations_are_bounded",
+            "tests/test_deepshift.py::test_two_part_code_bounds_its_dictionary",
+        ],
+    ),
     # the row transfer of count_rect_patterns
     "transfer-state-one-row-short": (
         CORE,
