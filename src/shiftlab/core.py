@@ -79,36 +79,80 @@ class Pattern:
     Instances are immutable.  Rectangular patterns (support exactly
     ``[0, h) x [0, w)``) are the common case; sparse supports are allowed and
     arise for forbidden patterns with gaps and for border rings.
+
+    A pattern is held in one of two forms.  A nonempty rectangle built from
+    row strings (``make_pattern`` and the builders on it, ``from_text`` of a
+    body without ``.``, ``subpattern`` of a rectangle) keeps its rows and
+    builds its cell map only on the first cell-level access: ``at``,
+    ``items``, ``cells``, ``support``, ``in`` and the hash.  Every other
+    pattern holds its cell map, and a rectangular one keeps its rows once
+    ``rows()`` has computed them.  Both forms answer every query alike.
     """
 
-    __slots__ = ("alphabet", "_cells", "_bbox", "_hash")
+    __slots__ = ("alphabet", "_map", "_rows", "_bbox", "_hash")
 
     def __init__(self, alphabet: Alphabet, cells: dict[tuple[int, int], str]):
         self._take(alphabet, dict(cells))
 
     @classmethod
-    def _adopt(cls, alphabet: Alphabet, cells: dict[tuple[int, int], str]) -> "Pattern":
+    def _adopt(
+        cls,
+        alphabet: Alphabet,
+        cells: dict[tuple[int, int], str],
+        box: tuple[int, int, int, int] | None = None,
+    ) -> "Pattern":
         """A pattern that takes over ``cells`` without copying it.  For a
-        dict whose owner is thrown away, so nothing else changes it."""
+        dict whose owner is thrown away, so nothing else changes it.  A
+        caller that knows the bounding box of ``cells`` passes it as ``box``."""
         p = cls.__new__(cls)
-        p._take(alphabet, cells)
+        p._take(alphabet, cells, box)
         return p
 
-    def _take(self, alphabet: Alphabet, cells: dict[tuple[int, int], str]) -> None:
+    @classmethod
+    def _from_rows(cls, alphabet: Alphabet, rows: Sequence[str]) -> "Pattern":
+        """The rectangle whose rows are ``rows``, all of one length, held as
+        its rows; the empty pattern when there are no cells."""
+        if not rows or not rows[0]:
+            return cls._adopt(alphabet, {})
+        if not set().union(*rows).issubset(alphabet.letters):
+            for r, line in enumerate(rows):
+                for c, letter in enumerate(line):
+                    if letter not in alphabet:
+                        raise PatternError(f"letter {letter!r} at {(r, c)} not in alphabet")
+        p = cls.__new__(cls)
+        object.__setattr__(p, "alphabet", alphabet)
+        object.__setattr__(p, "_map", None)
+        object.__setattr__(p, "_rows", tuple(rows))
+        object.__setattr__(p, "_bbox", (0, 0, len(rows) - 1, len(rows[0]) - 1))
+        object.__setattr__(p, "_hash", None)
+        return p
+
+    def _take(
+        self,
+        alphabet: Alphabet,
+        cells: dict[tuple[int, int], str],
+        box: tuple[int, int, int, int] | None = None,
+    ) -> None:
         if not set(cells.values()).issubset(alphabet.letters):
             for (r, c), letter in cells.items():
                 if letter not in alphabet:
                     raise PatternError(f"letter {letter!r} at {(r, c)} not in alphabet")
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "_cells", cells)
-        if cells:
-            rs = [r for r, _ in cells]
-            cs = [c for _, c in cells]
-            bbox = (min(rs), min(cs), max(rs), max(cs))
-        else:
-            bbox = None
-        object.__setattr__(self, "_bbox", bbox)
+        object.__setattr__(self, "_map", cells)
+        object.__setattr__(self, "_rows", None)
+        if box is None and cells:
+            box = _bbox_of(cells)
+        object.__setattr__(self, "_bbox", box)
         object.__setattr__(self, "_hash", None)
+
+    @property
+    def _cells(self) -> dict[tuple[int, int], str]:
+        """The cell map, built from the rows on first use."""
+        cells = self._map
+        if cells is None:
+            cells = {(r, c): a for r, line in enumerate(self._rows) for c, a in enumerate(line)}
+            object.__setattr__(self, "_map", cells)
+        return cells
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Pattern is immutable")
@@ -142,10 +186,10 @@ class Pattern:
 
     @property
     def is_rectangular(self) -> bool:
-        if self._bbox is None:
+        if self._bbox is None or self._map is None:
             return True
         r0, c0, _, _ = self._bbox
-        return (r0, c0) == (0, 0) and len(self._cells) == self.height * self.width
+        return (r0, c0) == (0, 0) and len(self._map) == self.height * self.width
 
     def at(self, r: int, c: int) -> str | None:
         return self._cells.get((r, c))
@@ -154,7 +198,9 @@ class Pattern:
         return cell in self._cells
 
     def __len__(self) -> int:
-        return len(self._cells)
+        if self._map is None:
+            return len(self._rows) * len(self._rows[0])
+        return len(self._map)
 
     def items(self):
         return self._cells.items()
@@ -163,12 +209,20 @@ class Pattern:
 
     def rows(self) -> list[str]:
         """Row strings for a rectangular pattern."""
-        if not self.is_rectangular:
-            raise PatternError("rows() requires a rectangular pattern")
-        return [
-            "".join(self._cells[(r, c)] for c in range(self.width))
-            for r in range(self.height)
-        ]
+        return list(self._row_tuple())
+
+    def _row_tuple(self) -> tuple[str, ...]:
+        """The rows, computed from the cell map once and kept."""
+        rows = self._rows
+        if rows is None:
+            if not self.is_rectangular:
+                raise PatternError("rows() requires a rectangular pattern")
+            cells = self._map
+            rows = tuple(
+                "".join([cells[(r, c)] for c in range(self.width)]) for r in range(self.height)
+            )
+            object.__setattr__(self, "_rows", rows)
+        return rows
 
     def translate(self, dr: int, dc: int) -> "Pattern":
         return Pattern(self.alphabet, {(r + dr, c + dc): a for (r, c), a in self._cells.items()})
@@ -193,17 +247,24 @@ class Pattern:
 
     def lex_key(self) -> tuple[int, ...]:
         """Row-major letter indices over the sorted support."""
+        if self._map is None:
+            idx = {a: i for i, a in enumerate(self.alphabet.letters)}
+            return tuple(map(idx.__getitem__, "".join(self._rows)))
         idx = self.alphabet.index
-        return tuple(idx(self._cells[cell]) for cell in sorted(self._cells))
+        return tuple(idx(self._map[cell]) for cell in sorted(self._map))
 
     # -- equality ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Pattern)
-            and self.alphabet.letters == other.alphabet.letters
-            and self._cells == other._cells
-        )
+        if not isinstance(other, Pattern) or self.alphabet.letters != other.alphabet.letters:
+            return False
+        if self._map is None or other._map is None:  # a rows-held rectangle
+            return (
+                self.is_rectangular
+                and other.is_rectangular
+                and self._row_tuple() == other._row_tuple()
+            )
+        return self._map == other._map
 
     def __hash__(self) -> int:
         h = self._hash
@@ -214,18 +275,21 @@ class Pattern:
 
     def __repr__(self) -> str:
         if self.is_rectangular:
-            return f"Pattern({self.height}x{self.width} {'/'.join(self.rows())})"
-        return f"Pattern(sparse {len(self._cells)} cells)"
+            return f"Pattern({self.height}x{self.width} {'/'.join(self._row_tuple())})"
+        return f"Pattern(sparse {len(self)} cells)"
 
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
         p = self.reanchored()
         header = f"{p.width} {p.height} {len(self.alphabet)}"
-        lines = [
-            "".join(p._cells.get((r, c), ".") for c in range(p.width))
-            for r in range(p.height)
-        ]
+        if p.is_rectangular:
+            lines = p._row_tuple()
+        else:
+            lines = [
+                "".join(p._map.get((r, c), ".") for c in range(p.width))
+                for r in range(p.height)
+            ]
         return "\n".join([header, *lines]) + "\n"
 
     @staticmethod
@@ -248,14 +312,14 @@ class Pattern:
             raise PatternError(f"expected {h} rows, found {len(body)}")
         if any(line.strip() for line in lines[1 + h :]):
             raise PatternError(f"text follows the {h} rows")
-        cells: dict[tuple[int, int], str] = {}
         for r, line in enumerate(body):
             if len(line) != w:
                 raise PatternError(f"row {r} has length {len(line)}, expected {w}")
-            for c, ch in enumerate(line):
-                if ch == ".":
-                    continue
-                cells[(r, c)] = ch
+        if not any("." in line for line in body):
+            return Pattern._from_rows(alphabet, body)
+        cells = {
+            (r, c): ch for r, line in enumerate(body) for c, ch in enumerate(line) if ch != "."
+        }
         return Pattern(alphabet, cells)
 
     def render(self) -> str:
@@ -280,8 +344,7 @@ def make_pattern(rows: Iterable[str], alphabet: Alphabet | None = None) -> Patte
             alphabet = BWR
         else:
             raise PatternError(f"cannot infer alphabet from letters {sorted(used)}")
-    cells = {(r, c): ch for r, line in enumerate(rows) for c, ch in enumerate(line)}
-    return Pattern._adopt(alphabet, cells)
+    return Pattern._from_rows(alphabet, rows)
 
 
 def word_square(word: str, n: int, alphabet: Alphabet | None = None) -> Pattern:
@@ -319,11 +382,15 @@ def annulus(h: int, w: int, width: int) -> list[tuple[int, int]]:
 def subpattern(p: Pattern, rect: tuple[int, int, int, int]) -> Pattern:
     """Restriction of ``p`` to ``rect = (r0, c0, h, w)``, re-anchored at the origin.
 
-    Every cell of the rectangle must lie in the support of ``p``.
+    Every cell of the rectangle must lie in the support of ``p``.  A cut of
+    a rectangle is made of slices of its rows and holds them.
     """
     r0, c0, h, w = rect
     if h < 0 or w < 0:
         raise PatternError(f"bad rectangle {rect}")
+    if p.is_rectangular and 0 <= r0 and r0 + h <= p.height and 0 <= c0 and c0 + w <= p.width:
+        rows = p._row_tuple()[r0 : r0 + h]  # noqa: SLF001 - read only
+        return Pattern._from_rows(p.alphabet, [row[c0 : c0 + w] for row in rows])
     src = p._cells  # noqa: SLF001 - read only
     cells = {}
     for r in range(h):
@@ -332,7 +399,7 @@ def subpattern(p: Pattern, rect: tuple[int, int, int, int]) -> Pattern:
             if letter is None:
                 raise PatternError(f"rectangle {rect} leaves the support at {(r0 + r, c0 + c)}")
             cells[(r, c)] = letter
-    return Pattern(p.alphabet, cells)
+    return Pattern._adopt(p.alphabet, cells, (0, 0, h - 1, w - 1) if h and w else None)
 
 
 def invert(p: Pattern) -> Pattern:
@@ -470,7 +537,11 @@ def iter_rect_patterns(spec: ShiftSpec, h: int, w: int) -> Iterator[Pattern]:
     state = kernel_of(spec).state((0, 0, h - 1, w - 1))
     cells = [(r, c) for r in range(h) for c in range(w)]
     letters = spec.alphabet.letters
-    return (Pattern(spec.alphabet, state.cells) for _ in lex_assignments(state, cells, letters))
+    box = (0, 0, h - 1, w - 1) if h and w else None
+    return (
+        Pattern._adopt(spec.alphabet, dict(state.cells), box)
+        for _ in lex_assignments(state, cells, letters)
+    )
 
 
 # Refusal bounds of the row transfer, both checked before it runs, so that

@@ -762,7 +762,8 @@ def _project(p: Pattern, projection: dict[str, str]) -> Pattern:
         alphabet = BWR
     else:
         raise PatternError(f"projection image {image} is not a supported alphabet")
-    return Pattern(alphabet, {cell: projection[a] for cell, a in p.items()})
+    cells = {cell: projection[a] for cell, a in p.items()}
+    return Pattern._adopt(alphabet, cells, p.bbox)  # noqa: SLF001 - cells dies here
 
 
 def border_epitome_consistency(

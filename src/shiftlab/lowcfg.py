@@ -84,8 +84,8 @@ class NNSpec:
         return self.spec.alphabet
 
 
-# The largest level built.  `lowcfg-build --k 11` (side 2049) takes 9.0 s and
-# peaks at 829 MB for hard-square on a 2-core Xeon, and each level up costs
+# The largest level built.  `lowcfg-build --k 11` (side 2049) takes 6-9 s and
+# peaks at 787 MB for hard-square on a 2-core Xeon, and each level up costs
 # about four times more.
 MAX_LEVEL = 11
 
@@ -180,7 +180,8 @@ def standard_square(nn: NNSpec, border: Pattern, m: int) -> Pattern:
         raise PatternError(f"border alphabet does not match spec {spec.name!r}")
     letters = spec.alphabet.letters
     kernel = kernel_of(spec)
-    state = kernel.state((0, 0, side - 1, side - 1))
+    box = (0, 0, side - 1, side - 1)
+    state = kernel.state(box)
     # an occurrence made of ring cells alone is refused as its last cell goes in
     for cell, letter in border.items():
         if not state.assign(cell, letter):
@@ -188,7 +189,7 @@ def standard_square(nn: NNSpec, border: Pattern, m: int) -> Pattern:
     if kernel.filler(side) is not None:
         for _ in lex_assignments(state, _fill_order(side), letters):
             break  # the filler fits every cell: the first filling always comes
-        return Pattern._adopt(spec.alphabet, state.cells)  # noqa: SLF001 - the state dies here
+        return Pattern._adopt(spec.alphabet, state.cells, box)  # noqa: SLF001 - the state dies here
 
     order = _fill_order(side)
     pos = 0
@@ -210,7 +211,7 @@ def standard_square(nn: NNSpec, border: Pattern, m: int) -> Pattern:
             # pushed last-first, so they pop in the order of _fill_order
             for dr, dc in ((half, half), (half, 0), (0, half), (0, 0)):
                 squares.append((r0 + dr, c0 + dc, half + 1))
-    return Pattern._adopt(spec.alphabet, state.cells)  # noqa: SLF001 - the state dies here
+    return Pattern._adopt(spec.alphabet, state.cells, box)  # noqa: SLF001 - the state dies here
 
 
 def build_Pk(nn: NNSpec, k: int) -> Pattern:
@@ -266,13 +267,14 @@ def describe_subpattern(
     rows = (i0,) if r0 + h - 1 <= i0 * g + g else (i0, i0 + 1)
     cols = (j0,) if c0 + w - 1 <= j0 * g + g else (j0, j0 + 1)
     side = side_of_level(m)
+    box = (0, 0, side - 1, side - 1)
     borders = []
     for i in rows:
         for j in cols:
             cells = {
                 (r, c): pk.at(i * g + r, j * g + c) for (r, c) in ring_cells(side)
             }
-            borders.append(Pattern(nn.alphabet, cells))
+            borders.append(Pattern._adopt(nn.alphabet, cells, box))  # noqa: SLF001
     return SquareDescription(
         level=m,
         grid=(len(rows), len(cols)),
@@ -311,8 +313,8 @@ def reconstruct_subpattern(
     ``nn`` builds each distinct square once; ``standard_square`` is
     deterministic, so the memo changes no answer.  Adjacent covering squares
     share only ring cells, which ``standard_square`` keeps as given, so the
-    shared-line check reads O(side) cells, and each rectangle cell is read
-    straight out of its covering square by grid index."""
+    shared-line check reads O(side) cells, and each rectangle row is joined
+    from row slices of its covering squares."""
     _check_description(desc)
     if squares is None:
         squares = {}
@@ -332,21 +334,27 @@ def reconstruct_subpattern(
                for r in rs for c in cs):
             raise PatternError("covering squares disagree on a shared line")
 
-    def split(x: int, n: int) -> tuple[int, int]:
-        """The grid index of block coordinate x, and x inside that square."""
-        i = min(x // g, n - 1)
-        return i, x - i * g
+    def runs(x0: int, n: int, parts: int) -> list[tuple[int, int, int]]:
+        """(grid index, start, stop) of the pieces of block coordinates
+        x0 .. x0 + n - 1 along one axis: square i holds i * g .. i * g + g - 1,
+        and the last square also its far line."""
+        out = []
+        for i in range(parts):
+            lo = max(x0, i * g)
+            hi = min(x0 + n, i * g + g + (i == parts - 1))
+            if lo < hi:
+                out.append((i, lo - i * g, hi - i * g))
+        return out
 
     dr, dc = desc.offset
     h, w = desc.shape
-    rows = [split(dr + r, di) for r in range(h)]
-    cols = [split(dc + c, dj) for c in range(w)]
-    out = {
-        (r, c): built[i * dj + j][rr][cc]
-        for r, (i, rr) in enumerate(rows)
-        for c, (j, cc) in enumerate(cols)
-    }
-    return Pattern._adopt(nn.alphabet, out)  # noqa: SLF001 - out dies here
+    cols = runs(dc, w, dj)
+    rows = [
+        "".join([built[i * dj + j][rr][a:b] for j, a, b in cols])
+        for i, lo, hi in runs(dr, h, di)
+        for rr in range(lo, hi)
+    ]
+    return Pattern._from_rows(nn.alphabet, rows)  # noqa: SLF001
 
 
 def description_bits(desc: SquareDescription, alphabet: Alphabet) -> int:

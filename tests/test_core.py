@@ -33,6 +33,8 @@ from shiftlab.core import (
     tile,
     word_square,
 )
+from shiftlab.epitomes import _project
+from shiftlab.lowcfg import NNSpec, build_Pk, describe_subpattern
 
 
 def bits_pattern(rows):
@@ -137,6 +139,133 @@ def test_subpattern_outside_support_rejected():
     p = make_pattern(["00", "00"])
     with pytest.raises(PatternError):
         subpattern(p, (1, 1, 2, 2))
+
+
+# ---------------------------------------------------------------------------
+# The two forms of a pattern: rows held, or a cell map
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _rect_rows(draw):
+    alphabet = draw(st.sampled_from([BINARY, BWR]))
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    letters = st.sampled_from(alphabet.letters)
+    rows = ["".join(draw(st.lists(letters, min_size=w, max_size=w))) for _ in range(h)]
+    return alphabet, rows
+
+
+def _both_forms(alphabet, rows):
+    """The rectangle built from its rows and from its cells."""
+    cells = {(r, c): a for r, line in enumerate(rows) for c, a in enumerate(line)}
+    return make_pattern(rows, alphabet), Pattern(alphabet, cells)
+
+
+_PROBES = [(r, c) for r in range(-1, 7) for c in range(-1, 7)]
+
+_QUERIES = {
+    "cells": lambda p: p.cells,
+    "support": lambda p: p.support,
+    "bbox": lambda p: p.bbox,
+    "height": lambda p: p.height,
+    "width": lambda p: p.width,
+    "is_rectangular": lambda p: p.is_rectangular,
+    "rows": lambda p: p.rows(),
+    "at": lambda p: [p.at(r, c) for r, c in _PROBES],
+    "in": lambda p: [cell in p for cell in _PROBES],
+    "items": lambda p: list(p.items()),
+    "len": len,
+    "lex_key": lambda p: p.lex_key(),
+    "to_text": lambda p: p.to_text(),
+    "repr": repr,
+    "hash": hash,
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rect_rows(), _rect_rows())
+def test_rows_and_cells_forms_agree(drawn, other):
+    alphabet, rows = drawn
+    for name, query in _QUERIES.items():
+        by_rows, by_cells = _both_forms(alphabet, rows)
+        assert query(by_rows) == query(by_cells), name
+    by_rows, by_cells = _both_forms(alphabet, rows)
+    assert by_rows == by_cells and by_cells == by_rows
+    assert by_rows._map is None  # noqa: SLF001 - equality read the rows alone
+    assert hash(by_rows) == hash(by_cells)
+    # two patterns compare alike in both forms and either order
+    same = rows == other[1] and alphabet == other[0]
+    for p in _both_forms(alphabet, rows):
+        for q in _both_forms(*other):
+            assert (p == q) == (q == p) == same
+    # a sparse pattern never equals a rectangle
+    sparse = by_cells.union(Pattern(alphabet, {(len(rows) + 1, 0): rows[0][0]}))
+    assert by_rows != sparse and sparse != by_rows
+
+
+def _cell_by_cell_cut(p, rect):
+    r0, c0, h, w = rect
+    cells = {}
+    for r in range(h):
+        for c in range(w):
+            if (r0 + r, c0 + c) not in p.support:
+                raise PatternError(f"rectangle {rect} leaves the support at {(r0 + r, c0 + c)}")
+            cells[(r, c)] = p.at(r0 + r, c0 + c)
+    return Pattern(p.alphabet, cells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rect_rows(), st.tuples(*[st.integers(-2, 6)] * 2, *[st.integers(0, 6)] * 2))
+def test_subpattern_matches_a_cell_by_cell_cut(drawn, rect):
+    alphabet, rows = drawn
+    by_rows, by_cells = _both_forms(alphabet, rows)
+    sparse = by_cells.union(Pattern(alphabet, {(len(rows) + 1, 0): rows[0][0]}))
+    for source in (by_rows, by_cells, sparse):
+        try:
+            want = _cell_by_cell_cut(source, rect)
+        except PatternError as refusal:
+            with pytest.raises(PatternError) as got:
+                subpattern(source, rect)
+            assert str(got.value) == str(refusal)
+            continue
+        got = subpattern(source, rect)
+        assert got == want and want == got
+        assert (got.bbox, got.rows(), len(got)) == (want.bbox, want.rows(), len(want))
+
+
+def test_from_text_without_dots_holds_rows():
+    p = Pattern.from_text("3 2 3\nBWR\nRRB\n")
+    assert p._map is None and p.rows() == ["BWR", "RRB"]  # noqa: SLF001
+    with pytest.raises(PatternError, match=r"letter '0' at \(1, 2\) not in alphabet"):
+        Pattern.from_text("3 2 3\nBWR\nRR0\n")
+
+
+def test_map_held_rows_are_computed_once():
+    p = Pattern(BINARY, {(0, 0): "1", (0, 1): "0"})
+    assert p.rows() == ["10"] and p.rows() is not p.rows()
+    assert p._row_tuple() is p._row_tuple()  # noqa: SLF001
+
+
+def _true_box(p):
+    """The bounding box of ``p``'s support, computed from its cells."""
+    return Pattern(p.alphabet, p.cells).bbox
+
+
+def test_builders_that_pass_a_box_pass_the_true_one():
+    hs = hard_square_spec()
+    built = list(iter_rect_patterns(hs, 2, 3)) + list(iter_rect_patterns(hs, 0, 3))
+    assert len(built) == 18
+    # the filler route of standard_square, and the search route
+    no00 = NNSpec(spec_from_patterns("no-00-row", BINARY, [make_pattern(["00"])]))
+    squares = [build_Pk(NNSpec(hs), 2), build_Pk(no00, 2)]
+    built += squares
+    built += describe_subpattern(no00, squares[1], 2, (1, 1, 3, 4)).borders
+    built.append(_project(squares[1], {"0": "B", "1": "R"}))
+    built.append(_project(Pattern(BINARY, {(2, -1): "0", (4, 3): "1"}), {"0": "W", "1": "R"}))
+    sparse = squares[1].union(Pattern(BINARY, {(6, 6): "1"}))
+    built += [subpattern(sparse, (1, 2, 3, 2)), subpattern(sparse, (1, 2, 0, 2))]
+    for p in built:
+        assert p.bbox == _true_box(p), p
 
 
 @pytest.mark.parametrize(

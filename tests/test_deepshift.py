@@ -4,9 +4,13 @@ reconstruction, the two-part code, and archives."""
 import itertools
 import json
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab.core import (
     BINARY,
@@ -18,8 +22,10 @@ from shiftlab.core import (
     make_pattern,
     red_black_spec,
     subpattern,
+    tile,
 )
 from shiftlab import deepshift
+from shiftlab.admissibility import _extendable_blocks
 from shiftlab.deepshift import (
     MULTI_BLOCK,
     TWO_BLOCK,
@@ -605,6 +611,80 @@ def test_two_part_code_shape_guards():
         two_part_code(make_pattern(["01", "00", "01"]), 1, HS)
     with pytest.raises(PatternError):
         two_part_code(make_pattern(["BW", "WW"]), 1, HS)
+
+
+def _per_block_code(p, k, spec, margin):
+    """The two-part code by one cut and one lex_key per block."""
+    dictionary = [Pattern(spec.alphabet, cells) for cells in _extendable_blocks(spec, k, margin)]
+    pos = {q.lex_key(): ix for ix, q in enumerate(dictionary)}
+    width = (len(dictionary) - 1).bit_length() if len(dictionary) > 1 else 0
+    N = p.height // k
+    body = []
+    for I in range(N):
+        for J in range(N):
+            ix = pos.get(subpattern(p, (I * k, J * k, k, k)).lex_key())
+            if ix is None:
+                raise InfeasibleError(f"block at ({I}, {J}) is not margin-admissible")
+            body.append(format(ix, f"0{width}b") if width else "")
+    return "".join(body)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_two_part_code_matches_a_per_block_encoder(data):
+    spec = data.draw(st.sampled_from([HS, red_black_spec()]))
+    k = data.draw(st.integers(1, 3 if spec is HS else 2))
+    margin = data.draw(st.integers(0, 1))
+    blocks = [Pattern(spec.alphabet, cells) for cells in _extendable_blocks(spec, k, margin)]
+    N = data.draw(st.integers(1, 4))
+    grid = [[data.draw(st.integers(0, len(blocks) - 1)) for _ in range(N)] for _ in range(N)]
+    p = tile(blocks, grid)
+    if data.draw(st.booleans()):  # one changed cell may leave the dictionary
+        r, c = data.draw(st.integers(0, N * k - 1)), data.draw(st.integers(0, N * k - 1))
+        rows = p.rows()
+        rows[r] = rows[r][:c] + data.draw(st.sampled_from(spec.alphabet.letters)) + rows[r][c + 1 :]
+        p = make_pattern(rows, spec.alphabet)
+    try:
+        want = _per_block_code(p, k, spec, margin)
+    except InfeasibleError as refusal:
+        with pytest.raises(InfeasibleError) as got:
+            two_part_code(p, k, spec, margin)
+        assert str(got.value) == str(refusal)
+        return
+    code = two_part_code(p, k, spec, margin)
+    assert code.bits.endswith(want) and code.index_bits == len(want)
+    assert decode_two_part(code.bits) == p
+
+
+def test_decoding_the_largest_code_stays_small(child_env):
+    # 27 bits name a 1024 x 1024 all-0 pattern; held as rows it peaks near
+    # 33 MB on Python 3.11, against 176 MB when every cell was a dict entry
+    snippet = (
+        "import json, resource\n"
+        "from shiftlab.core import gamma_encode\n"
+        "from shiftlab.deepshift import decode_two_part\n"
+        "bits = ''.join(map(gamma_encode, (2, 1024, 1, 1))) + '0'\n"
+        "p = decode_two_part(bits)\n"
+        "ok = len(bits) == 27 and p.rows() == ['0' * 1024] * 1024\n"
+        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(json.dumps([ok, rss]))\n"
+    )
+    # a child's ru_maxrss starts at the peak of the process that spawned
+    # it, so the decoder runs under a small launcher, not under pytest
+    launcher = (
+        "import subprocess, sys\n"
+        "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, snippet],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=child_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    ok, rss_kb = json.loads(proc.stdout)
+    assert ok and rss_kb < 80 * 1024
 
 
 def test_decode_two_part_refuses_malformed_codes():

@@ -630,6 +630,26 @@ def test_roundtrip_metrics_count_described_and_built_squares(p4_hs):
     assert lowcfg_roundtrip(NN_HS, p4_hs, 4, rects) == reports
 
 
+def test_roundtrip_builds_no_cell_map_of_a_rectangle(p3, nn_no00, monkeypatch):
+    # the rebuilt and the cut rectangles hold their rows and compare by them
+    made = []
+
+    def kept(build):
+        def wrapped(*args):
+            made.append(build(*args))
+            return made[-1]
+
+        return wrapped
+
+    monkeypatch.setattr(lowcfg, "reconstruct_subpattern", kept(lowcfg.reconstruct_subpattern))
+    monkeypatch.setattr(lowcfg, "subpattern", kept(lowcfg.subpattern))
+    rects = [(0, 0, 9, 9), (1, 3, 4, 5), (4, 0, 5, 2), (2, 2, 1, 1)]
+    reports = lowcfg_roundtrip(nn_no00, p3, 3, rects)
+    assert all(rep["ok"] for rep in reports) and len(made) == 2 * len(rects)
+    assert [p._map for p in made] == [None] * len(made)  # noqa: SLF001
+    assert made[0] == p3 and made[1] == p3
+
+
 def test_description_save_load(p3, nn_no00, tmp_path):
     rect = (1, 3, 4, 5)
     desc = describe_subpattern(nn_no00, p3, 3, rect)

@@ -212,10 +212,11 @@ MUTANTS = {
         "key = border",
         ["tests/test_lowcfg.py::test_reconstruction_memo_is_keyed_by_level"],
     ),
-    "cut-without-grid-clamp": (
+    "cut-without-far-line": (
+        # the last covering square along an axis no longer holds its far line
         LOWCFG,
-        "i = min(x // g, n - 1)",
-        "i = x // g",
+        "hi = min(x0 + n, i * g + g + (i == parts - 1))",
+        "hi = min(x0 + n, i * g + g)",
         ["tests/test_lowcfg.py::test_describe_full_square", ROUNDTRIP],
     ),
     # the archive readers
@@ -247,6 +248,25 @@ MUTANTS = {
             "tests/test_core.py::test_tile_matches_a_cell_by_cell_layout",
             "tests/test_deepshift.py::test_arrange_uses_each_block_once",
         ],
+    ),
+    # the two forms of a pattern
+    "adopted-box-one-row-short": (
+        CORE,
+        "box = (0, 0, h - 1, w - 1) if h and w else None",
+        "box = (0, 0, h - 2, w - 1) if h and w else None",
+        ["tests/test_core.py::test_builders_that_pass_a_box_pass_the_true_one"],
+    ),
+    "subpattern-row-cut-one-column-short": (
+        CORE,
+        "[row[c0 : c0 + w] for row in rows]",
+        "[row[c0 : c0 + w - 1] for row in rows]",
+        ["tests/test_core.py::test_subpattern_matches_a_cell_by_cell_cut"],
+    ),
+    "rows-held-len-is-row-count": (
+        CORE,
+        "return len(self._rows) * len(self._rows[0])",
+        "return len(self._rows)",
+        ["tests/test_core.py::test_rows_and_cells_forms_agree"],
     ),
     # the bound on listed candidates
     "candidate-bound-removed": (
