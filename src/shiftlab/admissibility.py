@@ -5,16 +5,18 @@ A pattern is *locally admissible* when it contains no forbidden occurrence;
 of a surrounding margin.  All searches are deterministic backtracking in a
 fixed order — variables row-major over the free cells, values in alphabet
 order — so every witness returned is the lexicographically first one.
+``extendable`` and ``lex_first_completion`` are the reference route: the
+tests check ``core.iter_rect_patterns(spec, h, w, margin)``, the lister of
+the blocks that extend, against them.
 
 When the spec's kernel has a filler letter f for the extent of the margin
 box (``ShiftSpec`` defines it), every locally admissible block extends by
 every margin: fill the ring with f.  A forbidden occurrence that meets the
 ring either puts one of its non-f cells on a ring cell, where the letter is
 f, or has all its non-f cells in the block; they span its bounding box,
-which then lies in the block too.  ``count_admissible`` and the dictionaries
-of ``deepshift.two_part_code`` then need no ring search.  The lex-first
-witness of ``extendable`` is not the all-f ring in general, so
-``extendable`` always searches.
+which then lies in the block too.  The lister and ``count_admissible``
+then need no ring search.  The lex-first witness of ``extendable`` is not
+the all-f ring in general, so ``extendable`` always searches.
 
 So the margin cannot matter at margin 0 or with such a filler, and
 ``count_admissible`` counts the locally admissible n x n blocks with
@@ -27,22 +29,21 @@ forbidden pattern of larger extent does not fit in it.  The red-black
 plan's squares have no interior, so they match wherever a listed square
 does only because every interior cell is coloured; in a window with holes
 they would not.  Without a filler at a positive margin, each block gets
-its own ring search.
+its own ring search, counted on the lister's fill loop, unbounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .core import (
     Pattern,
     PatternError,
     ShiftSpec,
     _bbox_of,
+    _margin_blocks,
     _row_transfer,
     annulus,
-    completable,
     contains_forbidden,
     kernel_of,
     lex_assignments,
@@ -103,39 +104,6 @@ def extendable(p: Pattern, spec: ShiftSpec, margin: int) -> Pattern | None:
     return lex_first_completion(CompletionRegion(p.translate(margin, margin), free), spec)
 
 
-def _extendable_blocks(
-    spec: ShiftSpec, n: int, margin: int
-) -> Iterator[dict[tuple[int, int], str]]:
-    """The locally admissible n x n patterns of ``spec`` that extend by a
-    ``margin`` ring, in canonical order: yields ``state.cells`` holding the
-    pattern at the origin, under the ``lex_assignments`` contract.
-
-    When the kernel has a filler for the box's extent every block extends
-    (see the module docstring), so the blocks are enumerated on an n x n
-    state alone.  Otherwise one state covers the whole box, ring at
-    negative and >= n coordinates.  The interior is filled first, then the
-    ring; a state rejects an occurrence when its last cell is assigned, so
-    the ring search succeeds iff ``extendable`` finds a witness.
-    """
-    if n < 1:
-        raise PatternError("n must be positive")
-    if margin < 0:
-        raise PatternError("margin must be nonnegative")
-    kernel = kernel_of(spec)
-    if margin and kernel.filler(n + 2 * margin) is not None:
-        margin = 0  # every block extends
-    state = kernel.state((-margin, -margin, n + margin - 1, n + margin - 1))
-    interior = [(r, c) for r in range(n) for c in range(n)]
-    ring = [(r - margin, c - margin) for r, c in annulus(n, n, margin)]
-    letters = spec.alphabet.letters
-    if not ring:  # nothing to extend into
-        yield from (state.cells for _ in lex_assignments(state, interior, letters))
-        return
-    for _ in lex_assignments(state, interior, letters):
-        if completable(state, ring, letters):
-            yield state.cells
-
-
 def block_count(spec: ShiftSpec, n: int, margin: int) -> tuple[int, dict]:
     """The count of ``count_admissible`` and how it was reached: ``filler``,
     the kernel's filler for the margin box or None; ``route``,
@@ -152,7 +120,7 @@ def block_count(spec: ShiftSpec, n: int, margin: int) -> tuple[int, dict]:
         raise PatternError("margin must be nonnegative")
     filler = kernel_of(spec).filler(n + 2 * margin)
     if margin and filler is None:
-        count = sum(1 for _ in _extendable_blocks(spec, n, margin))
+        count = sum(1 for _ in _margin_blocks(spec, n, n, margin))
         return count, {"filler": None, "route": "ring-search", "rows": None, "states": None}
     count, rows, states = _row_transfer(spec, n, n)
     return count, {"filler": filler, "route": "row-transfer", "rows": rows, "states": states}

@@ -528,20 +528,57 @@ def completable(state, free: list[tuple[int, int]], letters: tuple[str, ...]) ->
     return False
 
 
-def iter_rect_patterns(spec: ShiftSpec, h: int, w: int) -> Iterator[Pattern]:
-    """The locally admissible h x w patterns of ``spec`` in canonical
-    (row-major lexicographic) order: all |alphabet|^(h*w) of them when the
-    spec forbids nothing."""
+def iter_rect_patterns(spec: ShiftSpec, h: int, w: int, margin: int = 0) -> Iterator[Pattern]:
+    """The locally admissible h x w patterns of ``spec`` whose ring of width
+    ``margin`` has a locally admissible filling (the contract of
+    ``admissibility.extendable``), in canonical (row-major lexicographic)
+    order: all |alphabet|^(h*w) of them when the spec forbids nothing.
+
+    Raises ``InfeasibleError`` before building any pattern when more than
+    ``MAX_CANDIDATES`` locally admissible h x w patterns exist, counted by
+    ``count_rect_patterns``, or when that count is over its own bounds."""
     if h < 0 or w < 0:
         raise PatternError(f"negative rectangle size {h} x {w}")
-    state = kernel_of(spec).state((0, 0, h - 1, w - 1))
-    cells = [(r, c) for r in range(h) for c in range(w)]
-    letters = spec.alphabet.letters
+    if margin < 0:
+        raise PatternError("margin must be nonnegative")
+    count = count_rect_patterns(spec, h, w)
+    if count > MAX_CANDIDATES:
+        raise InfeasibleError(
+            f"{count} admissible {h}x{w} patterns of {spec.name} exceed the "
+            f"{MAX_CANDIDATES} a check lists; lower the size"
+        )
     box = (0, 0, h - 1, w - 1) if h and w else None
     return (
-        Pattern._adopt(spec.alphabet, dict(state.cells), box)
-        for _ in lex_assignments(state, cells, letters)
+        Pattern._adopt(spec.alphabet, dict(cells), box)
+        for cells in _margin_blocks(spec, h, w, margin)
     )
+
+
+def _margin_blocks(
+    spec: ShiftSpec, h: int, w: int, margin: int
+) -> Iterator[dict[tuple[int, int], str]]:
+    """The fill loop of ``iter_rect_patterns``: yields ``state.cells``
+    holding each pattern at the origin, under the ``lex_assignments``
+    contract.  With a filler for the extent of the margin box every locally
+    admissible pattern extends (``ShiftSpec``), so an h x w state lists
+    them.  Otherwise one state covers the box, ring cells at negative
+    coordinates and past row h - 1 or column w - 1; the interior is filled
+    first, then the ring, and a state rejects an occurrence when its last
+    cell is assigned, so the ring search succeeds iff ``extendable`` finds
+    a witness."""
+    kernel = kernel_of(spec)
+    if margin and kernel.filler(max(h, w) + 2 * margin) is not None:
+        margin = 0  # every pattern extends
+    state = kernel.state((-margin, -margin, h + margin - 1, w + margin - 1))
+    interior = [(r, c) for r in range(h) for c in range(w)]
+    letters = spec.alphabet.letters
+    if not margin:
+        yield from (state.cells for _ in lex_assignments(state, interior, letters))
+        return
+    ring = [(r - margin, c - margin) for r, c in annulus(h, w, margin)]
+    for _ in lex_assignments(state, interior, letters):
+        if completable(state, ring, letters):
+            yield state.cells
 
 
 # Refusal bounds of the row transfer, both checked before it runs, so that
@@ -572,28 +609,19 @@ def _transfer_steps(rows: int, depth: int, h: int) -> int:
 
 def count_rect_patterns(spec: ShiftSpec, h: int, w: int) -> int:
     """The number of locally admissible h x w patterns of ``spec``: the count
-    of ``iter_rect_patterns``, by a row transfer (Calkin & Wilf 1998)."""
+    of ``iter_rect_patterns`` at margin 0, by a row transfer (Calkin & Wilf
+    1998)."""
     return _row_transfer(spec, h, w)[0]
 
 
-# The most candidate squares a check lists one by one, each built as a
-# ``Pattern``: hard-square 5 (55,447), red-black 3 (18,748) and mirror 4
-# (74,240) are listed, red-black 4 (38,559,440) and mirror 5 (35,718,144)
-# refused once counted.  The generic epitome check also sweeps at most
-# ``MAX_ANNULUS_COLORINGS`` colorings of its annulus.
+# The most candidates ``iter_rect_patterns`` lists, each built as a
+# ``Pattern``; it counts them first: hard-square 5 (55,447), red-black 3
+# (18,748) and mirror 4 (74,240) are listed, red-black 4 (38,559,440) and
+# mirror 5 (35,718,144) refused.  ``block_count``'s ring search counts
+# without listing and is not bounded.  The generic epitome check also
+# sweeps at most ``MAX_ANNULUS_COLORINGS`` colorings of its annulus.
 MAX_CANDIDATES = 100_000
 MAX_ANNULUS_COLORINGS = 2_000_000
-
-
-def bound_candidates(spec: ShiftSpec, n: int) -> None:
-    """Refuse with ``InfeasibleError``, before any is built, more than
-    ``MAX_CANDIDATES`` locally admissible n x n patterns of ``spec``."""
-    count = count_rect_patterns(spec, n, n)
-    if count > MAX_CANDIDATES:
-        raise InfeasibleError(
-            f"{count} admissible {n}x{n} patterns of {spec.name} exceed the "
-            f"{MAX_CANDIDATES} a check lists; lower the size"
-        )
 
 
 def _row_transfer(spec: ShiftSpec, h: int, w: int) -> tuple[int, int, int]:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Iterable
 
 from . import __version__
-from .admissibility import _extendable_blocks
 from .complexity import (
     StepMeter,
     incompressible_permutations,
@@ -39,12 +38,12 @@ from .core import (
     PatternError,
     ShiftSpec,
     archive_path,
-    bound_candidates,
     gamma_decode,
     gamma_encode,
     int_field,
     int_list,
     invert,
+    iter_rect_patterns,
     list_field,
     read_head,
     read_pattern,
@@ -446,8 +445,7 @@ def two_part_code(p: Pattern, k: int, spec: ShiftSpec, margin: int = 0) -> TwoPa
     if k < 1 or p.height % k:
         raise PatternError(f"side {p.height} is not a multiple of k={k}")
     N = p.height // k
-    bound_candidates(spec, k)
-    dictionary = [Pattern(spec.alphabet, cells) for cells in _extendable_blocks(spec, k, margin)]
+    dictionary = list(iter_rect_patterns(spec, k, k, margin))
     L = len(dictionary)
     if L == 0:
         raise InfeasibleError("no admissible blocks at this size")

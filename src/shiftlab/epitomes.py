@@ -23,7 +23,6 @@ import operator
 from dataclasses import dataclass
 from typing import Callable
 
-from .admissibility import _extendable_blocks
 from .core import (
     BWR,
     BINARY,
@@ -38,7 +37,6 @@ from .core import (
     _members,
     _mirror_enumerator,
     annulus,
-    bound_candidates,
     contains_forbidden,
     iter_rect_patterns,
     kernel_of,
@@ -506,7 +504,6 @@ def _check_generic(spec, fam, n, margin):
         raise InfeasibleError(
             f"annulus search over {combos} colorings is infeasible; lower --n or --margin"
         )
-    bound_candidates(spec, n)
     candidates = list(iter_rect_patterns(spec, n, n))
     values = [fam.evaluate(q) for q in candidates]
     if all(v is None for v in values):
@@ -663,9 +660,8 @@ def _check_mirror(spec, n, margin):
     as a column.  The windows have holes, so the plan is the forbidden list
     itself, up to the extent 2n + 1 of the box (0, -1, 2n, n) that holds
     each window and its slot."""
-    bound_candidates(spec, n)
     candidates = list(iter_rect_patterns(spec, n, n))
-    blocks = [Pattern(spec.alphabet, cells) for cells in _extendable_blocks(spec, n, margin)]
+    blocks = list(iter_rect_patterns(spec, n, n, margin))
     windows = _slot_index(_mirror_window(p).cells for p in blocks)
     plan = [tuple(f.items()) for f in spec.enumerator(2 * n + 1)]
     fillings = _slot_index(q.cells for q in candidates)
@@ -744,7 +740,8 @@ class ConsistencyReport:
     projection: several distinct values (plain kind) or no maximum value
     (ordered kind).  The undefined value None is one more value: the order
     compares it by equality only.  ``ledger_bits`` is the cost of
-    remembering one border: (4n-4) * ceil(log2 |cover alphabet|)."""
+    remembering one border: its cells (4n-4, or the one cell at n = 1) times
+    ceil(log2 |cover alphabet|)."""
 
     n: int
     family: str
@@ -780,7 +777,6 @@ def border_epitome_consistency(
             f"projection leaves out {', '.join(map(repr, missing))} "
             f"of the {spec.name} alphabet"
         )
-    bound_candidates(spec, n)
     ring = annulus(n - 2, n - 2, 1)
     groups: dict[str, list] = {}
     for q in iter_rect_patterns(spec, n, n):
@@ -816,5 +812,5 @@ def border_epitome_consistency(
         kind=fam.kind,
         groups=tuple(out),
         flagged_count=flagged_count,
-        ledger_bits=(4 * n - 4) * spec.alphabet.letter_bits,
+        ledger_bits=len(ring) * spec.alphabet.letter_bits,
     )

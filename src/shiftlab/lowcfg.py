@@ -257,6 +257,9 @@ def describe_subpattern(
     """
     r0, c0, h, w = rect
     side_k = side_of_level(k)
+    square = pk.is_rectangular and pk.bbox == (0, 0, side_k - 1, side_k - 1)
+    if not square or pk.alphabet != nn.alphabet:
+        raise PatternError(f"pk is not a {side_k}x{side_k} square over the {nn.spec.name} alphabet")
     if h < 1 or w < 1 or r0 < 0 or c0 < 0 or r0 + h > side_k or c0 + w > side_k:
         raise PatternError(f"rect {rect} outside the level-{k} square")
     m = _min_level(max(h, w))
@@ -268,12 +271,14 @@ def describe_subpattern(
     cols = (j0,) if c0 + w - 1 <= j0 * g + g else (j0, j0 + 1)
     side = side_of_level(m)
     box = (0, 0, side - 1, side - 1)
+    lines = pk.rows()
     borders = []
     for i in rows:
         for j in cols:
-            cells = {
-                (r, c): pk.at(i * g + r, j * g + c) for (r, c) in ring_cells(side)
-            }
+            cells = {}  # the ring's top and bottom rows whole, its two end cells between
+            for r, line in enumerate(lines[i * g : i * g + side]):
+                ends = range(side) if r in (0, side - 1) else (0, side - 1)
+                cells.update(((r, c), line[j * g + c]) for c in ends)
             borders.append(Pattern._adopt(nn.alphabet, cells, box))  # noqa: SLF001
     return SquareDescription(
         level=m,

@@ -3,20 +3,21 @@
 import itertools
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab.admissibility import (
     CompletionRegion,
-    _extendable_blocks,
     block_count,
     count_admissible,
     extendable,
     lex_first_completion,
 )
+from shiftlab import core
 from shiftlab.core import (
     BINARY,
     BWR,
+    InfeasibleError,
     Pattern,
     PatternError,
     contains_forbidden,
@@ -298,7 +299,7 @@ def _extendable_oracle(spec, n, margin):
 
 def _assert_matches_oracle(spec, n, margin):
     want = _extendable_oracle(spec, n, margin)
-    got = [Pattern(spec.alphabet, cells) for cells in _extendable_blocks(spec, n, margin)]
+    got = list(iter_rect_patterns(spec, n, n, margin))
     assert got == want
     assert count_admissible(spec, n, margin) == len(want)
 
@@ -404,5 +405,42 @@ def test_row_transfer_matches_enumeration(spec, h, w, n):
     assert count_rect_patterns(spec, h, w) == sum(1 for _ in iter_rect_patterns(spec, h, w))
     count, metrics = block_count(spec, n, 1)
     assert metrics["route"] == ("ring-search" if metrics["filler"] is None else "row-transfer")
-    blocks = sum(1 for _ in _extendable_blocks(spec, n, 1))
+    blocks = sum(1 for _ in iter_rect_patterns(spec, n, n, 1))
     assert count == count_admissible(spec, n, 1) == blocks
+
+
+# ---------------------------------------------------------------------------
+# the margin lister at non-square sizes, and its bound
+# ---------------------------------------------------------------------------
+
+
+# derandomized: a failing ring search backtracks over whole ring rows, and
+# some draws take seconds (a 1 x 3 block at margin 2 of a spec banning a 1
+# two rows above and two columns left of any letter took 6.6 s for its 8
+# blocks), so the run keeps one fixed set of draws
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(row_spread_specs(), st.integers(1, 3), st.integers(1, 4), st.integers(0, 2))
+@example(DEAD_END, 2, 3, 1)  # no filler, and blocks that do not extend
+@example(HS, 3, 4, 2)  # filler 0
+def test_margin_lister_matches_filtered_enumeration_off_the_square(spec, h, w, margin):
+    # at most 2^12 fillings: all of 3 x 4 over BINARY, up to 7 cells over BWR
+    assume(h != w and len(spec.alphabet) ** (h * w) <= 2**12)
+    want = [q for q in iter_rect_patterns(spec, h, w) if extendable(q, spec, margin) is not None]
+    assert list(iter_rect_patterns(spec, h, w, margin)) == want
+
+
+NO_01 = spec_from_patterns("no-01", BINARY, [make_pattern(["01"])])  # no filler
+
+
+def test_lister_refuses_before_building_while_the_ring_count_is_unbounded(monkeypatch):
+    def built(*_):
+        raise AssertionError("a pattern was built")
+
+    monkeypatch.setattr(core, "MAX_CANDIDATES", 5)
+    monkeypatch.setattr(Pattern, "_adopt", classmethod(built))
+    with pytest.raises(InfeasibleError, match="^9 admissible 2x2 patterns of no-01 exceed the 5 "):
+        iter_rect_patterns(NO_01, 2, 2, 1)
+    # the ring search counts on the lister's fill loop, building nothing
+    assert block_count(NO_01, 2, 1) == (
+        9, {"filler": None, "route": "ring-search", "rows": None, "states": None}
+    )

@@ -9,7 +9,6 @@ from dataclasses import replace
 
 import pytest
 
-from shiftlab import epitomes
 from shiftlab.cli import main
 from shiftlab.core import Pattern, make_pattern
 from shiftlab.deepshift import LevelBudget, params_to_dict, schedule_params
@@ -285,10 +284,10 @@ def test_sizes_below_range_exit_1(capsys, tmp_path, argv):
 def test_candidate_enumerations_are_bounded(capsys, monkeypatch, argv):
     """5,598,861 hard-square 6 x 6 candidates: refused once counted, before
     one is built."""
-    def listed(*_):
+    def built(*_):
         raise AssertionError("a candidate was built")
 
-    monkeypatch.setattr(epitomes, "iter_rect_patterns", listed)
+    monkeypatch.setattr(Pattern, "_adopt", classmethod(built))
     rc, report, _ = run_json(capsys, *argv)
     assert rc == 3 and report["infeasible"] is True
     assert "5598861" in report["error"]

@@ -19,13 +19,13 @@ from shiftlab.core import (
     PatternError,
     hard_square_spec,
     invert,
+    iter_rect_patterns,
     make_pattern,
     red_black_spec,
     subpattern,
     tile,
 )
-from shiftlab import deepshift
-from shiftlab.admissibility import _extendable_blocks
+from shiftlab.admissibility import extendable
 from shiftlab.deepshift import (
     MULTI_BLOCK,
     TWO_BLOCK,
@@ -596,10 +596,10 @@ def test_two_part_code_rejects_inadmissible_block():
 
 
 def test_two_part_code_bounds_its_dictionary(monkeypatch):
-    def listed(*_):
-        raise AssertionError("a block was listed")
+    def built(*_):
+        raise AssertionError("a block was built")
 
-    monkeypatch.setattr(deepshift, "_extendable_blocks", listed)
+    monkeypatch.setattr(Pattern, "_adopt", classmethod(built))
     with pytest.raises(InfeasibleError, match="5598861 admissible 6x6"):
         two_part_code(make_pattern(["0" * 6] * 6), 6, HS)
 
@@ -614,8 +614,10 @@ def test_two_part_code_shape_guards():
 
 
 def _per_block_code(p, k, spec, margin):
-    """The two-part code by one cut and one lex_key per block."""
-    dictionary = [Pattern(spec.alphabet, cells) for cells in _extendable_blocks(spec, k, margin)]
+    """The two-part code by one cut and one lex_key per block, over a
+    dictionary filtered by the reference completion search."""
+    candidates = iter_rect_patterns(spec, k, k)
+    dictionary = [q for q in candidates if extendable(q, spec, margin) is not None]
     pos = {q.lex_key(): ix for ix, q in enumerate(dictionary)}
     width = (len(dictionary) - 1).bit_length() if len(dictionary) > 1 else 0
     N = p.height // k
@@ -635,7 +637,7 @@ def test_two_part_code_matches_a_per_block_encoder(data):
     spec = data.draw(st.sampled_from([HS, red_black_spec()]))
     k = data.draw(st.integers(1, 3 if spec is HS else 2))
     margin = data.draw(st.integers(0, 1))
-    blocks = [Pattern(spec.alphabet, cells) for cells in _extendable_blocks(spec, k, margin)]
+    blocks = list(iter_rect_patterns(spec, k, k, margin))
     N = data.draw(st.integers(1, 4))
     grid = [[data.draw(st.integers(0, len(blocks) - 1)) for _ in range(N)] for _ in range(N)]
     p = tile(blocks, grid)

@@ -8,7 +8,6 @@ from dataclasses import replace
 
 import pytest
 
-from shiftlab.admissibility import _extendable_blocks
 from shiftlab.core import (
     BINARY,
     BWR,
@@ -335,7 +334,7 @@ def test_mirror_route_matches_per_candidate_scans(n, margin, monkeypatch):
     # candidate i), agree with a scan of each filled window
     calls = _recorded_window_checks(monkeypatch)
     rep = epitome_property_check(MI, mirror_family(), n, margin)
-    blocks = [Pattern(BWR, cells) for cells in _extendable_blocks(MI, n, margin)]
+    blocks = list(iter_rect_patterns(MI, n, n, margin))
     candidates = list(iter_rect_patterns(MI, n, n))
     assert len(calls) == 1
     (rows,) = calls
@@ -742,6 +741,21 @@ def test_border_consistency_group_sizes():
     assert len(rep.groups) == 7
     assert all(g.size == 1 for g in rep.groups)
     assert rep.ledger_bits == 4
+
+
+@pytest.mark.parametrize(
+    "spec, projection, bits",
+    [(HS, IDENTITY, 1), (RB, {a: a for a in "BWR"}, 2)],
+    ids=["hard-square", "red-black"],
+)
+def test_border_consistency_ledger_at_n_1(spec, projection, bits):
+    # at n = 1 the ring grouped by is the one cell, so one border costs one
+    # letter: each 1 x 1 pattern is its own group
+    rep = border_epitome_consistency(spec, projection, constant_family(), 1)
+    letters = [q.rows()[0] for q in iter_rect_patterns(spec, 1, 1)]
+    assert [g.border for g in rep.groups] == sorted(letters)
+    assert all(g.size == 1 for g in rep.groups)
+    assert rep.ledger_bits == bits
 
 
 def test_border_consistency_ordered_kind():

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from shiftlab.admissibility import _extendable_blocks, count_admissible
+from shiftlab.admissibility import count_admissible
 from shiftlab.core import (
     BINARY,
     BWR,
@@ -25,6 +25,7 @@ from shiftlab.core import (
     completable,
     contains_forbidden,
     hard_square_spec,
+    iter_rect_patterns,
     kernel_of,
     lex_assignments,
     make_pattern,
@@ -129,8 +130,8 @@ def test_sparse_pattern_spans_through_its_gap():
 def test_extendable_blocks_same_with_filler_hidden(n, margin):
     assert kernel_of(HS).filler(n + 2 * margin) == "0"
     hidden = _hidden(HS)
-    got = [list(cells.items()) for cells in _extendable_blocks(HS, n, margin)]
-    want = [list(cells.items()) for cells in _extendable_blocks(hidden, n, margin)]
+    got = [q.rows() for q in iter_rect_patterns(HS, n, n, margin)]
+    want = [q.rows() for q in iter_rect_patterns(hidden, n, n, margin)]
     assert got == want
     assert count_admissible(HS, n, margin) == count_admissible(hidden, n, margin) == len(want)
 

@@ -512,6 +512,49 @@ def test_roundtrip_random_rects(p4_hs):
     assert all(rep["ok"] and rep["within_bound"] for rep in reports)
 
 
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+def test_roundtrip_rings_match_per_cell_reads(nn_no00, monkeypatch, k):
+    # every covering square's ring, read from pk's rows, is the ring read
+    # cell by cell with pk.at, rectangles on pk's last row and column included
+    pk = build_Pk(nn_no00, k)
+    side_k = side_of_level(k)
+    rng = random.Random(k)
+    rects = [(0, 0, side_k, side_k), (side_k - 1, 0, 1, side_k), (0, side_k - 1, side_k, 1)]
+    for _ in range(12):
+        h, w = rng.randint(1, side_k), rng.randint(1, side_k)
+        rects.append((rng.randint(0, side_k - h), rng.randint(0, side_k - w), h, w))
+    described = []
+
+    def recorded(*args):
+        described.append(describe_subpattern(*args))
+        return described[-1]
+
+    monkeypatch.setattr(lowcfg, "describe_subpattern", recorded)
+    assert all(rep["ok"] for rep in lowcfg_roundtrip(nn_no00, pk, k, rects))
+    assert len(described) == len(rects)
+    for rect, desc in zip(rects, described):
+        g = 2**desc.level
+        i0, j0 = (rect[0] - desc.offset[0]) // g, (rect[1] - desc.offset[1]) // g
+        want = [
+            [((r, c), pk.at(i * g + r, j * g + c)) for r, c in ring_cells(g + 1)]
+            for i in range(i0, i0 + desc.grid[0])
+            for j in range(j0, j0 + desc.grid[1])
+        ]
+        assert [list(b.items()) for b in desc.borders] == want, rect
+
+
+def test_describe_refuses_a_square_of_the_wrong_size_or_alphabet(nn_no00, p3):
+    wrong = [
+        build_Pk(nn_no00, 2),
+        build_Pk(nn_no00, 4),
+        Pattern(BINARY, {cell: a for cell, a in p3.items() if cell != (8, 8)}),
+        Pattern(BWR, {cell: "BW"[int(a)] for cell, a in p3.items()}),
+    ]
+    for pk in wrong:
+        with pytest.raises(PatternError, match="^pk is not a 9x9 square over the no-00-row "):
+            describe_subpattern(nn_no00, pk, 3, (0, 0, 1, 1))
+
+
 def test_description_bits_within_declared_constant(p4_hs):
     assert description_constant(BINARY) == 48
     for rect in ((0, 0, 17, 17), (3, 3, 7, 11), (16, 0, 1, 17), (8, 8, 1, 1)):
@@ -659,17 +702,37 @@ def test_description_save_load(p3, nn_no00, tmp_path):
     assert reconstruct_subpattern(back, nn_no00) == subpattern(p3, rect)
 
 
-def test_lowcfg_imports_only_core(child_env):
-    # the archive format and the gamma code live in core, so lowcfg loads
-    # neither the program search nor the completion search
-    snippet = "import json, sys, shiftlab.lowcfg; print(json.dumps(sorted(sys.modules)))"
+def _loaded_by(module, env):
+    """The modules a child interpreter holds after importing ``module``."""
+    snippet = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run(
-        [sys.executable, "-c", snippet], capture_output=True, text=True, timeout=120, env=child_env
+        [sys.executable, "-c", snippet], capture_output=True, text=True, timeout=120, env=env
     )
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout))
-    assert "shiftlab.lowcfg" in loaded
+    assert module in loaded
+    return loaded
+
+
+def test_lowcfg_imports_only_core(child_env):
+    # the archive format and the gamma code live in core, so lowcfg loads
+    # neither the program search nor the completion search
+    loaded = _loaded_by("shiftlab.lowcfg", child_env)
     assert not loaded & {"shiftlab.deepshift", "shiftlab.complexity", "shiftlab.admissibility"}
+
+
+@pytest.mark.parametrize(
+    "module, unused",
+    [
+        # blocks that extend by a margin are listed by core
+        ("epitomes", ["admissibility", "deepshift", "complexity", "lowcfg"]),
+        ("deepshift", ["admissibility", "epitomes", "lowcfg"]),
+    ],
+    ids=["epitomes", "deepshift"],
+)
+def test_modules_import_only_what_they_run(child_env, module, unused):
+    loaded = _loaded_by(f"shiftlab.{module}", child_env)
+    assert not loaded & {f"shiftlab.{name}" for name in unused}
 
 
 _DESCRIPTION = {"level": 1, "grid": [1, 1], "offset": [0, 0], "shape": [1, 1], "border_files": []}

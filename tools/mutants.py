@@ -55,6 +55,10 @@ ROUNDTRIP = "tests/test_lowcfg.py::test_roundtrip_random_rects"
 REFERENCE_VM = "tests/test_complexity.py::test_library_agrees_with_reference_interpreter"
 BAD_MANIFEST = "tests/test_cli.py::test_malformed_manifest_exits_1_with_one_line"
 BAD_DESCRIPTION = "tests/test_lowcfg.py::test_load_description_refuses_malformed_heads"
+MARGIN_ORACLE = "tests/test_admissibility.py::test_extendable_blocks_match_filtered_enumeration"
+MARGIN_OFF_SQUARE = (
+    "tests/test_admissibility.py::test_margin_lister_matches_filtered_enumeration_off_the_square"
+)
 
 # name -> (file, text, replacement, tests that should kill it)
 MUTANTS = {
@@ -276,7 +280,22 @@ MUTANTS = {
         [
             "tests/test_cli.py::test_candidate_enumerations_are_bounded",
             "tests/test_deepshift.py::test_two_part_code_bounds_its_dictionary",
+            "tests/test_admissibility.py::"
+            "test_lister_refuses_before_building_while_the_ring_count_is_unbounded",
         ],
+    ),
+    # the margin lister
+    "margin-filler-shortcut-without-filler": (
+        CORE,
+        "if margin and kernel.filler(max(h, w) + 2 * margin) is not None:",
+        "if margin:",
+        [MARGIN_ORACLE, MARGIN_OFF_SQUARE],
+    ),
+    "margin-ring-filter-dropped": (
+        CORE,
+        "if completable(state, ring, letters):",
+        "if True:",
+        [MARGIN_ORACLE, MARGIN_OFF_SQUARE],
     ),
     # the row transfer of count_rect_patterns
     "transfer-state-one-row-short": (
