@@ -55,9 +55,6 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.letters)
-
     def __contains__(self, letter: str) -> bool:
         return letter in self.letters
 
@@ -465,9 +462,6 @@ class ShiftSpec:
     enumerator: Callable[[int], tuple[Pattern, ...]] = field(repr=False)
     kernel: object | None = field(default=None, repr=False)
 
-    def __hash__(self):
-        return hash(self.name)
-
     @functools.cached_property
     def _generic_kernel(self) -> "GenericKernel":
         return GenericKernel(self.alphabet, self.enumerator)
@@ -559,25 +553,23 @@ def _margin_blocks(
 ) -> Iterator[dict[tuple[int, int], str]]:
     """The fill loop of ``iter_rect_patterns``: yields ``state.cells``
     holding each pattern at the origin, under the ``lex_assignments``
-    contract.  With a filler for the extent of the margin box every locally
-    admissible pattern extends (``ShiftSpec``), so an h x w state lists
-    them.  Otherwise one state covers the box, ring cells at negative
+    contract.  One state covers the margin box, ring cells at negative
     coordinates and past row h - 1 or column w - 1; the interior is filled
     first, then the ring, and a state rejects an occurrence when its last
     cell is assigned, so the ring search succeeds iff ``extendable`` finds
-    a witness."""
+    a witness.  With a filler for the extent of the box every locally
+    admissible pattern extends (``ShiftSpec``), so the margin drops to 0:
+    at margin 0 the ring is empty and the h x w state lists the patterns
+    without a search."""
     kernel = kernel_of(spec)
     if margin and kernel.filler(max(h, w) + 2 * margin) is not None:
         margin = 0  # every pattern extends
     state = kernel.state((-margin, -margin, h + margin - 1, w + margin - 1))
     interior = [(r, c) for r in range(h) for c in range(w)]
     letters = spec.alphabet.letters
-    if not margin:
-        yield from (state.cells for _ in lex_assignments(state, interior, letters))
-        return
     ring = [(r - margin, c - margin) for r, c in annulus(h, w, margin)]
     for _ in lex_assignments(state, interior, letters):
-        if completable(state, ring, letters):
+        if not ring or completable(state, ring, letters):
             yield state.cells
 
 

@@ -21,12 +21,13 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .core import (
     BWR,
     BINARY,
     MAX_ANNULUS_COLORINGS,
+    MAX_CANDIDATES,
     InfeasibleError,
     Occurrence,
     Pattern,
@@ -62,9 +63,6 @@ class Profile:
 
     def __len__(self) -> int:
         return len(self.counts)
-
-    def __iter__(self):
-        return iter(self.counts)
 
 
 def profile(p: Pattern) -> Profile | None:
@@ -106,9 +104,15 @@ def simple_pattern(prof: Profile) -> Pattern:
     return Pattern(BWR, _simple_cells(prof))
 
 
-def all_profiles(n: int):
-    for counts in itertools.product(range(n + 1), repeat=n):
-        yield Profile(counts)
+def all_profiles(n: int) -> Iterator[Profile]:
+    """The (n + 1)^n profiles of length n in lexicographic order, refused
+    (``InfeasibleError``) before any is built above ``MAX_CANDIDATES``."""
+    count = (n + 1) ** n
+    if count > MAX_CANDIDATES:
+        raise InfeasibleError(
+            f"{count} profiles of length {n} exceed the {MAX_CANDIDATES} a check lists; lower n"
+        )
+    return (Profile(counts) for counts in itertools.product(range(n + 1), repeat=n))
 
 
 # The simple patterns are exactly the locally admissible patterns of the
@@ -122,11 +126,10 @@ _SIMPLE = spec_from_patterns(
 
 def simple_pattern_census(n: int) -> int:
     """Count of simple n x n patterns, produced by enumerating each one, not
-    by a closed formula."""
+    by a closed formula.  The lister refuses (``InfeasibleError``) when its
+    count exceeds ``MAX_CANDIDATES``: n = 5 lists 7,776, n = 6 is refused."""
     if n < 1:
         raise PatternError("n must be positive")
-    if n > 4:
-        raise InfeasibleError("census is limited to n <= 4")
     return sum(1 for _ in iter_rect_patterns(_SIMPLE, n, n))
 
 
@@ -497,7 +500,8 @@ def _check_generic(spec, fam, n, margin):
     ``_BLOCK`` colorings.  Per candidate the blocks fold whether it is
     compatible anywhere, whether some compatible coloring witnesses it (no
     more tests once one has), and its first compatible coloring, whose
-    column a counterexample is read from."""
+    column a counterexample is read from.  Witnessing depends only on a
+    candidate's value, so each block unites colorings once per value."""
     ring = annulus(n, n, margin)
     combos = len(spec.alphabet) ** len(ring)
     if combos > MAX_ANNULUS_COLORINGS:
@@ -520,13 +524,14 @@ def _check_generic(spec, fam, n, margin):
     by_value: dict = {}
     for j in defined:
         by_value.setdefault(values[j], []).append(j)
-    bad: dict[int, list[int]] = {}  # ordered kind: the defined conflicts of j
+    # ordered kind: per value v, the defined values that conflict with it
+    rivals = {} if plain else {v: [u for u in by_value if conflicts(u, v)] for v in by_value}
 
-    def any_of(rows, cols) -> int:
-        """Colorings compatible with at least one candidate of ``cols``."""
+    def any_of(rows, keys) -> int:
+        """Colorings compatible with at least one candidate (value) of ``keys``."""
         out = 0
-        for j in cols:
-            out |= rows[j]
+        for k in keys:
+            out |= rows[k]
         return out
 
     side = n + 2 * margin
@@ -546,25 +551,23 @@ def _check_generic(spec, fam, n, margin):
         if not pending:
             continue
         undef_any = any_of(rows, undefined)
+        value_hits = {v: any_of(rows, cols) for v, cols in by_value.items()}
         if plain:
             # a coloring witnesses P iff exactly one distinct value is
             # compatible with it (necessarily P's own) and nothing undefined
             # is: ``once`` marks the colorings some value hits, ``twice``
             # those a second value hits too
             once = twice = 0
-            for cols in by_value.values():
-                hits = any_of(rows, cols)
+            for hits in value_hits.values():
                 twice |= once & hits
                 once |= hits
-            unique_ok = once & ~(twice | undef_any)
+            clear = dict.fromkeys(value_hits, once & ~(twice | undef_any))
+        else:
+            # a coloring witnesses P iff no rival of P's value and nothing
+            # undefined is compatible with it
+            clear = {v: ~(any_of(value_hits, us) | undef_any) for v, us in rivals.items()}
         for j in pending:
-            if plain:
-                good = rows[j] & unique_ok
-            else:
-                if j not in bad:
-                    bad[j] = [jj for jj in defined if conflicts(values[jj], values[j])]
-                good = rows[j] & ~(any_of(rows, bad[j]) | undef_any)
-            passed[j] = bool(good)
+            passed[j] = bool(rows[j] & clear[values[j]])
 
     entries = []
     counterexample = None

@@ -1,8 +1,10 @@
 """The JSON-report command line: exit codes, payloads, determinism."""
 
+import importlib
 import json
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 from dataclasses import replace
@@ -687,6 +689,14 @@ def test_epitome_verify_infeasible_scale(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("argv", [("--n", "6"), ("--profile", "1,1,1,1,1,1")])
+def test_epitome_verify_profile_sweeps_are_bounded(capsys, argv):
+    rc, report, _ = run_json(capsys, "epitome-verify", *argv)
+    assert rc == 3
+    assert report["infeasible"] is True
+    assert report["error"] == "117649 profiles of length 6 exceed the 100000 a check lists; lower n"
+
+
 def test_border_consistency_defaults(capsys):
     rc, report, _ = run_json(capsys, "border-consistency")
     assert rc == 0
@@ -821,6 +831,17 @@ def test_render_prints_raw_grid(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "render", str(pfile))
     assert rc == 0
     assert out == "BW\nRW\n"
+
+
+def test_tracer_targets_name_library_functions():
+    # perfbench/tracer.py wraps these names in the package; one that a
+    # change drops or renames would break only a traced benchmark run
+    tracer = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    targets = runpy.run_path(str(tracer), run_name="perfbench_tracer")["TARGETS"]
+    assert targets
+    for modname, fname, *_ in targets:
+        module = importlib.import_module(f"shiftlab.{modname}")
+        assert callable(getattr(module, fname, None)), f"shiftlab.{modname}.{fname}"
 
 
 def test_console_entry_point_subprocess(child_env):

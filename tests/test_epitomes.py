@@ -125,8 +125,19 @@ def test_census_counts_by_enumeration():
 def test_census_guards():
     with pytest.raises(PatternError):
         simple_pattern_census(0)
-    with pytest.raises(InfeasibleError):
-        simple_pattern_census(5)
+    with pytest.raises(InfeasibleError, match="117649 admissible 6x6 patterns of simple exceed"):
+        simple_pattern_census(6)
+
+
+def test_census_5_lists_every_profile():
+    assert simple_pattern_census(5) == 7776 == len(list(all_profiles(5)))
+
+
+def test_all_profiles_refuses_before_listing():
+    # the refusal comes from the call itself, before anything is iterated
+    with pytest.raises(InfeasibleError, match="117649 profiles of length 6 exceed the 100000"):
+        all_profiles(6)
+    assert next(iter(all_profiles(5))) == Profile((0,) * 5)
 
 
 def test_census_matches_profile_count():
@@ -567,6 +578,23 @@ def test_generic_route_matches_brute_force(case):
         "candidates": len(candidates),
         "window_checks": len(rings) * len(candidates),
     }
+
+
+def test_ordered_check_compares_values_not_candidate_pairs():
+    # whether a coloring witnesses a candidate depends only on its value, so
+    # the check compares each pair of distinct values once, plus at most one
+    # comparison per candidate for the counterexample
+    ordered = interior_popcount_family("ordered")
+    calls = []
+
+    def leq(a, b):
+        calls.append((a, b))
+        return ordered.leq(a, b)
+
+    rep = epitome_property_check(HS, EpitomeFamily(ordered.name, ordered.evaluate, leq), 3)
+    values = [ordered.evaluate(q) for q in iter_rect_patterns(HS, 3, 3)]
+    assert len(calls) <= len({v for v in values if v is not None}) ** 2 + len(values)
+    assert rep == epitome_property_check(HS, ordered, 3)
 
 
 def test_brute_force_oracle_cases_cover_both_answers():

@@ -118,6 +118,13 @@ MUTANTS = {
         EPITOMES, "r1 - fr1 + dr + 1)", "r1 - fr1 + dr)", [PER_PAIR, BRUTE],
     ),
     # the routes
+    "profile-bound-base": (
+        # the CLI refusal test is left out: it would sweep every profile
+        EPITOMES,
+        "count = (n + 1) ** n",
+        "count = n ** n",
+        ["tests/test_epitomes.py::test_all_profiles_refuses_before_listing"],
+    ),
     "enforcer-own-bit-dropped": (
         EPITOMES,
         "passed = bool(row >> j & 1) and not row & ~below[j]",
@@ -143,6 +150,7 @@ MUTANTS = {
         ["tests/test_epitomes.py::test_mirror_route_matches_per_candidate_scans"],
     ),
     "generic-no-twice": (EPITOMES, "twice |= once & hits", "twice |= 0", [BRUTE]),
+    "generic-rivals-reversed": (EPITOMES, "conflicts(u, v)", "conflicts(v, u)", [BRUTE]),
     "generic-highest-bit-first": (
         EPITOMES,
         "first[j] = lo + (row & -row).bit_length() - 1",
@@ -293,7 +301,7 @@ MUTANTS = {
     ),
     "margin-ring-filter-dropped": (
         CORE,
-        "if completable(state, ring, letters):",
+        "if not ring or completable(state, ring, letters):",
         "if True:",
         [MARGIN_ORACLE, MARGIN_OFF_SQUARE],
     ),
