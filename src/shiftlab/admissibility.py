@@ -29,7 +29,8 @@ forbidden pattern of larger extent does not fit in it.  The red-black
 plan's squares have no interior, so they match wherever a listed square
 does only because every interior cell is coloured; in a window with holes
 they would not.  Without a filler at a positive margin, each block gets
-its own ring search, counted on the lister's fill loop, unbounded.
+its own ring search, counted on the fill loop the lister uses there
+(``core._margin_blocks``), unbounded.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .core import (
     ShiftSpec,
     _bbox_of,
     _margin_blocks,
+    _row_structure,
     _row_transfer,
     annulus,
     contains_forbidden,
@@ -122,7 +124,7 @@ def block_count(spec: ShiftSpec, n: int, margin: int) -> tuple[int, dict]:
     if margin and filler is None:
         count = sum(1 for _ in _margin_blocks(spec, n, n, margin))
         return count, {"filler": None, "route": "ring-search", "rows": None, "states": None}
-    count, rows, states = _row_transfer(spec, n, n)
+    count, rows, states = _row_transfer(_row_structure(spec, n, n), n)
     return count, {"filler": filler, "route": "row-transfer", "rows": rows, "states": states}
 
 

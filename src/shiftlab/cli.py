@@ -352,111 +352,130 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"shiftlab: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+# name -> (help, handler, arguments), in the order ``--help`` lists them
+_COMMANDS = {
+    "block-count": ("count margin-admissible n x n patterns", _cmd_block_count, (
+        _arg("spec"),
+        _arg("n", type=int),
+        _arg("--margin", type=int, default=0),
+    )),
+    "census": ("count simple patterns by enumeration", _cmd_census, (
+        _arg("n", type=int),
+    )),
+    "deep-build": ("build and archive a standard block family", _cmd_deep_build, (
+        _arg("--n0", type=int, required=True),
+        _arg("--c", type=int, default=3),
+        _arg("--depth", type=int, required=True),
+        _arg("--mode", choices=["two-block", "multi-block"], default="two-block"),
+        _arg("--override", type=_int_list, default=None,
+             help="comma-separated n_i list replacing the c-fold growth"),
+        _arg("--out", required=True),
+    )),
+    "deep-member": ("decide membership in an archived family", _cmd_deep_member, (
+        _arg("--family", required=True),
+        _arg("--pattern", required=True),
+    )),
+    "lowcfg-build": ("build the canonical level-k square", _cmd_lowcfg_build, (
+        _arg("--spec", default="hard-square"),
+        _arg("--k", type=int, required=True),
+        _arg("--out", default=None),
+    )),
+    "lowcfg-roundtrip": ("describe and rebuild random sub-rectangles", _cmd_lowcfg_roundtrip, (
+        _arg("--spec", default="hard-square"),
+        _arg("--k", type=int, required=True),
+        _arg("--rects", type=int, default=10),
+        _arg("--seed", type=int, default=0),
+        _arg("--out", default=None, help="save the first description here"),
+    )),
+    "kc-exact": ("exact bounded complexity of a bit string", _cmd_kc_exact, (
+        _arg("string"),
+        _arg("--max-len", type=int, required=True),
+        _arg("--budget", type=int, required=True),
+    )),
+    "kc-incompressible": ("lex-first incompressible object", _cmd_kc_incompressible, (
+        _arg("--mode", choices=["pattern", "perms"], default="pattern"),
+        _arg("--side", type=int, default=2),
+        _arg("--threshold", type=int, default=4),
+        _arg("--length", type=int, default=4, help="permutation length (perms mode)"),
+        _arg("--count", type=int, default=2, help="tuple size (perms mode)"),
+        _arg("--distinct", action="store_true"),
+        _arg("--budget", type=int, required=True),
+    )),
+    "epitome-verify": ("check the enforcement property of a family", _cmd_epitome_verify, (
+        _arg("--spec", default="red-black"),
+        # unset here so that --profile can refuse them; see _PROPERTY_DEFAULTS
+        _arg("--family", choices=sorted(_FAMILY_FACTORIES), default=None,
+             help="default profile"),
+        _arg("--n", type=int, default=None, help="default 2"),
+        _arg("--margin", type=int, default=None, help="default 1"),
+        _arg("--kind", choices=["plain", "ordered"], default=None,
+             help="kind for families that support both (default plain)"),
+        _arg("--profile", type=_int_list, default=None,
+             help="verify a single enforcer window for this profile"),
+    )),
+    "border-consistency": ("group cover patterns by border ring", _cmd_border_consistency, (
+        _arg("--spec", default="hard-square"),
+        _arg("--family", choices=sorted(_FAMILY_FACTORIES), default="interior-popcount"),
+        _arg("--n", type=int, default=3),
+        _arg("--projection", default="identity",
+             help='"identity" or comma list like "0=B,1=W"'),
+        _arg("--kind", choices=["plain", "ordered"], default=None,
+             help="kind for families that support both (default plain)"),
+        _arg("--full", action="store_true", help="include every group in the report"),
+    )),
+    "two-part-code": ("dictionary-plus-indices code of a pattern", _cmd_two_part_code, (
+        _arg("--pattern", required=True),
+        _arg("--k", type=int, required=True),
+        _arg("--spec", default="hard-square"),
+        _arg("--margin", type=int, default=0),
+        _arg("--emit-bits", action="store_true"),
+    )),
+    "render": ("print a pattern file as a grid", _cmd_render, (
+        _arg("pattern"),
+    )),
+    "verify-archive": ("rebuild an archived family and compare", _cmd_verify_archive, (
+        _arg("archive"),
+        _arg("--expect-params", default=None),
+    )),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with ``command``'s alone.  The
+    top-level options are the same in both, so argparse classifies every
+    token of an argv that names ``command`` alike and hands the same tail to
+    the same subparser: namespaces, help and errors do not change."""
     parser = _Parser(
         prog="shiftlab",
         description="Workbench for two-dimensional shifts of finite type.",
     )
     parser.add_argument("--out-file", help="write the JSON report here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    q = sub.add_parser("block-count", help="count margin-admissible n x n patterns")
-    q.add_argument("spec")
-    q.add_argument("n", type=int)
-    q.add_argument("--margin", type=int, default=0)
-    q.set_defaults(func=_cmd_block_count)
-
-    q = sub.add_parser("census", help="count simple patterns by enumeration")
-    q.add_argument("n", type=int)
-    q.set_defaults(func=_cmd_census)
-
-    q = sub.add_parser("deep-build", help="build and archive a standard block family")
-    q.add_argument("--n0", type=int, required=True)
-    q.add_argument("--c", type=int, default=3)
-    q.add_argument("--depth", type=int, required=True)
-    q.add_argument("--mode", choices=["two-block", "multi-block"], default="two-block")
-    q.add_argument("--override", type=_int_list, default=None,
-                   help="comma-separated n_i list replacing the c-fold growth")
-    q.add_argument("--out", required=True)
-    q.set_defaults(func=_cmd_deep_build)
-
-    q = sub.add_parser("deep-member", help="decide membership in an archived family")
-    q.add_argument("--family", required=True)
-    q.add_argument("--pattern", required=True)
-    q.set_defaults(func=_cmd_deep_member)
-
-    q = sub.add_parser("lowcfg-build", help="build the canonical level-k square")
-    q.add_argument("--spec", default="hard-square")
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_lowcfg_build)
-
-    q = sub.add_parser("lowcfg-roundtrip", help="describe and rebuild random sub-rectangles")
-    q.add_argument("--spec", default="hard-square")
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--rects", type=int, default=10)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--out", default=None, help="save the first description here")
-    q.set_defaults(func=_cmd_lowcfg_roundtrip)
-
-    q = sub.add_parser("kc-exact", help="exact bounded complexity of a bit string")
-    q.add_argument("string")
-    q.add_argument("--max-len", type=int, required=True)
-    q.add_argument("--budget", type=int, required=True)
-    q.set_defaults(func=_cmd_kc_exact)
-
-    q = sub.add_parser("kc-incompressible", help="lex-first incompressible object")
-    q.add_argument("--mode", choices=["pattern", "perms"], default="pattern")
-    q.add_argument("--side", type=int, default=2)
-    q.add_argument("--threshold", type=int, default=4)
-    q.add_argument("--length", type=int, default=4, help="permutation length (perms mode)")
-    q.add_argument("--count", type=int, default=2, help="tuple size (perms mode)")
-    q.add_argument("--distinct", action="store_true")
-    q.add_argument("--budget", type=int, required=True)
-    q.set_defaults(func=_cmd_kc_incompressible)
-
-    q = sub.add_parser("epitome-verify", help="check the enforcement property of a family")
-    q.add_argument("--spec", default="red-black")
-    # unset here so that --profile can refuse them; see _PROPERTY_DEFAULTS
-    q.add_argument("--family", choices=sorted(_FAMILY_FACTORIES), default=None,
-                   help="default profile")
-    q.add_argument("--n", type=int, default=None, help="default 2")
-    q.add_argument("--margin", type=int, default=None, help="default 1")
-    q.add_argument("--kind", choices=["plain", "ordered"], default=None,
-                   help="kind for families that support both (default plain)")
-    q.add_argument("--profile", type=_int_list, default=None,
-                   help="verify a single enforcer window for this profile")
-    q.set_defaults(func=_cmd_epitome_verify)
-
-    q = sub.add_parser("border-consistency", help="group cover patterns by border ring")
-    q.add_argument("--spec", default="hard-square")
-    q.add_argument("--family", choices=sorted(_FAMILY_FACTORIES), default="interior-popcount")
-    q.add_argument("--n", type=int, default=3)
-    q.add_argument("--projection", default="identity",
-                   help='"identity" or comma list like "0=B,1=W"')
-    q.add_argument("--kind", choices=["plain", "ordered"], default=None,
-                   help="kind for families that support both (default plain)")
-    q.add_argument("--full", action="store_true", help="include every group in the report")
-    q.set_defaults(func=_cmd_border_consistency)
-
-    q = sub.add_parser("two-part-code", help="dictionary-plus-indices code of a pattern")
-    q.add_argument("--pattern", required=True)
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--spec", default="hard-square")
-    q.add_argument("--margin", type=int, default=0)
-    q.add_argument("--emit-bits", action="store_true")
-    q.set_defaults(func=_cmd_two_part_code)
-
-    q = sub.add_parser("render", help="print a pattern file as a grid")
-    q.add_argument("pattern")
-    q.set_defaults(func=_cmd_render)
-
-    q = sub.add_parser("verify-archive", help="rebuild an archived family and compare")
-    q.add_argument("archive")
-    q.add_argument("--expect-params", default=None)
-    q.set_defaults(func=_cmd_verify_archive)
-
+    for name, (help_text, func, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            q = sub.add_parser(name, help=help_text)
+            for flags, kwargs in arguments:
+                q.add_argument(*flags, **kwargs)
+            q.set_defaults(func=func)
     return parser
+
+
+def _command_of(argv: list[str]) -> str | None:
+    """The subcommand an argv of the form ``[--out-file X | --out-file=X]
+    <command> ...`` runs; None for any other shape (``-h``, an abbreviated
+    ``--out``, an unknown command), which gets the full parser.  Building
+    one subparser in place of all of them saves a few milliseconds a run."""
+    skip = 0
+    if argv[:1] == ["--out-file"]:
+        skip = 2
+    elif argv and argv[0].startswith("--out-file="):
+        skip = 1
+    name = argv[skip] if skip < len(argv) else None
+    return name if name in _COMMANDS else None
 
 
 def _write_stdout(text: str) -> bool:
@@ -496,7 +515,8 @@ def _config_of(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(_command_of(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # usage errors exit 1, --help 0

@@ -111,7 +111,7 @@ class Pattern:
         its rows; the empty pattern when there are no cells."""
         if not rows or not rows[0]:
             return cls._adopt(alphabet, {})
-        if not set().union(*rows).issubset(alphabet.letters):
+        if "".join(rows).strip("".join(alphabet.letters)):  # a letter outside
             for r, line in enumerate(rows):
                 for c, letter in enumerate(line):
                     if letter not in alphabet:
@@ -528,49 +528,83 @@ def iter_rect_patterns(spec: ShiftSpec, h: int, w: int, margin: int = 0) -> Iter
     ``admissibility.extendable``), in canonical (row-major lexicographic)
     order: all |alphabet|^(h*w) of them when the spec forbids nothing.
 
+    The patterns are listed from the rows of the row transfer, each held as
+    its rows (``_row_blocks``).  With a filler for the extent of the margin
+    box every locally admissible pattern extends (``ShiftSpec``), so only a
+    positive margin without one searches a ring per block
+    (``_margin_blocks``).
+
     Raises ``InfeasibleError`` before building any pattern when more than
     ``MAX_CANDIDATES`` locally admissible h x w patterns exist, counted by
     ``count_rect_patterns``, or when that count is over its own bounds."""
-    if h < 0 or w < 0:
-        raise PatternError(f"negative rectangle size {h} x {w}")
     if margin < 0:
         raise PatternError("margin must be nonnegative")
-    count = count_rect_patterns(spec, h, w)
+    structure = _row_structure(spec, h, w)
+    count = _row_transfer(structure, h)[0]
     if count > MAX_CANDIDATES:
         raise InfeasibleError(
             f"{count} admissible {h}x{w} patterns of {spec.name} exceed the "
             f"{MAX_CANDIDATES} a check lists; lower the size"
         )
-    box = (0, 0, h - 1, w - 1) if h and w else None
-    return (
-        Pattern._adopt(spec.alphabet, dict(cells), box)
-        for cells in _margin_blocks(spec, h, w, margin)
-    )
+    if margin and kernel_of(spec).filler(max(h, w) + 2 * margin) is None:
+        box = (0, 0, h - 1, w - 1) if h and w else None
+        return (
+            Pattern._adopt(spec.alphabet, dict(cells), box)
+            for cells in _margin_blocks(spec, h, w, margin)
+        )
+    return _row_blocks(spec.alphabet, h, *structure)
 
 
 def _margin_blocks(
     spec: ShiftSpec, h: int, w: int, margin: int
 ) -> Iterator[dict[tuple[int, int], str]]:
-    """The fill loop of ``iter_rect_patterns``: yields ``state.cells``
-    holding each pattern at the origin, under the ``lex_assignments``
-    contract.  One state covers the margin box, ring cells at negative
-    coordinates and past row h - 1 or column w - 1; the interior is filled
-    first, then the ring, and a state rejects an occurrence when its last
-    cell is assigned, so the ring search succeeds iff ``extendable`` finds
-    a witness.  With a filler for the extent of the box every locally
-    admissible pattern extends (``ShiftSpec``), so the margin drops to 0:
-    at margin 0 the ring is empty and the h x w state lists the patterns
-    without a search."""
-    kernel = kernel_of(spec)
-    if margin and kernel.filler(max(h, w) + 2 * margin) is not None:
-        margin = 0  # every pattern extends
-    state = kernel.state((-margin, -margin, h + margin - 1, w + margin - 1))
+    """The ring search: yields ``state.cells`` holding each locally
+    admissible h x w pattern at the origin whose ring of width ``margin``
+    has a locally admissible filling, in canonical order, under the
+    ``lex_assignments`` contract.  One state covers the margin box, ring
+    cells at negative coordinates and past row h - 1 or column w - 1; the
+    interior is filled first, then the ring, and a state rejects an
+    occurrence when its last cell is assigned, so the ring search succeeds
+    iff ``extendable`` finds a witness.  It fills cell by cell and reads no
+    row transfer, so at margin 0 it lists what ``_row_blocks`` lists by
+    another route."""
+    state = kernel_of(spec).state((-margin, -margin, h + margin - 1, w + margin - 1))
     interior = [(r, c) for r in range(h) for c in range(w)]
     letters = spec.alphabet.letters
     ring = [(r - margin, c - margin) for r, c in annulus(h, w, margin)]
     for _ in lex_assignments(state, interior, letters):
         if not ring or completable(state, ring, letters):
             yield state.cells
+
+
+def _row_blocks(
+    alphabet: Alphabet, h: int, rows: list[str], depth: int, allowed: Callable
+) -> Iterator[Pattern]:
+    """The patterns of h rows of ``rows`` in which ``allowed`` admits every
+    row after the history of the at most ``depth`` rows above it (see
+    ``_row_structure``), depth first with row indices taken lowest first:
+    ``rows`` is in lexicographic order, so the patterns come in canonical
+    order."""
+    if not h:
+        yield Pattern._from_rows(alphabet, ())
+        return
+    chosen: list[int] = []  # the row index at each row placed so far
+    untried = [allowed(())]  # per row being placed, the rows not yet tried
+    while untried:
+        m = untried[-1]
+        if not m:
+            untried.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        low = m & -m
+        untried[-1] = m ^ low
+        chosen.append(low.bit_length() - 1)
+        if len(chosen) < h:
+            untried.append(allowed(tuple(chosen[max(len(chosen) - depth, 0):])))
+        else:
+            yield Pattern._from_rows(alphabet, [rows[i] for i in chosen])
+            chosen.pop()
 
 
 # Refusal bounds of the row transfer, both checked before it runs, so that
@@ -603,23 +637,26 @@ def count_rect_patterns(spec: ShiftSpec, h: int, w: int) -> int:
     """The number of locally admissible h x w patterns of ``spec``: the count
     of ``iter_rect_patterns`` at margin 0, by a row transfer (Calkin & Wilf
     1998)."""
-    return _row_transfer(spec, h, w)[0]
+    return _row_transfer(_row_structure(spec, h, w), h)[0]
 
 
-# The most candidates ``iter_rect_patterns`` lists, each built as a
-# ``Pattern``; it counts them first: hard-square 5 (55,447), red-black 3
-# (18,748) and mirror 4 (74,240) are listed, red-black 4 (38,559,440) and
-# mirror 5 (35,718,144) refused.  ``block_count``'s ring search counts
-# without listing and is not bounded.  The generic epitome check also
-# sweeps at most ``MAX_ANNULUS_COLORINGS`` colorings of its annulus.
+# The most candidates ``iter_rect_patterns`` lists, each yielded as a
+# ``Pattern`` of its rows; it counts them first: hard-square 5 (55,447),
+# red-black 3 (18,748) and mirror 4 (74,240) are listed, red-black 4
+# (38,559,440) and mirror 5 (35,718,144) refused.  ``block_count``'s ring
+# search counts without listing and is not bounded.  The generic epitome
+# check also sweeps at most ``MAX_ANNULUS_COLORINGS`` colorings of its
+# annulus.
 MAX_CANDIDATES = 100_000
 MAX_ANNULUS_COLORINGS = 2_000_000
 
 
-def _row_transfer(spec: ShiftSpec, h: int, w: int) -> tuple[int, int, int]:
-    """``(count, rows, states)``: the count of ``count_rect_patterns``, the
-    number of admissible rows of width w and the size of the largest state
-    dict.
+def _row_structure(spec: ShiftSpec, h: int, w: int) -> tuple[list[str], int, Callable]:
+    """``(rows, depth, allowed)`` of the row transfer over h x w patterns:
+    the admissible rows of width w in lexicographic order, the number D of
+    rows a state holds, and ``allowed(t)``, the bitset of the rows that may
+    follow the tuple ``t`` of the last at most D rows placed (row indices,
+    the nearest last).
 
     The rows are listed once with ``lex_assignments`` on a 1 x w state, and
     ``has[c][a]`` is the bitset of rows with letter a in column c.  Every
@@ -629,12 +666,9 @@ def _row_transfer(spec: ShiftSpec, h: int, w: int) -> tuple[int, int, int]:
     listing's.  A placement with cells in two rows is folded into
     ``bad[distance][row]``.  One with cells in more rows is filed under its
     distance with the fewest allowed rows, in ``multi[distance][row]``, and
-    tested on each state that holds one of those rows there.  A state is
-    the tuple of the last D rows placed, D the largest distance a fitting
-    placement spans, and maps to its number of admissible histories; the
-    last row adds each count times the number of rows still allowed.  The
-    plan is exact here because the rectangle is fully coloured (see
-    ``ShiftSpec``).
+    tested on each state that holds one of those rows there.  D is the
+    largest distance a fitting placement spans.  The plan is exact here
+    because the rectangle is fully coloured (see ``ShiftSpec``).
 
     Raises ``InfeasibleError`` before the transfer when |alphabet|^w is
     over ``MAX_ROW_WORDS`` or its step bound over ``MAX_TRANSFER_STEPS``."""
@@ -648,7 +682,7 @@ def _row_transfer(spec: ShiftSpec, h: int, w: int) -> tuple[int, int, int]:
     kernel = kernel_of(spec)
     state = kernel.state((0, 0, 0, w - 1))
     row_cells = [(0, c) for c in range(w)]
-    rows = [tuple(state.cells[cell] for cell in row_cells)
+    rows = ["".join([state.cells[cell] for cell in row_cells])
             for _ in lex_assignments(state, row_cells, letters)]
     full = (1 << len(rows)) - 1
     has = [
@@ -665,7 +699,7 @@ def _row_transfer(spec: ShiftSpec, h: int, w: int) -> tuple[int, int, int]:
             placements.append((r1 - r0 + 1, c1 - c0 + 1, cells))
     depth = max((span - 1 for span, _, _ in placements), default=0)
     if not depth:  # no placement spans two rows: the rows stack freely
-        return len(rows) ** h, len(rows), 1
+        return rows, 0, lambda t: full
     steps = _transfer_steps(len(rows), depth, h)
     if steps > MAX_TRANSFER_STEPS:
         raise InfeasibleError(
@@ -708,6 +742,19 @@ def _row_transfer(spec: ShiftSpec, h: int, w: int) -> tuple[int, int, int]:
                     banned |= rows_banned
         return full & ~banned
 
+    return rows, depth, allowed
+
+
+def _row_transfer(structure: tuple[list[str], int, Callable], h: int) -> tuple[int, int, int]:
+    """``(count, rows, states)`` over the ``_row_structure`` of an h-row
+    rectangle: the count of ``count_rect_patterns``, the number of
+    admissible rows and the size of the largest state dict.  A state is the
+    tuple of the last D rows placed and maps to its number of admissible
+    histories; the last row adds each count times the number of rows still
+    allowed."""
+    rows, depth, allowed = structure
+    if not depth:
+        return len(rows) ** h, len(rows), 1
     counts: dict[tuple[int, ...], int] = {(): 1}
     largest = 1
     for _ in range(h - 1):

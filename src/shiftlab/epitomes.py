@@ -332,11 +332,7 @@ def interior_popcount_family(kind: str = "plain") -> EpitomeFamily:
     def evaluate(p: Pattern):
         if p.alphabet.letters != BINARY.letters or not p.is_rectangular:
             return None
-        return sum(
-            1
-            for (r, c), letter in p.items()
-            if letter == "1" and 0 < r < p.height - 1 and 0 < c < p.width - 1
-        )
+        return sum([row.count("1", 1, -1) for row in p.rows()[1:-1]])
 
     return EpitomeFamily(
         name="interior-popcount",
@@ -405,13 +401,21 @@ def _digit_mask(base, t, x, lo, hi):
 def _slot_index(fillings) -> tuple[int, dict]:
     """The number of ``fillings`` (cell dicts), and per cell and letter the
     bitset of the fillings with that letter there.  A filling that lacks a
-    cell (a hole) is in none of that cell's bitsets."""
-    index: dict = collections.defaultdict(lambda: collections.defaultdict(int))
+    cell (a hole) is in none of that cell's bitsets.  Each bitset is read
+    once from the list of its fillings, in time linear in its length."""
+    where: dict = collections.defaultdict(lambda: collections.defaultdict(list))
     count = 0
     for count, cells in enumerate(fillings, 1):
         for cell, a in cells.items():
-            index[cell][a] |= 1 << (count - 1)
-    return count, index
+            where[cell][a].append(count)
+
+    def bitset(numbers: list[int]) -> int:
+        digits = bytearray(b"0") * count  # filling i is bit i - 1
+        for i in numbers:
+            digits[count - i] = 49  # "1"
+        return int(digits, 2)
+
+    return count, {cell: {a: bitset(ix) for a, ix in by.items()} for cell, by in where.items()}
 
 
 def _coloring_index(spec, plan, box, annulus):
@@ -754,7 +758,10 @@ class ConsistencyReport:
     ledger_bits: int
 
 
-def _project(p: Pattern, projection: dict[str, str]) -> Pattern:
+def _projector(projection: dict[str, str], letters: tuple[str, ...]) -> Callable:
+    """The map ``projection`` induces on the rows of a rectangle over
+    ``letters``: each row translated letter by letter, the result a pattern
+    over the alphabet of the projection's image."""
     image = sorted(set(projection.values()))
     if set(image) <= {"0", "1"}:
         alphabet = BINARY
@@ -762,8 +769,9 @@ def _project(p: Pattern, projection: dict[str, str]) -> Pattern:
         alphabet = BWR
     else:
         raise PatternError(f"projection image {image} is not a supported alphabet")
-    cells = {cell: projection[a] for cell, a in p.items()}
-    return Pattern._adopt(alphabet, cells, p.bbox)  # noqa: SLF001 - cells dies here
+    table = str.maketrans({a: projection[a] for a in letters})
+    build = Pattern._from_rows  # noqa: SLF001 - the translated rows are new
+    return lambda rows: build(alphabet, [row.translate(table) for row in rows])
 
 
 def border_epitome_consistency(
@@ -781,10 +789,14 @@ def border_epitome_consistency(
             f"of the {spec.name} alphabet"
         )
     ring = annulus(n - 2, n - 2, 1)
+    ring_letters = operator.itemgetter(*[r * n + c for r, c in ring])  # of the row-major word
+    listing = iter_rect_patterns(spec, n, n)  # refuses before the projection is read
+    project = _projector(projection, spec.alphabet.letters)
     groups: dict[str, list] = {}
-    for q in iter_rect_patterns(spec, n, n):
-        key = "".join(q.at(r, c) for r, c in ring)
-        groups.setdefault(key, []).append(fam.evaluate(_project(q, projection)))
+    for q in listing:
+        rows = q._row_tuple()  # noqa: SLF001 - read only
+        key = "".join(ring_letters("".join(rows)))
+        groups.setdefault(key, []).append(fam.evaluate(project(rows)))
     if all(v is None for vals in groups.values() for v in vals):
         raise _vacuous(spec, fam, n)
 

@@ -20,6 +20,7 @@ from shiftlab.core import (
     InfeasibleError,
     Pattern,
     PatternError,
+    _margin_blocks,
     contains_forbidden,
     count_rect_patterns,
     hard_square_spec,
@@ -402,11 +403,23 @@ def row_spread_specs(draw):
 @example(DEAD_END, 3, 3, 2)  # no filler
 @example(HS, 3, 2, 2)  # filler 0
 def test_row_transfer_matches_enumeration(spec, h, w, n):
-    assert count_rect_patterns(spec, h, w) == sum(1 for _ in iter_rect_patterns(spec, h, w))
+    assert count_rect_patterns(spec, h, w) == sum(1 for _ in _margin_blocks(spec, h, w, 0))
     count, metrics = block_count(spec, n, 1)
     assert metrics["route"] == ("ring-search" if metrics["filler"] is None else "row-transfer")
-    blocks = sum(1 for _ in iter_rect_patterns(spec, n, n, 1))
+    blocks = sum(1 for _ in _margin_blocks(spec, n, n, 1))
     assert count == count_admissible(spec, n, 1) == blocks
+
+
+# derandomized, as the ring searches at positive margins can take seconds
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(row_spread_specs(), st.integers(0, 4), st.integers(0, 4), st.integers(0, 2))
+@example(DEAD_END, 2, 3, 2)  # no filler
+@example(HS, 2, 4, 2)  # filler 0
+def test_row_lister_matches_the_cell_route(spec, h, w, margin):
+    # at most 2^12 fillings at margin 0, 2^8 with a ring to search per block
+    assume(len(spec.alphabet) ** (h * w) <= (2**8 if margin else 2**12))
+    want = [Pattern(spec.alphabet, cells) for cells in _margin_blocks(spec, h, w, margin)]
+    assert list(iter_rect_patterns(spec, h, w, margin)) == want
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from shiftlab import cli
 from shiftlab.cli import main
 from shiftlab.core import Pattern, make_pattern
 from shiftlab.deepshift import LevelBudget, params_to_dict, schedule_params
@@ -149,6 +150,57 @@ def test_usage_errors_print_one_line(capsys, argv):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "shiftlab" in capsys.readouterr().out
+
+
+def _parse(capsys, argv, command):
+    """What the parser built for ``command`` (None: every subcommand) makes
+    of ``argv``: the namespace or the exit code, and the printed text."""
+    try:
+        result = vars(cli._build_parser(command).parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+def _shapes(name):
+    """Argvs around one subcommand: those the lean parser reads (help, the
+    command alone, an unknown option, every positional given "x", a bad int
+    where one is an int, each int option given "x", --out-file before and
+    after the command) and those that get the full one (no command, an
+    unknown one, --out-file with no value or swallowing the command, an
+    abbreviated --out)."""
+    _, _, arguments = cli._COMMANDS[name]
+    positionals = ["x" for flags, _ in arguments if not flags[0].startswith("-")]
+    int_options = [flags[0] for flags, kw in arguments if kw.get("type") is int]
+    lean = [
+        [name, "-h"],
+        [name],
+        [name, "--bogus"],
+        [name, *positionals],
+        *([name, flag, "x"] for flag in int_options if flag.startswith("-")),
+        ["--out-file", "r.json", name, "--bogus"],
+        ["--out-file=r.json", name, *positionals],
+        [name, *positionals, "--out-file", "r.json"],
+        [name, "--out-file"],
+    ]
+    full = [
+        [],
+        ["-h"],
+        [name[:-1], *positionals],
+        ["--out-file"],
+        ["--out-file", name, *positionals],
+        ["--out", "r.json", name, *positionals],
+    ]
+    return lean, full
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_lean_parser_reads_every_argv_like_the_full_one(capsys, name):
+    lean, full = _shapes(name)
+    assert [cli._command_of(argv) for argv in lean] == [name] * len(lean)
+    assert [cli._command_of(argv) for argv in full] == [None] * len(full)
+    for argv in lean + full:
+        assert _parse(capsys, argv, cli._command_of(argv)) == _parse(capsys, argv, None), argv
 
 
 def test_infeasible_exits_3(capsys):

@@ -15,6 +15,7 @@ from shiftlab.core import (
     Pattern,
     PatternError,
     ShiftSpec,
+    _margin_blocks,
     annulus,
     contains_forbidden,
     count_rect_patterns,
@@ -33,7 +34,7 @@ from shiftlab.core import (
     tile,
     word_square,
 )
-from shiftlab.epitomes import _project
+from shiftlab.epitomes import _projector
 from shiftlab.lowcfg import NNSpec, build_Pk, describe_subpattern
 
 
@@ -255,13 +256,15 @@ def test_builders_that_pass_a_box_pass_the_true_one():
     hs = hard_square_spec()
     built = list(iter_rect_patterns(hs, 2, 3)) + list(iter_rect_patterns(hs, 0, 3))
     assert len(built) == 18
+    # the ring route: a positive margin and no filler
+    no01 = spec_from_patterns("no-01", BINARY, [make_pattern(["01"])])
+    built += list(iter_rect_patterns(no01, 2, 3, 1))
     # the filler route of standard_square, and the search route
     no00 = NNSpec(spec_from_patterns("no-00-row", BINARY, [make_pattern(["00"])]))
     squares = [build_Pk(NNSpec(hs), 2), build_Pk(no00, 2)]
     built += squares
     built += describe_subpattern(no00, squares[1], 2, (1, 1, 3, 4)).borders
-    built.append(_project(squares[1], {"0": "B", "1": "R"}))
-    built.append(_project(Pattern(BINARY, {(2, -1): "0", (4, 3): "1"}), {"0": "W", "1": "R"}))
+    built.append(_projector({"0": "B", "1": "R"}, BINARY.letters)(squares[1].rows()))
     sparse = squares[1].union(Pattern(BINARY, {(6, 6): "1"}))
     built += [subpattern(sparse, (1, 2, 3, 2)), subpattern(sparse, (1, 2, 0, 2))]
     for p in built:
@@ -325,6 +328,13 @@ def test_iter_rect_patterns_order_and_count():
     pats = list(iter_rect_patterns(spec_from_patterns("free", BINARY, ()), 1, 2))
     assert [p.rows() for p in pats] == [["00"], ["01"], ["10"], ["11"]]
     assert sum(1 for _ in iter_rect_patterns(spec_from_patterns("free", BWR, ()), 2, 1)) == 9
+
+
+@pytest.mark.parametrize("margin", [0, 1])
+def test_iter_rect_patterns_refuses_before_the_first_next(margin):
+    # 5,598,861 patterns; no pattern is requested
+    with pytest.raises(InfeasibleError, match="^5598861 admissible 6x6 patterns"):
+        iter_rect_patterns(hard_square_spec(), 6, 6, margin)
 
 
 @pytest.mark.parametrize("h, w", [(-1, -1), (-1, 2), (2, -1)])
@@ -398,7 +408,8 @@ def test_iter_rect_patterns_hard_square_matches_transfer_matrix(n):
 
 
 # ---------------------------------------------------------------------------
-# count_rect_patterns: the row transfer against frozen values and enumeration
+# count_rect_patterns: the row transfer against frozen values and an
+# enumeration that reads no row transfer (the cell route or a brute force)
 # ---------------------------------------------------------------------------
 
 
@@ -411,7 +422,7 @@ def test_count_rect_patterns_hard_square_matches_oeis(n):
                          ids=lambda s: s.name)
 @pytest.mark.parametrize("h, w", [(h, w) for h in range(4) for w in range(4)])
 def test_count_rect_patterns_matches_enumeration(spec, h, w):
-    assert count_rect_patterns(spec, h, w) == sum(1 for _ in iter_rect_patterns(spec, h, w))
+    assert count_rect_patterns(spec, h, w) == sum(1 for _ in _margin_blocks(spec, h, w, 0))
 
 
 # mirror: its three-row columns are tested per state; red-black 4 x 4 takes
@@ -420,7 +431,7 @@ def test_count_rect_patterns_matches_enumeration(spec, h, w):
                          ids=lambda x: getattr(x, "name", None))
 def test_count_rect_patterns_matches_enumeration_at_4(spec, count):
     assert count_rect_patterns(spec, 4, 4) == count
-    assert sum(1 for _ in iter_rect_patterns(spec, 4, 4)) == count
+    assert sum(1 for _ in _margin_blocks(spec, 4, 4, 0)) == count
 
 
 def test_count_rect_patterns_reads_placements_top_down():
@@ -431,7 +442,7 @@ def test_count_rect_patterns_reads_placements_top_down():
     )
     for h in range(1, 5):
         for w in range(1, 3):
-            assert count_rect_patterns(spec, h, w) == sum(1 for _ in iter_rect_patterns(spec, h, w))
+            assert count_rect_patterns(spec, h, w) == len(_filtered_product(spec, h, w))
 
 
 def test_red_black_4_frozen():

@@ -815,6 +815,27 @@ def test_vacuous_border_consistency_refused():
         border_epitome_consistency(HS, {"0": "B", "1": "W"}, interior_popcount_family(), 3)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_border_consistency_groups_projected_patterns_cell_by_cell(n):
+    # the identity family's values are the projected rows themselves
+    projection = {"0": "W", "1": "R"}
+    rep = border_epitome_consistency(HS, projection, identity_family(), n)
+    want: dict = {}
+    for q in iter_rect_patterns(HS, n, n):
+        border = "".join(q.at(r, c) for r, c in annulus(n - 2, n - 2, 1))
+        image = tuple("".join(projection[q.at(r, c)] for c in range(n)) for r in range(n))
+        want.setdefault(border, set()).add(repr(image))
+    assert {g.border: set(g.values) for g in rep.groups} == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_interior_popcount_counts_the_inner_cells(n):
+    fam = interior_popcount_family()
+    for q in iter_rect_patterns(HS, n, n):
+        inner = [(r, c) for r in range(1, n - 1) for c in range(1, n - 1)]
+        assert fam.evaluate(q) == sum(q.at(r, c) == "1" for r, c in inner)
+
+
 def test_border_consistency_projection_alphabet_guard():
     with pytest.raises(PatternError):
         border_epitome_consistency(HS, {"0": "x", "1": "y"}, constant_family(), 2)

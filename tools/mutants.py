@@ -56,6 +56,7 @@ REFERENCE_VM = "tests/test_complexity.py::test_library_agrees_with_reference_int
 BAD_MANIFEST = "tests/test_cli.py::test_malformed_manifest_exits_1_with_one_line"
 BAD_DESCRIPTION = "tests/test_lowcfg.py::test_load_description_refuses_malformed_heads"
 MARGIN_ORACLE = "tests/test_admissibility.py::test_extendable_blocks_match_filtered_enumeration"
+CELL_ROUTE = "tests/test_admissibility.py::test_row_lister_matches_the_cell_route"
 MARGIN_OFF_SQUARE = (
     "tests/test_admissibility.py::test_margin_lister_matches_filtered_enumeration_off_the_square"
 )
@@ -293,10 +294,10 @@ MUTANTS = {
         ],
     ),
     # the margin lister
-    "margin-filler-shortcut-without-filler": (
+    "margin-ring-search-never-runs": (
         CORE,
-        "if margin and kernel.filler(max(h, w) + 2 * margin) is not None:",
-        "if margin:",
+        "if margin and kernel_of(spec).filler(max(h, w) + 2 * margin) is None:",
+        "if False:",
         [MARGIN_ORACLE, MARGIN_OFF_SQUARE],
     ),
     "margin-ring-filter-dropped": (
@@ -304,6 +305,19 @@ MUTANTS = {
         "if not ring or completable(state, ring, letters):",
         "if True:",
         [MARGIN_ORACLE, MARGIN_OFF_SQUARE],
+    ),
+    # the row lister of iter_rect_patterns
+    "lister-history-one-row-long": (
+        CORE,
+        "allowed(tuple(chosen[max(len(chosen) - depth, 0):]))",
+        "allowed(tuple(chosen[max(len(chosen) - depth - 1, 0):]))",
+        [CELL_ROUTE],
+    ),
+    "lister-members-highest-first": (
+        CORE,
+        "low = m & -m\n        untried[-1] = m ^ low",
+        "low = 1 << m.bit_length() - 1\n        untried[-1] = m ^ low",
+        [CELL_ROUTE],
     ),
     # the row transfer of count_rect_patterns
     "transfer-state-one-row-short": (
