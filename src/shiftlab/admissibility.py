@@ -35,8 +35,6 @@ its own ring search, counted on the fill loop the lister uses there
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     Pattern,
     PatternError,
@@ -52,23 +50,36 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
 class CompletionRegion:
     """A partially colored region: fixed host cells plus cells left to fill.
 
     ``free_cells`` must be disjoint from the host support; the search fills
-    them in row-major order regardless of the order given here.
+    them in row-major order regardless of the order given here.  Immutable;
+    regions with the same host and free cells are equal and hash alike.
     """
 
-    host: Pattern
-    free_cells: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        seen = set(self.free_cells)
-        if len(seen) != len(self.free_cells):
+    def __init__(self, host: Pattern, free_cells: tuple[tuple[int, int], ...]):
+        seen = set(free_cells)
+        if len(seen) != len(free_cells):
             raise PatternError("duplicate free cells")
-        if seen & self.host.support:
+        if seen & host.support:
             raise PatternError("free cells overlap the host support")
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "free_cells", free_cells)
+
+    def __setattr__(self, *a):
+        raise AttributeError("CompletionRegion is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.host, self.free_cells) == (other.host, other.free_cells)
+
+    def __hash__(self) -> int:
+        return hash((self.host, self.free_cells))
+
+    def __repr__(self) -> str:
+        return f"CompletionRegion(host={self.host!r}, free_cells={self.free_cells!r})"
 
 
 def lex_first_completion(region: CompletionRegion, spec: ShiftSpec) -> Pattern | None:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .core import BINARY, InfeasibleError, Pattern, PatternError, word_square
@@ -55,7 +54,6 @@ class RunOutcome(NamedTuple):
     steps: int
 
 
-@dataclass
 class StepMeter:
     """Accumulates machine steps actually executed; used to make the
     higher-level time budgets depend deterministically on measured work.
@@ -69,13 +67,37 @@ class StepMeter:
     ``exclusions``: ``printable``, the size of the printable table at the
     target length, and the candidates passed over before the pick, as
     ``passed_over`` or, for a pick of distinct permutations, split into
-    ``passed_over_printable`` and ``passed_over_not_distinct``."""
+    ``passed_over_printable`` and ``passed_over_not_distinct``.
 
-    steps: int = 0
-    runs: int = 0
-    memo_reuses: int = 0
-    cycle_cutoffs: int = 0
-    exclusions: dict[str, int] = field(default_factory=dict)
+    Meters with equal counts are equal; a meter is mutable, so unhashable."""
+
+    def __init__(
+        self,
+        steps: int = 0,
+        runs: int = 0,
+        memo_reuses: int = 0,
+        cycle_cutoffs: int = 0,
+        exclusions: dict[str, int] | None = None,
+    ):
+        self.steps = steps
+        self.runs = runs
+        self.memo_reuses = memo_reuses
+        self.cycle_cutoffs = cycle_cutoffs
+        self.exclusions = {} if exclusions is None else exclusions
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.steps, self.runs, self.memo_reuses, self.cycle_cutoffs, self.exclusions) == (
+            other.steps, other.runs, other.memo_reuses, other.cycle_cutoffs, other.exclusions
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"StepMeter(steps={self.steps!r}, runs={self.runs!r}, "
+            f"memo_reuses={self.memo_reuses!r}, cycle_cutoffs={self.cycle_cutoffs!r}, "
+            f"exclusions={self.exclusions!r})"
+        )
 
     def counters(self) -> dict[str, int]:
         return {
@@ -106,7 +128,8 @@ def _interpret(code: str, budget: int, meter: StepMeter | None) -> RunOutcome:
     the run periodic from the saved state on: whole periods, with their
     output, are skipped up to the budget and the rest is stepped, so the
     outcome equals plain stepping's.  Loops whose counters grow never
-    repeat and are stepped throughout.
+    repeat and are stepped throughout.  Skipping laps whose output would
+    take the output past ``MAX_OUTPUT_CHARS`` is refused instead.
 
     A list whose WHILE and ENDW counts differ is refused before decoding,
     nine bits at a time; an ENDW with no open WHILE is refused while
@@ -165,6 +188,10 @@ def _interpret(code: str, budget: int, meter: StepMeter | None) -> RunOutcome:
                 if a == saved_a and pc == saved_pc and b == saved_b:
                     period = steps - saved_steps
                     laps = (budget - steps) // period
+                    if len(out) + (len(out) - saved_len) * laps > MAX_OUTPUT_CHARS:
+                        raise InfeasibleError(
+                            f"a cut-off loop would print over {MAX_OUTPUT_CHARS} characters"
+                        )
                     out.append("".join(out[saved_len:]) * laps)
                     steps += laps * period
                     watch = False  # under one period is left, and out holds a chunk
@@ -232,8 +259,7 @@ def iter_programs(max_len: int):
             yield from map(head.__add__, _TAILS)
 
 
-@dataclass(frozen=True)
-class ComplexityResult:
+class ComplexityResult(NamedTuple):
     """Minimal program length for a string under the given resource bounds.
 
     ``value`` is None when no program of length <= max_len prints the string
@@ -249,6 +275,11 @@ class ComplexityResult:
 # `printable_strings(20, 448)` takes 5.0 s on a 2-core Xeon, about twice as
 # long per bit more.
 MAX_PROGRAM_BITS = 24
+# The longest output a run may reach by skipping the laps of a cut-off loop.
+# The 24,543,185-character outputs of `deep-build --n0 2 --depth 2
+# --override 2,4,4` are admitted; the 13-bit `INC WHILE OUT0 ENDW` at a
+# budget of 10^13 would print about 3.3 * 10^12 characters.
+MAX_OUTPUT_CHARS = 10**8
 
 
 def ctime(x: str, max_len: int, budget: int, meter: StepMeter | None = None) -> ComplexityResult:

@@ -20,8 +20,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class PatternError(ValueError):
@@ -33,18 +32,31 @@ class InfeasibleError(RuntimeError):
     exhausted (e.g. a threshold above the literal bound)."""
 
 
-@dataclass(frozen=True)
 class Alphabet:
-    """An ordered finite alphabet of single-character letters."""
+    """An ordered finite alphabet of single-character letters.  Immutable;
+    alphabets with the same letters are equal and hash alike."""
 
-    letters: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.letters)) != len(self.letters):
-            raise PatternError(f"duplicate letters in alphabet {self.letters!r}")
-        for a in self.letters:
+    def __init__(self, letters: tuple[str, ...]):
+        if len(set(letters)) != len(letters):
+            raise PatternError(f"duplicate letters in alphabet {letters!r}")
+        for a in letters:
             if len(a) != 1 or a == ".":
                 raise PatternError(f"letters must be single non-dot characters, got {a!r}")
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Alphabet is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
+
+    def __repr__(self) -> str:
+        return f"Alphabet(letters={self.letters!r})"
 
     def index(self, letter: str) -> int:
         try:
@@ -412,8 +424,7 @@ def invert(p: Pattern) -> Pattern:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     """A forbidden pattern found in a host: which one, and where.
 
     ``anchor`` is the translation applied to the forbidden pattern, i.e. the
@@ -424,7 +435,6 @@ class Occurrence:
     anchor: tuple[int, int]
 
 
-@dataclass(frozen=True)
 class ShiftSpec:
     """A shift of finite (or countable, extent-bounded) type.
 
@@ -455,12 +465,38 @@ class ShiftSpec:
     f then completes no forbidden pattern: an occurrence that puts a non-f
     cell outside fails there, and one whose non-f cells all lie inside has
     its whole bounding box inside.
+
+    Specs are immutable and compare by all four fields; the repr shows the
+    name and the alphabet only.
     """
 
-    name: str
-    alphabet: Alphabet
-    enumerator: Callable[[int], tuple[Pattern, ...]] = field(repr=False)
-    kernel: object | None = field(default=None, repr=False)
+    def __init__(
+        self,
+        name: str,
+        alphabet: Alphabet,
+        enumerator: Callable[[int], tuple[Pattern, ...]],
+        kernel: object | None = None,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "enumerator", enumerator)
+        object.__setattr__(self, "kernel", kernel)
+
+    def __setattr__(self, *a):
+        raise AttributeError("ShiftSpec is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.alphabet, self.enumerator, self.kernel) == (
+            other.name, other.alphabet, other.enumerator, other.kernel
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.alphabet, self.enumerator, self.kernel))
+
+    def __repr__(self) -> str:
+        return f"ShiftSpec(name={self.name!r}, alphabet={self.alphabet!r})"
 
     @functools.cached_property
     def _generic_kernel(self) -> "GenericKernel":
@@ -608,8 +644,9 @@ def _row_blocks(
 
 
 # Refusal bounds of the row transfer, both checked before it runs, so that
-# an admitted count takes seconds (2-core Xeon, Python 3.11).  Listing the
-# 3^11 rows of width 11 over three letters takes about 1 s.  Red-black 4
+# an admitted count takes seconds (2-core Xeon, Python 3.11).  The bound on
+# rows counts admissible rows as they are listed; listing the 3^11 rows of
+# width 11 over three letters takes about 1 s.  Red-black 4
 # takes 1,069,524 steps of ``_transfer_steps`` in about 1 s and mirror 5
 # 2,408,901 in about 3 s (1.1 million states, 150 MB); red-black 5 and
 # hard-square 13 are refused.
@@ -670,20 +707,23 @@ def _row_structure(spec: ShiftSpec, h: int, w: int) -> tuple[list[str], int, Cal
     largest distance a fitting placement spans.  The plan is exact here
     because the rectangle is fully coloured (see ``ShiftSpec``).
 
-    Raises ``InfeasibleError`` before the transfer when |alphabet|^w is
-    over ``MAX_ROW_WORDS`` or its step bound over ``MAX_TRANSFER_STEPS``."""
+    Raises ``InfeasibleError`` before the transfer when more than
+    ``MAX_ROW_WORDS`` rows are admissible (the listing stops at the first
+    row over) or the step bound is over ``MAX_TRANSFER_STEPS``."""
     if h < 0 or w < 0:
         raise PatternError(f"negative rectangle size {h} x {w}")
     letters = spec.alphabet.letters
-    if len(letters) ** w > MAX_ROW_WORDS:
-        raise InfeasibleError(
-            f"{len(letters)}^{w} candidate rows exceed the {MAX_ROW_WORDS} the row transfer lists"
-        )
     kernel = kernel_of(spec)
     state = kernel.state((0, 0, 0, w - 1))
     row_cells = [(0, c) for c in range(w)]
-    rows = ["".join([state.cells[cell] for cell in row_cells])
-            for _ in lex_assignments(state, row_cells, letters)]
+    rows = []
+    for _ in lex_assignments(state, row_cells, letters):
+        if len(rows) == MAX_ROW_WORDS:
+            raise InfeasibleError(
+                f"over {MAX_ROW_WORDS} admissible rows of width {w}: more candidate rows "
+                "than the row transfer lists"
+            )
+        rows.append("".join(map(state.cells.__getitem__, row_cells)))
     full = (1 << len(rows)) - 1
     has = [
         {a: int("".join("1" if row[c] == a else "0" for row in reversed(rows)) or "0", 2)

@@ -20,8 +20,7 @@ bit-exactly from their manifests.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import __version__
 from .complexity import (
@@ -59,15 +58,13 @@ TWO_BLOCK = "two-block"
 MULTI_BLOCK = "multi-block"
 
 
-@dataclass(frozen=True)
-class LevelBudget:
+class LevelBudget(NamedTuple):
     T: int
     t_prime: int
     t: int
 
 
-@dataclass(frozen=True)
-class DeepParams:
+class DeepParams(NamedTuple):
     """Fully resolved construction parameters.
 
     ``n`` has depth+2 entries (the top level's block count in multi-block
@@ -92,22 +89,46 @@ class DeepParams:
         return self.structural_override is not None
 
 
-@dataclass(frozen=True)
-class LevelBlocks:
+class LevelBlocks(NamedTuple):
     level: int
     blocks: tuple[Pattern, ...]
     witness_matrix: Pattern | None = None
     witness_perms: tuple[tuple[int, ...], ...] | None = None
 
 
-@dataclass
 class StandardBlockFamily:
-    params: DeepParams
-    levels: list[LevelBlocks]
-    measured_steps: tuple[int, ...]
-    # the search counters of levels 1..depth; empty for a loaded archive
-    meters: tuple[StepMeter, ...] = field(default=(), repr=False, compare=False)
-    _array_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    """The levels of a family and the machine steps each search measured.
+
+    Families compare by ``params``, ``levels`` and ``measured_steps``: the
+    search counters in ``meters`` (levels 1..depth; empty for a loaded
+    archive) and the cache of 2x2 arrangements neither compare nor show in
+    the repr.  A family is mutable, so unhashable."""
+
+    def __init__(
+        self,
+        params: DeepParams,
+        levels: list[LevelBlocks],
+        measured_steps: tuple[int, ...],
+        meters: tuple[StepMeter, ...] = (),
+    ):
+        self.params = params
+        self.levels = levels
+        self.measured_steps = measured_steps
+        self.meters = meters
+        self._array_cache: dict = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.params, self.levels, self.measured_steps) == (
+            other.params, other.levels, other.measured_steps
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"StandardBlockFamily(params={self.params!r}, levels={self.levels!r}, "
+            f"measured_steps={self.measured_steps!r})"
+        )
 
     @property
     def depth(self) -> int:
@@ -254,7 +275,7 @@ def build_family(params: DeepParams, budgets_final: bool = False) -> StandardBlo
         cumulative += meter.steps
         final_budgets.append(LevelBudget(lb.T, lb.t_prime, t_final))
     return StandardBlockFamily(
-        params=replace(params, budgets=tuple(final_budgets)),
+        params=params._replace(budgets=tuple(final_budgets)),
         levels=levels,
         measured_steps=tuple(measured),
         meters=tuple(meters),
@@ -266,8 +287,7 @@ def build_family(params: DeepParams, budgets_final: bool = False) -> StandardBlo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MemberResult:
+class MemberResult(NamedTuple):
     accepted: bool
     level: int
     corner_ids: tuple[tuple[int, int], tuple[int, int]] | None
@@ -413,8 +433,7 @@ def witness_bit_length(res: MemberResult, fam: StandardBlockFamily) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoPartCode:
+class TwoPartCode(NamedTuple):
     bits: str
     N: int
     k: int
@@ -555,7 +574,7 @@ def params_to_dict(params: DeepParams) -> dict:
 def params_from_dict(d: dict) -> DeepParams:
     """A manifest's ``params``, with the type of every field and the length
     of every per-level list checked."""
-    require_keys(d, [f.name for f in fields(DeepParams)], "params")
+    require_keys(d, DeepParams._fields, "params")
     # older manifests name the search that picked each level; a non-exact
     # one would be rebuilt with a different search, so it is refused
     if d.get("oracle", "exact") != "exact":
@@ -655,8 +674,7 @@ def load_family(dirpath: str) -> StandardBlockFamily:
     return _read_archive(dirpath)[0]
 
 
-@dataclass(frozen=True)
-class ArchiveReport:
+class ArchiveReport(NamedTuple):
     ok: bool
     manifest_diff: tuple[str, ...]
     mismatches: tuple[str, ...]

@@ -20,8 +20,7 @@ import collections
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .core import (
     BWR,
@@ -50,16 +49,29 @@ from .core import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Profile:
-    """Per-row black counts of a simple pattern (top row first)."""
+    """Per-row black counts of a simple pattern (top row first).  Immutable;
+    profiles with the same counts are equal and hash alike."""
 
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.counts)
-        if any(not 0 <= k <= n for k in self.counts):
+    def __init__(self, counts: tuple[int, ...]):
+        n = len(counts)
+        if any(not 0 <= k <= n for k in counts):
             raise PatternError(f"profile entries must lie in 0..{n}")
+        object.__setattr__(self, "counts", counts)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Profile is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.counts == other.counts
+
+    def __hash__(self) -> int:
+        return hash((self.counts,))
+
+    def __repr__(self) -> str:
+        return f"Profile(counts={self.counts!r})"
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -157,8 +169,7 @@ def mirror_epitome(p: Pattern) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnforcerWindow:
+class EnforcerWindow(NamedTuple):
     """The 3n x 4n window enforcing a profile maximum at its slot.
 
     For line i = 1..n (bottom-up; profile entry k = counts[n-i]):
@@ -214,16 +225,14 @@ def place_in_slot(win: EnforcerWindow, p: Pattern) -> Pattern:
     return win.window.union(p.translate(*win.slot_origin))
 
 
-@dataclass(frozen=True)
-class EnforcerCase:
+class EnforcerCase(NamedTuple):
     counts: tuple[int, ...]
     compatible: bool
     leq: bool
     occurrence: Occurrence | None
 
 
-@dataclass(frozen=True)
-class EnforcerReport:
+class EnforcerReport(NamedTuple):
     """Exhaustive sweep of all (n+1)^n simple slot patterns against one
     enforcer window.
 
@@ -267,8 +276,7 @@ def verify_enforcer(prof: Profile, spec: ShiftSpec | None = None) -> EnforcerRep
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EpitomeFamily:
+class EpitomeFamily(NamedTuple):
     """A summary map plus, for the ordered kind, its comparison.
 
     ``evaluate`` returns a hashable value or None (undefined)."""
@@ -341,8 +349,7 @@ def interior_popcount_family(kind: str = "plain") -> EpitomeFamily:
     )
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     spec_name: str
     family: str
     kind: str
@@ -731,16 +738,14 @@ def epitome_property_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BorderGroup:
+class BorderGroup(NamedTuple):
     border: str
     size: int
     values: tuple[str, ...]
     flagged: bool
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     """Groups of locally admissible cover patterns sharing a border ring.
 
     A group is flagged when the border fails to determine the epitome of the

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     Alphabet,
@@ -54,7 +54,6 @@ _NN_SUPPORTS = (
 )
 
 
-@dataclass(frozen=True)
 class NNSpec:
     """A shift specification certified nearest-neighbour.
 
@@ -62,22 +61,35 @@ class NNSpec:
     horizontal or vertical domino (single-cell letter bans are also allowed,
     as degenerate dominoes) and that nothing new appears beyond extent 2
     (enumerators are prefix-closed, so this pins the whole family for any
-    honest spec)."""
+    honest spec).  Immutable; equal, and hashed alike, when the specs are."""
 
-    spec: ShiftSpec
-
-    def __post_init__(self):
-        small = self.spec.enumerator(2)
+    def __init__(self, spec: ShiftSpec):
+        small = spec.enumerator(2)
         for f in small:
             if frozenset(f.support) not in _NN_SUPPORTS:
                 raise PatternError(
-                    f"spec {self.spec.name!r} is not nearest-neighbour: "
+                    f"spec {spec.name!r} is not nearest-neighbour: "
                     f"forbidden support {sorted(f.support)}"
                 )
-        if self.spec.enumerator(4) != small:
+        if spec.enumerator(4) != small:
             raise PatternError(
-                f"spec {self.spec.name!r} has forbidden patterns beyond extent 2"
+                f"spec {spec.name!r} has forbidden patterns beyond extent 2"
             )
+        object.__setattr__(self, "spec", spec)
+
+    def __setattr__(self, *a):
+        raise AttributeError("NNSpec is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.spec == other.spec
+
+    def __hash__(self) -> int:
+        return hash((self.spec,))
+
+    def __repr__(self) -> str:
+        return f"NNSpec(spec={self.spec!r})"
 
     @property
     def alphabet(self) -> Alphabet:
@@ -225,8 +237,7 @@ def build_Pk(nn: NNSpec, k: int) -> Pattern:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SquareDescription:
+class SquareDescription(NamedTuple):
     """A short description of a sub-rectangle of a standard square: the level
     of the covering grid, up to 2x2 covering-square borders, and the offset
     and shape of the rectangle inside the covering block."""

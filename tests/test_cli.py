@@ -7,7 +7,7 @@ import pathlib
 import runpy
 import subprocess
 import sys
-from dataclasses import replace
+import time
 
 import pytest
 
@@ -275,6 +275,16 @@ def test_block_count_over_the_transfer_bounds_exits_3(capsys):
     assert "row transfer" in report["error"]
 
 
+def test_block_count_over_the_row_bound_exits_3_quickly(capsys):
+    # every one of the 3^12 red-black rows of width 12 is admissible: the
+    # listing stops at row 3^11 + 1
+    start = time.perf_counter()
+    rc, report, _ = run_json(capsys, "block-count", "red-black", "12")
+    assert time.perf_counter() - start < 2
+    assert rc == 3 and report["infeasible"]
+    assert "admissible rows" in report["error"]
+
+
 def test_block_count_negative_n_exits_1(capsys):
     rc, out, err = run_cli(capsys, "block-count", "hard-square", "-1")
     assert rc == 1
@@ -371,6 +381,15 @@ def test_kc_exact_bounds_its_search(capsys):
     assert report["metrics"]["runs"] == 0
     rc, report, _ = run_json(capsys, "kc-exact", "0101010101", "--max-len", "40", "--budget", "10")
     assert rc == 3 and report["infeasible"] is True
+
+
+def test_kc_exact_refuses_a_cut_off_output_past_the_bound(capsys):
+    # the 13-bit INC WHILE OUT0 ENDW would print 3.3 * 10^12 zeros
+    rc, report, _ = run_json(
+        capsys, "kc-exact", "0" * 16, "--max-len", "17", "--budget", "10000000000000"
+    )
+    assert rc == 3 and report["infeasible"] is True
+    assert "characters" in report["error"]
 
 
 def test_kc_incompressible_pattern(capsys):
@@ -482,7 +501,7 @@ def test_verify_archive_pass_and_corruption(archive, tmp_path, capsys):
 def test_verify_archive_expect_params_diff(archive, tmp_path, capsys):
     out, _ = archive
     params = schedule_params(2, 3, 3, structural_override=(2, 2, 2, 2))
-    other = replace(params, budgets=(params.budgets[0], LevelBudget(1, 2, 3)) + params.budgets[2:])
+    other = params._replace(budgets=(params.budgets[0], LevelBudget(1, 2, 3)) + params.budgets[2:])
     pfile = tmp_path / "params.json"
     pfile.write_text(json.dumps(params_to_dict(other)))
     rc, report, _ = run_json(

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shiftlab import complexity
 from shiftlab.complexity import (
+    MAX_OUTPUT_CHARS,
     MAX_PROGRAM_BITS,
     ComplexityResult,
     StepMeter,
@@ -383,6 +385,19 @@ def test_cycle_cut_finds_periods_of_several_back_jumps():
     meter = StepMeter()
     assert _outcome(bits, 100_003, meter) == reference_run(bits, 100_003)
     assert meter.cycle_cutoffs == 1
+
+
+def test_cut_off_loops_refuse_outputs_past_the_bound(monkeypatch):
+    # INC WHILE OUT0 ENDW prints a 0 every 3 steps: cut off at budget 3001,
+    # the skipped laps take the output to 1,000 characters
+    loop = "0" + "010" + "100" + "000" + "101"
+    assert MAX_OUTPUT_CHARS == 10**8
+    assert _outcome(loop, 3001) == (False, "0" * 1000, 3001)
+    monkeypatch.setattr(complexity, "MAX_OUTPUT_CHARS", 1000)
+    assert _outcome(loop, 3001) == (False, "0" * 1000, 3001)
+    monkeypatch.setattr(complexity, "MAX_OUTPUT_CHARS", 999)
+    with pytest.raises(InfeasibleError, match="over 999 characters"):
+        run_program(loop, 3001)
 
 
 def test_unbalanced_lists_share_one_outcome():

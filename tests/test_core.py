@@ -1,15 +1,20 @@
 """Patterns, serialization, and the built-in shift specifications."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftlab.admissibility import CompletionRegion
+from shiftlab.complexity import StepMeter
 from shiftlab.core import (
     BINARY,
     BWR,
     MAX_ROW_WORDS,
+    Alphabet,
     InfeasibleError,
     Occurrence,
     Pattern,
@@ -34,7 +39,8 @@ from shiftlab.core import (
     tile,
     word_square,
 )
-from shiftlab.epitomes import _projector
+from shiftlab.deepshift import StandardBlockFamily, schedule_params
+from shiftlab.epitomes import Profile, _projector
 from shiftlab.lowcfg import NNSpec, build_Pk, describe_subpattern
 
 
@@ -57,6 +63,88 @@ def test_make_pattern_all_zero():
 def test_make_pattern_ragged_rows_rejected():
     with pytest.raises(PatternError):
         make_pattern(["000", "00"])
+
+
+def _raised(build, *args):
+    """The error ``build(*args)`` raises, or None."""
+    try:
+        build(*args)
+    except (PatternError, AttributeError) as e:
+        return e
+    return None
+
+
+_FAMILY_PARAMS = schedule_params(2, 3, 1, structural_override=(2, 2))
+_BLOCK_SPEC = spec_from_patterns("block", BINARY, [make_pattern(["11", "11"])])
+
+# name -> (what the record does, what it must give)
+_RECORD_CASES = {
+    "duplicate-letter": (
+        lambda: str(_raised(Alphabet, ("0", "0"))),
+        "duplicate letters in alphabet ('0', '0')",
+    ),
+    "profile-entry-above-n": (
+        lambda: str(_raised(Profile, (0, 3))),
+        "profile entries must lie in 0..2",
+    ),
+    "not-nearest-neighbour": (
+        lambda: str(_raised(NNSpec, _BLOCK_SPEC)),
+        "spec 'block' is not nearest-neighbour: "
+        "forbidden support [(0, 0), (0, 1), (1, 0), (1, 1)]",
+    ),
+    "free-cells-overlap-host": (
+        lambda: str(_raised(CompletionRegion, make_pattern(["0"]), ((0, 1), (0, 0)))),
+        "free cells overlap the host support",
+    ),
+    "assignment-refused": (
+        lambda: [
+            isinstance(_raised(setattr, record, field, None), AttributeError)
+            for record, field in [
+                (BINARY, "letters"),
+                (hard_square_spec(), "kernel"),
+                (Profile((1, 0)), "counts"),
+                (NNSpec(hard_square_spec()), "spec"),
+                (CompletionRegion(make_pattern(["0"]), ((0, 1),)), "free_cells"),
+                (Occurrence(0, (1, 2)), "anchor"),
+            ]
+        ],
+        [True] * 6,
+    ),
+    "alphabet-by-value": (
+        lambda: (Alphabet(("0", "1")) == BINARY, hash(Alphabet(("0", "1"))), BINARY == BWR),
+        (True, hash((("0", "1"),)), False),
+    ),
+    "profile-by-value": (
+        lambda: (
+            Profile((1, 0)) == Profile((1, 0)),
+            hash(Profile((1, 0))),
+            Profile((1, 0)) == Profile((0, 1)),
+        ),
+        (True, hash(((1, 0),)), False),
+    ),
+    "copied-and-pickled-by-value": (
+        lambda: [
+            f(record) == record
+            for f in (copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r)))
+            for record in (BINARY, hard_square_spec(), Profile((1, 0)), Occurrence(0, (1, 2)))
+        ],
+        [True] * 8,
+    ),
+    "family-ignores-meters": (
+        lambda: StandardBlockFamily(_FAMILY_PARAMS, [], (0, 5))
+        == StandardBlockFamily(_FAMILY_PARAMS, [], (0, 5), meters=(StepMeter(steps=5),)),
+        True,
+    ),
+    "spec-repr-without-enumerator": (
+        lambda: repr(hard_square_spec()),
+        "ShiftSpec(name='hard-square', alphabet=Alphabet(letters=('0', '1')))",
+    ),
+}
+
+
+@pytest.mark.parametrize("got, want", _RECORD_CASES.values(), ids=_RECORD_CASES.keys())
+def test_record_behaviour(got, want):
+    assert got() == want
 
 
 def test_make_pattern_infers_three_letter_alphabet():
@@ -461,6 +549,13 @@ def test_count_rect_patterns_refusals():
     # too many transfer steps: 243 rows, 4-row states
     with pytest.raises(InfeasibleError, match="steps"):
         count_rect_patterns(red_black_spec(), 5, 5)
+
+
+def test_row_bound_counts_admissible_rows():
+    # 3^12 words of width 12 but one admissible row: listed, not refused
+    only_b = spec_from_patterns("only-B", BWR, [make_pattern(["W"]), make_pattern(["R"])])
+    assert count_rect_patterns(only_b, 1, 12) == 1
+    assert [q.rows() for q in iter_rect_patterns(only_b, 1, 12)] == [["B" * 12]]
 
 
 def test_lex_key_row_major():

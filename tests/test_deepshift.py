@@ -6,7 +6,6 @@ import json
 import random
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -832,7 +831,7 @@ def test_verify_archive_params_diff(structural_fam, tmp_path):
     d = str(tmp_path / "fam")
     save_family(structural_fam, d)
     params = schedule_params(2, 3, 3, structural_override=(2, 2, 2, 2))
-    other = replace(params, budgets=(params.budgets[0], LevelBudget(1, 2, 3)) + params.budgets[2:])
+    other = params._replace(budgets=(params.budgets[0], LevelBudget(1, 2, 3)) + params.budgets[2:])
     report = verify_archive(d, expected_params=other)
     assert not report.ok
     assert any(diff.startswith("params.budgets") for diff in report.manifest_diff)

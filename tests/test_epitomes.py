@@ -4,7 +4,6 @@ import functools
 import itertools
 import operator
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -423,7 +422,7 @@ def _bogus(p):
     [
         (RB, EpitomeFamily("bogus", _bogus), None, 1),
         (MI, EpitomeFamily("mirror", mirror_family().evaluate, lambda a, b: False), mirror_family(), 0),
-        (RB, replace(profile_family(), name="p"), profile_family(), 1),
+        (RB, profile_family()._replace(name="p"), profile_family(), 1),
     ],
     ids=["bogus", "mirror-with-leq", "profile-copy"],
 )
@@ -787,8 +786,7 @@ def test_border_consistency_ledger_at_n_1(spec, projection, bits):
 
 
 def test_border_consistency_ordered_kind():
-    fam = interior_popcount_family(kind="ordered")
-    object.__setattr__(fam, "leq", lambda a, b: a <= b)
+    fam = interior_popcount_family(kind="ordered")._replace(leq=lambda a, b: a <= b)
     rep = border_epitome_consistency(HS, IDENTITY, fam, 3)
     # total order: every group has a maximum, so nothing is flagged
     assert rep.flagged_count == 0

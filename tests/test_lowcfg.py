@@ -1,7 +1,6 @@
 """Standard squares for nearest-neighbour specs and their short
 sub-rectangle descriptions."""
 
-import dataclasses
 import json
 import random
 import re
@@ -566,7 +565,7 @@ def test_description_bits_within_declared_constant(p4_hs):
 def test_tampered_description_differs(p3, nn_no00):
     rect = (2, 2, 3, 2)
     desc = describe_subpattern(nn_no00, p3, 3, rect)
-    skewed = dataclasses.replace(desc, offset=(desc.offset[0], desc.offset[1] + 1))
+    skewed = desc._replace(offset=(desc.offset[0], desc.offset[1] + 1))
     assert reconstruct_subpattern(skewed, nn_no00) != subpattern(p3, rect)
 
 
@@ -597,7 +596,7 @@ def test_malformed_description_refused_before_any_build(
     p3, nn_no00, monkeypatch, change, named
 ):
     # a full-square description of the level-3 square, made malformed
-    desc = dataclasses.replace(describe_subpattern(nn_no00, p3, 3, (0, 0, 9, 9)), **change)
+    desc = describe_subpattern(nn_no00, p3, 3, (0, 0, 9, 9))._replace(**change)
 
     def no_build(*args):
         raise AssertionError("a malformed description reached standard_square")
@@ -621,11 +620,11 @@ def test_covering_squares_disagreeing_on_a_shared_column_refused():
         reconstruct_subpattern(desc, NN_HS)
     # agreeing borders rebuild; a border that fails to build is refused
     # before any disagreement is looked for
-    ok = dataclasses.replace(desc, borders=(left, left))
+    ok = desc._replace(borders=(left, left))
     assert reconstruct_subpattern(ok, NN_HS).rows() == ["00000"] * 3
     bad = _level_1_square({(1, 0): "1", (2, 0): "1"})
     with pytest.raises(PatternError, match="border ring is not locally admissible"):
-        reconstruct_subpattern(dataclasses.replace(desc, borders=(left, bad)), NN_HS)
+        reconstruct_subpattern(desc._replace(borders=(left, bad)), NN_HS)
 
 
 def test_reconstruction_memo_builds_each_distinct_square_once(p3, nn_no00, monkeypatch):
@@ -657,7 +656,7 @@ def test_reconstruction_memo_is_keyed_by_level():
     squares: dict = {}
     one = lowcfg.SquareDescription(1, (1, 1), (0, 0), (3, 3), (border,))
     assert reconstruct_subpattern(one, NN_HS, squares).rows() == ["000"] * 3
-    two = dataclasses.replace(one, level=2)
+    two = one._replace(level=2)
     with pytest.raises(PatternError, match="border support is not the level-2 ring"):
         reconstruct_subpattern(two, NN_HS, squares)
 
@@ -719,6 +718,13 @@ def test_lowcfg_imports_only_core(child_env):
     # neither the program search nor the completion search
     loaded = _loaded_by("shiftlab.lowcfg", child_env)
     assert not loaded & {"shiftlab.deepshift", "shiftlab.complexity", "shiftlab.admissibility"}
+
+
+def test_cli_import_leaves_out_dataclasses(child_env):
+    # records are named tuples and plain classes: decorating them cost
+    # a fifth of every start-up, and ``dataclasses`` loads ``inspect``
+    loaded = _loaded_by("shiftlab.cli", child_env)
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize(

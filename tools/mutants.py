@@ -60,6 +60,7 @@ CELL_ROUTE = "tests/test_admissibility.py::test_row_lister_matches_the_cell_rout
 MARGIN_OFF_SQUARE = (
     "tests/test_admissibility.py::test_margin_lister_matches_filtered_enumeration_off_the_square"
 )
+RECORDS = "tests/test_core.py::test_record_behaviour"
 
 # name -> (file, text, replacement, tests that should kill it)
 MUTANTS = {
@@ -359,6 +360,26 @@ MUTANTS = {
         "if a == saved_a and pc == saved_pc and b == saved_b:",
         "if a == saved_a and pc == saved_pc:",
         ["tests/test_complexity.py::test_random_loops_agree_with_reference"],
+    ),
+    "output-guard-never-refuses": (
+        COMPLEXITY,
+        "if len(out) + (len(out) - saved_len) * laps > MAX_OUTPUT_CHARS:",
+        "if False:",
+        ["tests/test_complexity.py::test_cut_off_loops_refuse_outputs_past_the_bound"],
+    ),
+    # the records
+    "profile-entry-above-n-accepted": (
+        EPITOMES,
+        "if any(not 0 <= k <= n for k in counts):",
+        "if any(not 0 <= k <= n + 1 for k in counts):",
+        [f"{RECORDS}[profile-entry-above-n]"],
+    ),
+    "family-equality-compares-meters": (
+        DEEPSHIFT,
+        "self.measured_steps) == (\n            other.params, other.levels, other.measured_steps\n",
+        "self.measured_steps, self.meters) == (\n"
+        "            other.params, other.levels, other.measured_steps, other.meters\n",
+        [f"{RECORDS}[family-ignores-meters]"],
     ),
 }
 
