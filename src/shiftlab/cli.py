@@ -16,11 +16,11 @@ infeasible at the attempted scale.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from . import __version__
 from .admissibility import block_count
@@ -94,6 +94,7 @@ def _int_list(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x != ""]
     except ValueError:
+        import argparse  # loaded only for a usage error
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
 
 
@@ -344,14 +345,6 @@ def _cmd_verify_archive(args):
 # ---------------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one ``shiftlab:`` line on stderr and exits
-    1; subcommand parsers inherit the class."""
-
-    def error(self, message):
-        self.exit(1, f"shiftlab: {message}\n")
-
-
 def _arg(*flags, **kwargs):
     return flags, kwargs
 
@@ -444,11 +437,62 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, or with ``command``'s alone.  The
-    top-level options are the same in both, so argparse classifies every
-    token of an argv that names ``command`` alike and hands the same tail to
-    the same subparser: namespaces, help and errors do not change."""
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's namespace for ``[--out-file X | --out-file=X] <command> <tokens>``, read
+    from ``_COMMANDS`` alone; None, for argparse to decide, unless each flag is declared and
+    given once and no token is missing, extra, of a bad type or choice, or starts with -."""
+    out_file = None
+    if argv[:1] == ["--out-file"] and len(argv) > 1:
+        out_file, argv = argv[1], argv[2:]
+    elif argv[:1] and argv[0].startswith("--out-file="):
+        out_file, argv = argv[0].partition("=")[2], argv[1:]
+    if not argv or argv[0] not in _COMMANDS or (out_file or "").startswith("-"):
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    declared = {flags[0]: kwargs for flags, kwargs in arguments}
+    given, words, tokens = {}, [], iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in declared or eq and "action" in declared[flag]:
+            return None
+        value = value if eq or "action" in declared[flag] else next(tokens, "-")
+        if value.startswith("-") or flag in given:
+            return None
+        given[flag] = value
+    positionals = [flag for flag in declared if not flag.startswith("-")]
+    if len(words) != len(positionals):
+        return None
+    given.update(zip(positionals, words))
+    args = {"out_file": out_file, "command": argv[0], "func": func}
+    for flag, kwargs in declared.items():
+        dest = flag.lstrip("-").replace("-", "_")
+        if "action" in kwargs:  # store_true
+            args[dest] = flag in given
+        elif flag in given:
+            try:
+                args[dest] = kwargs.get("type", str)(given[flag])
+            except Exception:  # argparse converts again and says why
+                return None
+            if args[dest] not in kwargs.get("choices", [args[dest]]):
+                return None
+        elif kwargs.get("required"):
+            return None
+        else:
+            args[dest] = kwargs.get("default")
+    return SimpleNamespace(**args)
+
+
+def _build_parser():
+    """The argparse parser, for an argv that ``_read_argv`` declines."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):  # a usage error: one line, exit 1
+        def error(self, message):
+            self.exit(1, f"shiftlab: {message}\n")
+
     parser = _Parser(
         prog="shiftlab",
         description="Workbench for two-dimensional shifts of finite type.",
@@ -456,26 +500,11 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--out-file", help="write the JSON report here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, func, arguments) in _COMMANDS.items():
-        if command in (None, name):
-            q = sub.add_parser(name, help=help_text)
-            for flags, kwargs in arguments:
-                q.add_argument(*flags, **kwargs)
-            q.set_defaults(func=func)
+        q = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            q.add_argument(*flags, **kwargs)
+        q.set_defaults(func=func)
     return parser
-
-
-def _command_of(argv: list[str]) -> str | None:
-    """The subcommand an argv of the form ``[--out-file X | --out-file=X]
-    <command> ...`` runs; None for any other shape (``-h``, an abbreviated
-    ``--out``, an unknown command), which gets the full parser.  Building
-    one subparser in place of all of them saves a few milliseconds a run."""
-    skip = 0
-    if argv[:1] == ["--out-file"]:
-        skip = 2
-    elif argv and argv[0].startswith("--out-file="):
-        skip = 1
-    name = argv[skip] if skip < len(argv) else None
-    return name if name in _COMMANDS else None
 
 
 def _write_stdout(text: str) -> bool:
@@ -500,7 +529,7 @@ def _emit(args, report: dict) -> bool:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if getattr(args, "out_file", None):
         try:
-            with open(args.out_file, "w", encoding="ascii") as fh:
+            with open(args.out_file, "w", encoding="utf-8") as fh:  # json.dumps writes ASCII
                 fh.write(text)
         except OSError as exc:
             print(f"shiftlab: {exc}", file=sys.stderr)
@@ -516,11 +545,12 @@ def _config_of(args) -> dict:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(_command_of(argv))
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # usage errors exit 1, --help 0
-        return exc.code or 0
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # usage errors exit 1, --help 0
+            return exc.code or 0
 
     t0 = time.perf_counter()
     try:

@@ -1,15 +1,22 @@
 """The JSON-report command line: exit codes, payloads, determinism."""
 
+import contextlib
+import functools
 import importlib
+import io
+import itertools
 import json
 import os
 import pathlib
 import runpy
+import shlex
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab import cli
 from shiftlab.cli import main
@@ -152,55 +159,140 @@ def test_help_exits_0(capsys):
     assert "shiftlab" in capsys.readouterr().out
 
 
-def _parse(capsys, argv, command):
-    """What the parser built for ``command`` (None: every subcommand) makes
-    of ``argv``: the namespace or the exit code, and the printed text."""
-    try:
-        result = vars(cli._build_parser(command).parse_args(argv))
-    except SystemExit as exc:
-        result = exc.code
-    return result, capsys.readouterr()
+@functools.cache
+def _full_parser():
+    return cli._build_parser()
 
 
-def _shapes(name):
-    """Argvs around one subcommand: those the lean parser reads (help, the
-    command alone, an unknown option, every positional given "x", a bad int
-    where one is an int, each int option given "x", --out-file before and
-    after the command) and those that get the full one (no command, an
-    unknown one, --out-file with no value or swallowing the command, an
-    abbreviated --out)."""
-    _, _, arguments = cli._COMMANDS[name]
-    positionals = ["x" for flags, _ in arguments if not flags[0].startswith("-")]
-    int_options = [flags[0] for flags, kw in arguments if kw.get("type") is int]
-    lean = [
-        [name, "-h"],
-        [name],
-        [name, "--bogus"],
-        [name, *positionals],
-        *([name, flag, "x"] for flag in int_options if flag.startswith("-")),
-        ["--out-file", "r.json", name, "--bogus"],
-        ["--out-file=r.json", name, *positionals],
-        [name, *positionals, "--out-file", "r.json"],
-        [name, "--out-file"],
-    ]
-    full = [
-        [],
-        ["-h"],
-        [name[:-1], *positionals],
-        ["--out-file"],
-        ["--out-file", name, *positionals],
-        ["--out", "r.json", name, *positionals],
-    ]
-    return lean, full
+def _argparse_reads(argv):
+    """``vars()`` of the full argparse namespace for ``argv``, or the exit
+    code of its help or usage error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_full_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+def _values(kwargs):
+    """Values of one argument: well-formed ones, and odd ones that argparse
+    refuses or reads while the reader may decline them."""
+    if "choices" in kwargs:
+        return list(kwargs["choices"]), ["nope", "-x", ""]
+    if kwargs.get("type") is int:
+        return ["0", "3", " 4"], ["x", "-1", "", "2.5"]
+    if kwargs.get("type") is cli._int_list:
+        return ["1,0", "2,1,"], ["1,x", "-1,2", "-"]
+    return ["x", "hard-square", "", "0=B"], ["-x", "--", "-"]
+
+
+@st.composite
+def _argvs(draw, name):
+    """An argv of ``name`` drawn from its ``_COMMANDS`` entry, and whether it
+    is well-formed.  Each choice below is a pick between well-formed and odd
+    options; up to two picks, drawn by index, take an odd one: a bad value,
+    an abbreviated or unknown flag, a flag given twice or not at all, an
+    extra token, a misplaced --out-file, a missing last token."""
+    at, picks, odd = draw(st.sets(st.integers(0, 24), max_size=2)), itertools.count(), []
+
+    def pick(good, bad):
+        if next(picks) not in at:
+            return draw(st.sampled_from(good))
+        odd.append(draw(st.sampled_from(bad)))
+        return odd[-1]
+
+    chunks = []  # (positional, tokens)
+    for flags, kwargs in cli._COMMANDS[name][2]:
+        flag, (good, bad) = flags[0], _values(kwargs)
+        if not flag.startswith("-"):
+            chunks += [(True, [pick(good, bad)])] * pick([1], [0, 2])
+            continue
+        times = [1] if kwargs.get("required") else [0, 1]
+        for _ in range(pick(times, [2, 0] if times == [1] else [2])):
+            spelt = pick([flag], [flag[:-1], flag + "x"])
+            if "action" in kwargs:
+                chunks.append((False, [pick([spelt], [spelt + "=", spelt + "=x"])]))
+            elif draw(st.booleans()):
+                chunks.append((False, [f"{spelt}={pick(good, bad)}"]))
+            else:
+                chunks.append((False, [spelt, pick(good, bad)]))
+    extra = ["-h", "--help", "--", "--bogus", "x", "--out-file", "--out-file=r.json"]
+    chunks.append((False, pick([[]], [[token] for token in extra])))
+    prefix = pick([[], ["--out-file", "r.json"], ["--out-file=r.json"]],
+                  [["--out-file"], ["--out-file="], ["--out", "r.json"], ["--out-file", "-r"]])
+    # the chunks in any order, but the positionals in theirs
+    positionals = iter([tokens for positional, tokens in chunks if positional])
+    shuffled = [next(positionals) if positional else tokens
+                for positional, tokens in draw(st.permutations(chunks))]
+    argv = [*prefix, name, *(t for tokens in shuffled for t in tokens)]
+    return argv[:len(argv) - pick([0], [1])], not odd
 
 
 @pytest.mark.parametrize("name", list(cli._COMMANDS))
-def test_lean_parser_reads_every_argv_like_the_full_one(capsys, name):
-    lean, full = _shapes(name)
-    assert [cli._command_of(argv) for argv in lean] == [name] * len(lean)
-    assert [cli._command_of(argv) for argv in full] == [None] * len(full)
-    for argv in lean + full:
-        assert _parse(capsys, argv, cli._command_of(argv)) == _parse(capsys, argv, None), argv
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_lean_parser_reads_every_argv_like_the_full_one(name, data):
+    # the argv reader declines (None) or gives exactly argparse's namespace,
+    # and reads every well-formed argv
+    argv, well_formed = data.draw(_argvs(name))
+    read = cli._read_argv(argv)
+    if read is not None or well_formed:
+        assert read is not None and vars(read) == _argparse_reads(argv), argv
+
+
+# the CLI jobs of perfbench/workloads.py, with {pass_dir} and {seed} filled in
+_BENCHMARK_ARGVS = [
+    ["deep-build", "--n0", "2", "--depth", "1", "--override", "2,4", "--out", "pass/a24"],
+    ["deep-build", "--n0", "2", "--depth", "2", "--override", "2,2,4", "--out", "pass/a224"],
+    ["deep-build", "--mode", "multi-block", "--n0", "2", "--depth", "1",
+     "--override", "2,2,2", "--out", "pass/m222"],
+    ["verify-archive", "pass/a224"],
+    ["block-count", "hard-square", "4", "--margin", "1"],
+    ["block-count", "red-black", "3", "--margin", "1"],
+    ["lowcfg-roundtrip", "--k", "5", "--rects", "40", "--seed", "1"],
+    ["census", "4"],
+    ["epitome-verify", "--family", "identity", "--n", "2"],
+    ["epitome-verify", "--n", "3"],
+    ["epitome-verify", "--family", "mirror", "--spec", "mirror", "--n", "2"],
+    ["border-consistency", "--n", "4"],
+]
+
+
+def _readme_argvs():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in readme.read_text().splitlines()
+        if line.startswith("shiftlab ")
+    ]
+
+
+def test_argv_reader_reads_all_traffic():
+    # every benchmark job (run with --out-file) and README example is read
+    # from the command table, exactly as argparse reads it
+    readme = _readme_argvs()
+    assert len(readme) == 17
+    for argv in [["--out-file", "r.json", *a] for a in _BENCHMARK_ARGVS] + readme:
+        read = cli._read_argv(argv)
+        assert read is not None and vars(read) == _argparse_reads(argv), argv
+
+
+def test_a_command_that_runs_loads_no_argparse(child_env, tmp_path):
+    # argparse and gettext cost a few milliseconds a run, and gettext loads
+    # locale; the "ascii" codec of an --out-file loaded encodings.ascii
+    path = tmp_path / "r.json"
+    snippet = (
+        "import json, sys; from shiftlab.cli import main; "
+        f"rc = main(['--out-file', {str(path)!r}, 'census', '2']); "
+        "print(json.dumps([rc, sorted(sys.modules)]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", snippet], capture_output=True, text=True, timeout=120, env=child_env
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, loaded = json.loads(proc.stdout)
+    assert rc == 0 and json.loads(path.read_text())["result"] == {"simple_patterns": 9}
+    assert not set(loaded) & {"argparse", "gettext", "locale", "encodings.ascii"}
 
 
 def test_infeasible_exits_3(capsys):

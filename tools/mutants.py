@@ -61,6 +61,8 @@ MARGIN_OFF_SQUARE = (
     "tests/test_admissibility.py::test_margin_lister_matches_filtered_enumeration_off_the_square"
 )
 RECORDS = "tests/test_core.py::test_record_behaviour"
+CLI = "src/shiftlab/cli.py"
+ARGV_READER = "tests/test_cli.py::test_lean_parser_reads_every_argv_like_the_full_one"
 
 # name -> (file, text, replacement, tests that should kill it)
 MUTANTS = {
@@ -380,6 +382,27 @@ MUTANTS = {
         "self.measured_steps, self.meters) == (\n"
         "            other.params, other.levels, other.measured_steps, other.meters\n",
         [f"{RECORDS}[family-ignores-meters]"],
+    ),
+    # the argv reader of the command line
+    "argv-reader-ignores-choices": (
+        CLI,
+        'if args[dest] not in kwargs.get("choices", [args[dest]]):',
+        "if False:",
+        [ARGV_READER],
+    ),
+    "argv-reader-first-repeat-stands": (
+        CLI,
+        'if value.startswith("-") or flag in given:\n            return None\n'
+        "        given[flag] = value",
+        'if value.startswith("-"):\n            return None\n'
+        "        given.setdefault(flag, value)",
+        [ARGV_READER],
+    ),
+    "argv-reader-missing-required-is-none": (
+        CLI,
+        'elif kwargs.get("required"):\n            return None\n        else:',
+        "else:",
+        [ARGV_READER],
     ),
 }
 
