@@ -248,7 +248,7 @@ def _cmd_epitome_verify(args):
         given = [f"--{k}" for k in (*_PROPERTY_DEFAULTS, "kind") if getattr(args, k) is not None]
         if given:
             raise PatternError(f"{', '.join(given)} cannot be used with --profile")
-        rep = verify_enforcer(Profile(tuple(args.profile)), spec)
+        rep = verify_enforcer(Profile(args.profile), spec)
         payload = {
             "profile": list(rep.prof.counts),
             "clause1_self_compatible": rep.clause1,

@@ -564,17 +564,27 @@ def iter_rect_patterns(spec: ShiftSpec, h: int, w: int, margin: int = 0) -> Iter
     ``admissibility.extendable``), in canonical (row-major lexicographic)
     order: all |alphabet|^(h*w) of them when the spec forbids nothing.
 
-    The patterns are listed from the rows of the row transfer, each held as
-    its rows (``_row_blocks``).  With a filler for the extent of the margin
-    box every locally admissible pattern extends (``ShiftSpec``), so only a
-    positive margin without one searches a ring per block
-    (``_margin_blocks``).
-
-    Raises ``InfeasibleError`` before building any pattern when more than
-    ``MAX_CANDIDATES`` locally admissible h x w patterns exist, counted by
-    ``count_rect_patterns``, or when that count is over its own bounds."""
+    Each pattern holds a row tuple of ``_rect_rows``, and refuses where it
+    does.  With a filler for the extent of the margin box every locally
+    admissible pattern extends (``ShiftSpec``), so only a positive margin
+    without one searches a ring per block (``_margin_blocks``)."""
     if margin < 0:
         raise PatternError("margin must be nonnegative")
+    listing = _rect_rows(spec, h, w)  # refuses here, before any pattern is built
+    if margin and kernel_of(spec).filler(max(h, w) + 2 * margin) is None:
+        box = (0, 0, h - 1, w - 1) if h and w else None
+        return (
+            Pattern._adopt(spec.alphabet, dict(cells), box)
+            for cells in _margin_blocks(spec, h, w, margin)
+        )
+    return map(functools.partial(Pattern._from_rows, spec.alphabet), listing)
+
+
+def _rect_rows(spec: ShiftSpec, h: int, w: int) -> Iterator[tuple[str, ...]]:
+    """The rows of the locally admissible h x w patterns of ``spec``, a tuple
+    per pattern in canonical order.  Raises ``InfeasibleError`` when called
+    if more than ``MAX_CANDIDATES`` exist, counted by ``count_rect_patterns``,
+    or if that count is over its own bounds."""
     structure = _row_structure(spec, h, w)
     count = _row_transfer(structure, h)[0]
     if count > MAX_CANDIDATES:
@@ -582,13 +592,7 @@ def iter_rect_patterns(spec: ShiftSpec, h: int, w: int, margin: int = 0) -> Iter
             f"{count} admissible {h}x{w} patterns of {spec.name} exceed the "
             f"{MAX_CANDIDATES} a check lists; lower the size"
         )
-    if margin and kernel_of(spec).filler(max(h, w) + 2 * margin) is None:
-        box = (0, 0, h - 1, w - 1) if h and w else None
-        return (
-            Pattern._adopt(spec.alphabet, dict(cells), box)
-            for cells in _margin_blocks(spec, h, w, margin)
-        )
-    return _row_blocks(spec.alphabet, h, *structure)
+    return _row_blocks(h, *structure)
 
 
 def _margin_blocks(
@@ -602,7 +606,7 @@ def _margin_blocks(
     interior is filled first, then the ring, and a state rejects an
     occurrence when its last cell is assigned, so the ring search succeeds
     iff ``extendable`` finds a witness.  It fills cell by cell and reads no
-    row transfer, so at margin 0 it lists what ``_row_blocks`` lists by
+    row transfer, so at margin 0 it lists what ``_rect_rows`` lists by
     another route."""
     state = kernel_of(spec).state((-margin, -margin, h + margin - 1, w + margin - 1))
     interior = [(r, c) for r in range(h) for c in range(w)]
@@ -613,16 +617,14 @@ def _margin_blocks(
             yield state.cells
 
 
-def _row_blocks(
-    alphabet: Alphabet, h: int, rows: list[str], depth: int, allowed: Callable
-) -> Iterator[Pattern]:
-    """The patterns of h rows of ``rows`` in which ``allowed`` admits every
+def _row_blocks(h: int, rows: list[str], depth: int, allowed: Callable) -> Iterator[tuple]:
+    """The tuples of h rows of ``rows`` in which ``allowed`` admits every
     row after the history of the at most ``depth`` rows above it (see
     ``_row_structure``), depth first with row indices taken lowest first:
-    ``rows`` is in lexicographic order, so the patterns come in canonical
+    ``rows`` is in lexicographic order, so the tuples come in canonical
     order."""
     if not h:
-        yield Pattern._from_rows(alphabet, ())
+        yield ()
         return
     chosen: list[int] = []  # the row index at each row placed so far
     untried = [allowed(())]  # per row being placed, the rows not yet tried
@@ -639,7 +641,7 @@ def _row_blocks(
         if len(chosen) < h:
             untried.append(allowed(tuple(chosen[max(len(chosen) - depth, 0):])))
         else:
-            yield Pattern._from_rows(alphabet, [rows[i] for i in chosen])
+            yield tuple([rows[i] for i in chosen])
             chosen.pop()
 
 
@@ -677,8 +679,8 @@ def count_rect_patterns(spec: ShiftSpec, h: int, w: int) -> int:
     return _row_transfer(_row_structure(spec, h, w), h)[0]
 
 
-# The most candidates ``iter_rect_patterns`` lists, each yielded as a
-# ``Pattern`` of its rows; it counts them first: hard-square 5 (55,447),
+# The most candidates ``_rect_rows`` walks (and ``iter_rect_patterns``
+# lists as patterns); it counts them first: hard-square 5 (55,447),
 # red-black 3 (18,748) and mirror 4 (74,240) are listed, red-black 4
 # (38,559,440) and mirror 5 (35,718,144) refused.  ``block_count``'s ring
 # search counts without listing and is not bounded.  The generic epitome
@@ -802,11 +804,9 @@ def _row_transfer(structure: tuple[list[str], int, Callable], h: int) -> tuple[i
         for t, k in counts.items():
             m = allowed(t)
             t = t[max(len(t) + 1 - depth, 0):]  # with the new row, the last depth rows
-            while m:
-                low = m & -m
-                key = (*t, low.bit_length() - 1)
+            for a in _members(m):
+                key = (*t, a)
                 nxt[key] = nxt.get(key, 0) + k
-                m ^= low
         counts = nxt
         largest = max(largest, len(counts))
     total = sum(k * allowed(t).bit_count() for t, k in counts.items())

@@ -464,11 +464,10 @@ def two_part_code(p: Pattern, k: int, spec: ShiftSpec, margin: int = 0) -> TwoPa
     if k < 1 or p.height % k:
         raise PatternError(f"side {p.height} is not a multiple of k={k}")
     N = p.height // k
-    dictionary = list(iter_rect_patterns(spec, k, k, margin))
-    L = len(dictionary)
+    dict_rows = [q._row_tuple() for q in iter_rect_patterns(spec, k, k, margin)]  # noqa: SLF001
+    L = len(dict_rows)
     if L == 0:
         raise InfeasibleError("no admissible blocks at this size")
-    dict_rows = [tuple(q.rows()) for q in dictionary]
     pos = {rows: ix for ix, rows in enumerate(dict_rows)}
     letter_width = spec.alphabet.letter_bits
     index_width = (L - 1).bit_length() if L > 1 else 0

@@ -20,7 +20,7 @@ import collections
 import functools
 import itertools
 import operator
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import (
     BWR,
@@ -36,6 +36,7 @@ from .core import (
     _bbox_of,
     _members,
     _mirror_enumerator,
+    _rect_rows,
     annulus,
     contains_forbidden,
     iter_rect_patterns,
@@ -53,8 +54,11 @@ class Profile:
     """Per-row black counts of a simple pattern (top row first).  Immutable;
     profiles with the same counts are equal and hash alike."""
 
-    def __init__(self, counts: tuple[int, ...]):
+    def __init__(self, counts: Iterable[int]):
+        counts = tuple(counts)
         n = len(counts)
+        if not all(isinstance(k, int) for k in counts):
+            raise PatternError("profile entries must be integers")
         if any(not 0 <= k <= n for k in counts):
             raise PatternError(f"profile entries must lie in 0..{n}")
         object.__setattr__(self, "counts", counts)
@@ -84,15 +88,9 @@ def profile(p: Pattern) -> Profile | None:
         raise PatternError("profile is defined for square patterns")
     if p.alphabet.letters != BWR.letters:
         raise PatternError("profile expects the three-letter alphabet")
-    counts = []
-    for row in p.rows():
-        k = 0
-        while k < len(row) and row[k] == "B":
-            k += 1
-        if any(ch != "W" for ch in row[k:]):
-            return None
-        counts.append(k)
-    return Profile(tuple(counts))
+    rows = p.rows()
+    counts = [len(row) - len(row.lstrip("B")) for row in rows]
+    return None if any(row[k:].strip("W") for row, k in zip(rows, counts)) else Profile(counts)
 
 
 def profile_leq(a: Profile, b: Profile) -> bool:
@@ -142,7 +140,7 @@ def simple_pattern_census(n: int) -> int:
     count exceeds ``MAX_CANDIDATES``: n = 5 lists 7,776, n = 6 is refused."""
     if n < 1:
         raise PatternError("n must be positive")
-    return sum(1 for _ in iter_rect_patterns(_SIMPLE, n, n))
+    return sum(1 for _ in _rect_rows(_SIMPLE, n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +364,11 @@ class PropertyReport(NamedTuple):
     )
 
 
-def _annulus_pattern(spec, annulus, combo_index):
+def _annulus_pattern(spec, ring, i):
+    """Coloring i of ``ring``: its digit t in base |alphabet| is the letter at ring[t]."""
     letters = spec.alphabet.letters
     base = len(letters)
-    cells = {}
-    x = combo_index
-    for cell in annulus:
-        cells[cell] = letters[x % base]
-        x //= base
+    cells = {cell: letters[i // base**t % base] for t, cell in enumerate(ring)}
     return Pattern(spec.alphabet, cells)
 
 
@@ -540,10 +535,7 @@ def _check_generic(spec, fam, n, margin):
 
     def any_of(rows, keys) -> int:
         """Colorings compatible with at least one candidate (value) of ``keys``."""
-        out = 0
-        for k in keys:
-            out |= rows[k]
-        return out
+        return functools.reduce(operator.or_, (rows[k] for k in keys), 0)
 
     side = n + 2 * margin
     plan = kernel_of(spec).window_plan(side)
@@ -606,18 +598,41 @@ def _check_generic(spec, fam, n, margin):
     return entries, counterexample, work
 
 
-def _profiles_below(profs) -> list[int]:
-    """Per profile j, the bitset of the profiles i with ``profile_leq(profs[i],
-    profs[j])``: the AND over rows r of the bitsets of the profiles with at
-    most ``profs[j].counts[r]`` blacks in row r."""
-    _, exact = _slot_index(dict(enumerate(p.counts)) for p in profs)
-    at_most = {
-        r: {k: sum(m for x, m in ks.items() if x <= k) for k in ks} for r, ks in exact.items()
-    }
-    return [
-        functools.reduce(operator.and_, (at_most[r][k] for r, k in enumerate(p.counts)))
-        for p in profs
+def _enforcer_indexes(n, counts):
+    """``_slot_index`` results with no window made: of the enforcer windows of
+    the n-entry profiles ``counts`` (in ``all_profiles`` order), of their
+    simple patterns in the slot at (2n, 3n - 1), and per profile j the bitset
+    of the profiles below it.  Profile j has digit t = counts[j][n - 1 - t] in
+    base n + 1; each ``EnforcerWindow`` letter is one digit in a range."""
+    size = len(counts)
+    every = (1 << size) - 1
+    upto = [  # upto[t][k]: the profiles whose digit t is at most k
+        list(itertools.accumulate(_digit_mask(n + 1, t, x, 0, size) for x in range(n + 1)))
+        for t in range(n)
     ]
+
+    def at_most(t, k):
+        return 0 if k < 0 else upto[t][min(k, n)]
+
+    def letters(a, mask, rest):  # the nonempty bitsets, as ``_slot_index`` keeps them
+        return {b: m for b, m in ((a, mask), (rest, every & ~mask)) if m}
+
+    fillings = {
+        (2 * n + r, 3 * n - 1 + c): letters("W", at_most(n - 1 - r, c), "B")
+        for r, c in itertools.product(range(n), repeat=2)
+    }
+    cells = itertools.product(range(3 * n), range(4 * n))
+    windows = {cell: {"W": every} for cell in cells if cell not in fillings}
+    for t in range(n):  # line t + 1: R in row t, B in row 3n - 1 - t left of the slot
+        for c in range(4 * n):
+            windows[(t, c)] = letters("R", at_most(t, c - 2 * t) & ~at_most(t, c - 3 * n), "W")
+        for c in range(3 * n - 1):
+            windows[(3 * n - 1 - t, c)] = letters("B", at_most(t, c - 2 * t), "W")
+    below = [
+        functools.reduce(operator.and_, (at_most(n - 1 - r, k) for r, k in enumerate(ks)))
+        for ks in counts
+    ]
+    return (size, windows), (size, fillings), below
 
 
 def _check_red_black_profiles(spec, n):
@@ -625,24 +640,20 @@ def _check_red_black_profiles(spec, n):
     a row and every simple slot pattern (slot at (2n, 3n - 1)) as a column.
     A filled window is full, so ``window_plan`` is exact; the margin plays
     no part."""
-    profs = list(all_profiles(n))
-    windows = _slot_index(build_enforcer(prof).window.cells for prof in profs)
-    fillings = _slot_index(_simple_cells(cand, 2 * n, 3 * n - 1) for cand in profs)
+    counts = [prof.counts for prof in all_profiles(n)]
+    windows, fillings, below = _enforcer_indexes(n, counts)
     plan = kernel_of(spec).window_plan(4 * n)
     rows = _window_compat(plan, (0, 0, 3 * n - 1, 4 * n - 1), windows, fillings)
-    below = _profiles_below(profs)
-    entries = []
-    for j, (prof, row) in enumerate(zip(profs, rows)):
-        passed = bool(row >> j & 1) and not row & ~below[j]
-        entries.append(
-            {
-                "pattern": simple_pattern(prof).rows(),
-                "value": repr(prof.counts),
-                "pass": passed,
-            }
-        )
+    entries = [
+        {
+            "pattern": ["B" * k + "W" * (n - k) for k in ks],
+            "value": repr(ks),
+            "pass": bool(row >> j & 1) and not row & ~below[j],
+        }
+        for j, (ks, row) in enumerate(zip(counts, rows))
+    ]
     counterexample = None if all(e["pass"] for e in entries) else {"detail": "see enforcer sweep"}
-    return entries, counterexample, {"window_scans": len(profs) ** 2}
+    return entries, counterexample, {"window_scans": len(counts) ** 2}
 
 
 def _mirror_window(p: Pattern) -> Pattern:
@@ -795,11 +806,10 @@ def border_epitome_consistency(
         )
     ring = annulus(n - 2, n - 2, 1)
     ring_letters = operator.itemgetter(*[r * n + c for r, c in ring])  # of the row-major word
-    listing = iter_rect_patterns(spec, n, n)  # refuses before the projection is read
+    listing = _rect_rows(spec, n, n)  # refuses before the projection is read
     project = _projector(projection, spec.alphabet.letters)
     groups: dict[str, list] = {}
-    for q in listing:
-        rows = q._row_tuple()  # noqa: SLF001 - read only
+    for rows in listing:
         key = "".join(ring_letters("".join(rows)))
         groups.setdefault(key, []).append(fam.evaluate(project(rows)))
     if all(v is None for vals in groups.values() for v in vals):
@@ -809,28 +819,19 @@ def border_epitome_consistency(
         return u == v if u is None or v is None else fam.leq(u, v)
 
     out = []
-    flagged_count = 0
     for key in sorted(groups):
         vals = groups[key]
+        reprs = tuple(sorted(set(map(repr, vals))))
         if fam.kind == "plain":
-            flagged = len(set(map(repr, vals))) > 1
+            flagged = len(reprs) > 1
         else:
             flagged = not any(all(leq(u, v) for u in vals) for v in vals)
-        if flagged:
-            flagged_count += 1
-        out.append(
-            BorderGroup(
-                border=key,
-                size=len(vals),
-                values=tuple(sorted(set(map(repr, vals)))),
-                flagged=flagged,
-            )
-        )
+        out.append(BorderGroup(key, len(vals), reprs, flagged))
     return ConsistencyReport(
         n=n,
         family=fam.name,
         kind=fam.kind,
         groups=tuple(out),
-        flagged_count=flagged_count,
+        flagged_count=sum(g.flagged for g in out),
         ledger_bits=len(ring) * spec.alphabet.letter_bits,
     )

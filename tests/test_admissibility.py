@@ -21,6 +21,7 @@ from shiftlab.core import (
     Pattern,
     PatternError,
     _margin_blocks,
+    _rect_rows,
     contains_forbidden,
     count_rect_patterns,
     hard_square_spec,
@@ -420,6 +421,49 @@ def test_row_lister_matches_the_cell_route(spec, h, w, margin):
     assume(len(spec.alphabet) ** (h * w) <= (2**8 if margin else 2**12))
     want = [Pattern(spec.alphabet, cells) for cells in _margin_blocks(spec, h, w, margin)]
     assert list(iter_rect_patterns(spec, h, w, margin)) == want
+
+
+def _walked_rows_are_listed_rows(spec, h, w):
+    """The row tuples of ``_rect_rows`` are the rows of the patterns
+    ``iter_rect_patterns`` lists at margin 0, one tuple per pattern; an
+    empty pattern (h or w zero) is h empty rows."""
+    walked = list(_rect_rows(spec, h, w))
+    listed = list(iter_rect_patterns(spec, h, w))
+    assert walked == ([tuple(q.rows()) for q in listed] if h and w else [("",) * h])
+    assert [Pattern._from_rows(spec.alphabet, rows) for rows in walked] == listed  # noqa: SLF001
+
+
+@pytest.mark.parametrize("spec", [HS, RB, MIRROR], ids=lambda s: s.name)
+@pytest.mark.parametrize("h, w", [(0, 0), (0, 3), (3, 0), (1, 4), (4, 1), (3, 2), (3, 3)])
+def test_row_walker_lists_the_rows_of_the_lister(spec, h, w):
+    _walked_rows_are_listed_rows(spec, h, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_spread_specs(), st.integers(0, 4), st.integers(0, 4))
+def test_row_walker_lists_the_rows_of_the_lister_on_random_specs(spec, h, w):
+    assume(len(spec.alphabet) ** (h * w) <= 2**12)
+    _walked_rows_are_listed_rows(spec, h, w)
+
+
+@pytest.mark.parametrize(
+    "spec, n, count", [(RB, 4, 38_559_440), (MIRROR, 5, 35_718_144)], ids=["red-black", "mirror"]
+)
+def test_row_walker_refuses_where_the_lister_refuses(spec, n, count, monkeypatch):
+    # one size below the lister's refusal the walker lists; at it, the call
+    # itself refuses with the lister's message, before any row is walked
+    assert next(_rect_rows(spec, n - 1, n - 1)) == ("B" * (n - 1),) * (n - 1)
+
+    def walked(*_):
+        raise AssertionError("a row was walked")
+
+    monkeypatch.setattr(core, "_row_blocks", walked)
+    with pytest.raises(InfeasibleError) as refused:
+        _rect_rows(spec, n, n)
+    assert str(refused.value) == (
+        f"{count} admissible {n}x{n} patterns of {spec.name} exceed the "
+        f"{core.MAX_CANDIDATES} a check lists; lower the size"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,14 @@ _RECORD_CASES = {
         lambda: str(_raised(Profile, (0, 3))),
         "profile entries must lie in 0..2",
     ),
+    "profile-entry-not-an-int": (
+        lambda: str(_raised(Profile, (1.0, 0))),
+        "profile entries must be integers",
+    ),
+    "profile-from-a-list": (
+        lambda: (Profile([1, 0]) == Profile((1, 0)), hash(Profile([1, 0])), Profile([1, 0]).counts),
+        (True, hash(((1, 0),)), (1, 0)),
+    ),
     "not-nearest-neighbour": (
         lambda: str(_raised(NNSpec, _BLOCK_SPEC)),
         "spec 'block' is not nearest-neighbour: "

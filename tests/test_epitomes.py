@@ -46,8 +46,10 @@ from shiftlab.epitomes import (
     simple_pattern_census,
     verify_enforcer,
     _SIMPLE,
+    _enforcer_indexes,
     _mirror_window,
-    _profiles_below,
+    _simple_cells,
+    _slot_index,
 )
 
 RB = red_black_spec()
@@ -302,12 +304,20 @@ def test_enforcer_route_bits_match_verify_enforcer(n, monkeypatch):
 def test_enforcer_route_needs_the_own_profile(monkeypatch):
     # a window enforcing a lower profile admits only profiles below that one,
     # so every bit it sets is a profile <= P, yet P itself is not admitted
+    # (verify_enforcer sees the lowered windows too)
     real = epitomes.build_enforcer
+    real_indexes = epitomes._enforcer_indexes
 
     def lowered(prof):
         return real(Profile(tuple(max(k - 1, 0) for k in prof.counts)))
 
+    def lowered_indexes(n, counts):
+        _, fillings, below = real_indexes(n, counts)
+        windows = _slot_index(lowered(Profile(ks)).window.cells for ks in counts)
+        return windows, fillings, below
+
     monkeypatch.setattr(epitomes, "build_enforcer", lowered)
+    monkeypatch.setattr(epitomes, "_enforcer_indexes", lowered_indexes)
     rep = epitome_property_check(RB, profile_family(), 2)
     reports = [verify_enforcer(prof) for prof in all_profiles(2)]
     assert [e["pass"] for e in rep.entries] == [r.clause1 and r.clause2 for r in reports]
@@ -322,7 +332,7 @@ def test_profile_bitsets_agree_with_profile_leq(n, monkeypatch):
     # test of a window row is the all(profile_leq(...)) of its members, on
     # every row of the placement pass
     profs = list(all_profiles(n))
-    below = _profiles_below(profs)
+    _, _, below = _enforcer_indexes(n, [p.counts for p in profs])
     for j, b in enumerate(profs):
         assert [bool(below[j] >> i & 1) for i in range(len(profs))] == [
             profile_leq(a, b) for a in profs
@@ -368,6 +378,22 @@ def test_enforcer_route_n4_frozen():
     rep = epitome_property_check(RB, profile_family(), 4)
     assert rep.ok and len(rep.entries) == 625
     assert all(e["pass"] for e in rep.entries)
+
+
+def test_enforcer_route_n5_frozen():
+    rep = epitome_property_check(RB, profile_family(), 5)
+    assert rep.ok and len(rep.entries) == 7776
+    assert all(e["pass"] for e in rep.entries)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enforcer_indexes_match_the_built_windows(n):
+    # the digit-built indexes of the enforcer route are the slot indexes of
+    # the windows build_enforcer makes and of the simple slot fillings
+    profs = list(all_profiles(n))
+    windows, fillings, _ = _enforcer_indexes(n, [p.counts for p in profs])
+    assert windows == _slot_index(build_enforcer(p).window.cells for p in profs)
+    assert fillings == _slot_index(_simple_cells(p, 2 * n, 3 * n - 1) for p in profs)
 
 
 def test_verify_enforcer_rejects_a_binary_spec():

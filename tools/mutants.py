@@ -49,6 +49,7 @@ AT_4 = "tests/test_core.py::test_count_rect_patterns_matches_enumeration_at_4"
 TRANSFER_DIFF = "tests/test_admissibility.py::test_row_transfer_matches_enumeration"
 TOP_DOWN = "tests/test_core.py::test_count_rect_patterns_reads_placements_top_down"
 ENFORCER_BITS = "tests/test_epitomes.py::test_enforcer_route_bits_match_verify_enforcer"
+ENFORCER_INDEXES = "tests/test_epitomes.py::test_enforcer_indexes_match_the_built_windows"
 MIRROR_BITS = "tests/test_epitomes.py::test_mirror_route_matches_per_candidate_scans"
 VACUOUS = "tests/test_epitomes.py::test_vacuous_property_check_refused_before_any_window_check"
 ROUNDTRIP = "tests/test_lowcfg.py::test_roundtrip_random_rects"
@@ -57,6 +58,7 @@ BAD_MANIFEST = "tests/test_cli.py::test_malformed_manifest_exits_1_with_one_line
 BAD_DESCRIPTION = "tests/test_lowcfg.py::test_load_description_refuses_malformed_heads"
 MARGIN_ORACLE = "tests/test_admissibility.py::test_extendable_blocks_match_filtered_enumeration"
 CELL_ROUTE = "tests/test_admissibility.py::test_row_lister_matches_the_cell_route"
+ROW_WALKER = "tests/test_admissibility.py::test_row_walker_lists_the_rows_of_the_lister"
 MARGIN_OFF_SQUARE = (
     "tests/test_admissibility.py::test_margin_lister_matches_filtered_enumeration_off_the_square"
 )
@@ -84,7 +86,7 @@ MUTANTS = {
         EPITOMES,
         "for count, cells in enumerate(fillings, 1):",
         "for count, cells in enumerate(itertools.islice(fillings, 1), 1):",
-        [SPARSE, ENFORCER_BITS],
+        [SPARSE, ENFORCER_INDEXES],
     ),
     "no-whole-row-clearing": (
         EPITOMES, "everywhere |= hit_cols", "everywhere |= 0", [PER_PAIR],
@@ -131,15 +133,28 @@ MUTANTS = {
     ),
     "enforcer-own-bit-dropped": (
         EPITOMES,
-        "passed = bool(row >> j & 1) and not row & ~below[j]",
-        "passed = not row & ~below[j]",
+        '"pass": bool(row >> j & 1) and not row & ~below[j]',
+        '"pass": not row & ~below[j]',
         ["tests/test_epitomes.py::test_enforcer_route_needs_the_own_profile"],
     ),
     "profile-bitset-strict": (
         EPITOMES,
-        "if x <= k)",
-        "if x < k)",
+        "(at_most(n - 1 - r, k) for r, k in enumerate(ks))",
+        "(at_most(n - 1 - r, k - 1) for r, k in enumerate(ks))",
         ["tests/test_epitomes.py::test_profile_bitsets_agree_with_profile_leq", ENFORCER_BITS],
+    ),
+    "enforcer-black-threshold-off-by-one": (
+        EPITOMES,
+        'letters("B", at_most(t, c - 2 * t), "W")',
+        'letters("B", at_most(t, c - 2 * t - 1), "W")',
+        [ENFORCER_INDEXES, ENFORCER_BITS],
+    ),
+    "enforcer-red-run-ending-at-3n-1": (
+        # the red stripe ends where the black one does, whatever the digit
+        EPITOMES,
+        "& ~at_most(t, c - 3 * n)",
+        "& -(c < 3 * n - 1)",
+        [ENFORCER_INDEXES, ENFORCER_BITS],
     ),
     "enforcer-rows-and-columns-swapped": (
         EPITOMES,
@@ -315,6 +330,10 @@ MUTANTS = {
         "allowed(tuple(chosen[max(len(chosen) - depth, 0):]))",
         "allowed(tuple(chosen[max(len(chosen) - depth - 1, 0):]))",
         [CELL_ROUTE],
+    ),
+    "walker-without-the-empty-tuple": (
+        # h = 0 walks no tuple, where one pattern of no rows exists
+        CORE, "yield ()\n        return", "return", [ROW_WALKER, CELL_ROUTE],
     ),
     "lister-members-highest-first": (
         CORE,
