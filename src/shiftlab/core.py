@@ -121,13 +121,19 @@ class Pattern:
     def _from_rows(cls, alphabet: Alphabet, rows: Sequence[str]) -> "Pattern":
         """The rectangle whose rows are ``rows``, all of one length, held as
         its rows; the empty pattern when there are no cells."""
-        if not rows or not rows[0]:
-            return cls._adopt(alphabet, {})
         if "".join(rows).strip("".join(alphabet.letters)):  # a letter outside
             for r, line in enumerate(rows):
                 for c, letter in enumerate(line):
                     if letter not in alphabet:
                         raise PatternError(f"letter {letter!r} at {(r, c)} not in alphabet")
+        return cls._of_rows(alphabet, rows)
+
+    @classmethod
+    def _of_rows(cls, alphabet: Alphabet, rows: Sequence[str]) -> "Pattern":
+        """``_from_rows`` without its letter check, for rows over ``alphabet``
+        by construction: a spec's own row listing, or its translation."""
+        if not rows or not rows[0]:
+            return cls._adopt(alphabet, {})
         p = cls.__new__(cls)
         object.__setattr__(p, "alphabet", alphabet)
         object.__setattr__(p, "_map", None)
@@ -399,7 +405,7 @@ def subpattern(p: Pattern, rect: tuple[int, int, int, int]) -> Pattern:
         raise PatternError(f"bad rectangle {rect}")
     if p.is_rectangular and 0 <= r0 and r0 + h <= p.height and 0 <= c0 and c0 + w <= p.width:
         rows = p._row_tuple()[r0 : r0 + h]  # noqa: SLF001 - read only
-        return Pattern._from_rows(p.alphabet, [row[c0 : c0 + w] for row in rows])
+        return Pattern._of_rows(p.alphabet, [row[c0 : c0 + w] for row in rows])
     src = p._cells  # noqa: SLF001 - read only
     cells = {}
     for r in range(h):
@@ -577,7 +583,7 @@ def iter_rect_patterns(spec: ShiftSpec, h: int, w: int, margin: int = 0) -> Iter
             Pattern._adopt(spec.alphabet, dict(cells), box)
             for cells in _margin_blocks(spec, h, w, margin)
         )
-    return map(functools.partial(Pattern._from_rows, spec.alphabet), listing)
+    return map(functools.partial(Pattern._of_rows, spec.alphabet), listing)
 
 
 def _rect_rows(spec: ShiftSpec, h: int, w: int) -> Iterator[tuple[str, ...]]:

@@ -114,15 +114,20 @@ def simple_pattern(prof: Profile) -> Pattern:
     return Pattern(BWR, _simple_cells(prof))
 
 
-def all_profiles(n: int) -> Iterator[Profile]:
-    """The (n + 1)^n profiles of length n in lexicographic order, refused
-    (``InfeasibleError``) before any is built above ``MAX_CANDIDATES``."""
+def _profile_counts(n: int) -> Iterator[tuple[int, ...]]:
+    """The counts of the (n + 1)^n profiles of length n in lexicographic
+    order, refused (``InfeasibleError``) above ``MAX_CANDIDATES``."""
     count = (n + 1) ** n
     if count > MAX_CANDIDATES:
         raise InfeasibleError(
             f"{count} profiles of length {n} exceed the {MAX_CANDIDATES} a check lists; lower n"
         )
-    return (Profile(counts) for counts in itertools.product(range(n + 1), repeat=n))
+    return itertools.product(range(n + 1), repeat=n)
+
+
+def all_profiles(n: int) -> Iterator[Profile]:
+    """The profiles of ``_profile_counts(n)``, refused before any is built."""
+    return map(Profile, _profile_counts(n))
 
 
 # The simple patterns are exactly the locally admissible patterns of the
@@ -372,18 +377,19 @@ def _annulus_pattern(spec, ring, i):
     return Pattern(spec.alphabet, cells)
 
 
-# Colorings per ``_window_compat`` call: the property check holds one block's
-# rows of ``_BLOCK`` bits at a time, never the whole matrix.
+# Coloring classes per ``_window_compat`` call, never the whole matrix.  A
+# class fixes at each ring cell a letter the window plan reads there, or only
+# that the letter is one the plan does not read there (``_coloring_index``).
 _BLOCK = 1 << 15
 
 
-def _digit_mask(base, t, x, lo, hi):
-    """Bit i set iff digit t of lo + i in base ``base`` is x, in O(hi - lo)
-    bits however large lo is.  The digit is x on one run of base^t colorings
-    per period base^(t+1): a period that fits the block is tiled by doubling
-    and shifted to lo; a longer one meets [lo, hi) in at most two runs."""
-    run = base**t
-    period = run * base
+def _digit_mask(run, radix, x, lo, hi):
+    """Bit i set iff (lo + i) // run % radix == x, the mixed-radix digit of
+    place value ``run`` and radix ``radix``, in O(hi - lo) bits however
+    large lo is.  The digit is x on one run per period run * radix: a period
+    that fits the block is tiled by doubling and shifted to lo; a longer one
+    meets [lo, hi) in at most two runs."""
+    period = run * radix
     width = hi - lo
     if period <= width:
         mask, length = ((1 << run) - 1) << (x * run), period
@@ -421,12 +427,16 @@ def _slot_index(fillings) -> tuple[int, dict]:
 
 
 def _coloring_index(spec, plan, box, annulus):
-    """A function of (lo, hi): the ``_slot_index`` of annulus colorings lo..hi
-    - 1 (digit t in base |alphabet| is the letter at ``annulus[t]``), with a
-    digit mask for each (cell, letter) that some placement of ``plan``
-    inside ``box`` reads, and for no other: unread masks cost red-black
-    identity at n = 2 about 7%.  A pattern cell (r, c) is read in the
-    rectangle of the pattern's anchors shifted by (r, c)."""
+    """The coloring classes of ``annulus`` as (count, least, index).  At each
+    cell, each letter that some placement of ``plan`` inside ``box`` reads
+    is a class, and the letters none reads are one more, ordered by least
+    letter; class number k has the class at ``annulus[t]`` as digit t in
+    mixed radix.  ``least(k)`` is class k's least coloring (digit t in base
+    |alphabet| is the letter at ``annulus[t]``), so the first compatible
+    class gives the first compatible coloring.  ``index(lo, hi)`` is the
+    ``_slot_index`` of classes lo..hi - 1, with a digit mask per read (cell,
+    letter) only.  A pattern cell (r, c) is read in the rectangle of the
+    pattern's anchors shifted by (r, c)."""
     letters = spec.alphabet.letters
     r0, c0, r1, c1 = box
     reads = set()
@@ -437,17 +447,27 @@ def _coloring_index(spec, plan, box, annulus):
             cols = range(c0 - fc0 + dc, c1 - fc1 + dc + 1)
             reads.update(((r, c), a) for r in rows for c in cols)
 
+    base = len(letters)
+    unread = [[x for x, a in enumerate(letters) if (cell, a) not in reads] for cell in annulus]
+    # per cell, each letter's class, named by the position of its least letter
+    classes = [[u[0] if x in u else x for x in range(base)] for u in unread]
+    heads = [sorted(set(c)) for c in classes]  # per cell, its classes by least letter
+    runs = list(itertools.accumulate(map(len, heads), operator.mul, initial=1))
+
+    def least(k):
+        return sum(h[k // run % len(h)] * base**t for t, (h, run) in enumerate(zip(heads, runs)))
+
     def index(lo, hi):
         return hi - lo, {
             cell: {
-                a: _digit_mask(len(letters), t, x, lo, hi)
+                a: _digit_mask(run, len(h), h.index(c[x]), lo, hi)
                 for x, a in enumerate(letters)
                 if (cell, a) in reads
             }
-            for t, cell in enumerate(annulus)
+            for cell, c, h, run in zip(annulus, classes, heads, runs)
         }
 
-    return index
+    return runs[-1], least, index
 
 
 def _window_compat(plan, box, rows, cols):
@@ -502,12 +522,14 @@ def _vacuous(spec, fam, n) -> PatternError:
 
 
 def _check_generic(spec, fam, n, margin):
-    """Every annulus coloring against every candidate, in blocks of
-    ``_BLOCK`` colorings.  Per candidate the blocks fold whether it is
-    compatible anywhere, whether some compatible coloring witnesses it (no
-    more tests once one has), and its first compatible coloring, whose
-    column a counterexample is read from.  Witnessing depends only on a
-    candidate's value, so each block unites colorings once per value."""
+    """Every annulus coloring class (``_coloring_index``: its colorings
+    admit the same candidates) against every candidate, in blocks of
+    ``_BLOCK`` classes.  Per candidate the blocks fold whether it is
+    compatible anywhere, whether some compatible class witnesses it (no
+    more tests once one has), and its first compatible class, whose column
+    and least coloring give a counterexample.  Witnessing depends only on a
+    candidate's value, so each block unites classes once per value.  The
+    guard and ``work`` (``window_checks`` too) count full colorings."""
     ring = annulus(n, n, margin)
     combos = len(spec.alphabet) ** len(ring)
     if combos > MAX_ANNULUS_COLORINGS:
@@ -541,11 +563,11 @@ def _check_generic(spec, fam, n, margin):
     plan = kernel_of(spec).window_plan(side)
     box = (0, 0, side - 1, side - 1)
     index = _slot_index(q.translate(margin, margin).cells for q in candidates)
-    colorings = _coloring_index(spec, plan, box, ring)
-    first: dict[int, int] = {}  # j -> its first compatible coloring
+    classes, least, colorings = _coloring_index(spec, plan, box, ring)
+    first: dict[int, int] = {}  # j -> its first compatible class
     passed = [False] * len(candidates)
-    for lo in range(0, combos, _BLOCK):
-        hi = min(lo + _BLOCK, combos)
+    for lo in range(0, classes, _BLOCK):
+        hi = min(lo + _BLOCK, classes)
         rows = _window_compat(plan, box, index, colorings(lo, hi))
         for j, row in enumerate(rows):
             if row and j not in first:
@@ -581,12 +603,12 @@ def _check_generic(spec, fam, n, margin):
         entries.append({"pattern": q.rows(), "value": repr(v), "pass": passed[j]})
         if not passed[j] and counterexample is None:
             i = first[j]
-            # the column of coloring i, built again: one bit per candidate
+            # the column of class i, built again: one bit per candidate
             column = _window_compat(plan, box, index, colorings(i, i + 1))
             conflict = next(jj for jj, vv in enumerate(values) if column[jj] and conflicts(vv, v))
             counterexample = {
                 "pattern": q.rows(),
-                "annulus": _annulus_pattern(spec, ring, i).render(),
+                "annulus": _annulus_pattern(spec, ring, least(i)).render(),
                 "also_compatible": candidates[conflict].rows(),
                 "other_value": repr(values[conflict]),
             }
@@ -607,8 +629,8 @@ def _enforcer_indexes(n, counts):
     size = len(counts)
     every = (1 << size) - 1
     upto = [  # upto[t][k]: the profiles whose digit t is at most k
-        list(itertools.accumulate(_digit_mask(n + 1, t, x, 0, size) for x in range(n + 1)))
-        for t in range(n)
+        list(itertools.accumulate(_digit_mask(run, n + 1, x, 0, size) for x in range(n + 1)))
+        for run in ((n + 1) ** t for t in range(n))
     ]
 
     def at_most(t, k):
@@ -640,7 +662,7 @@ def _check_red_black_profiles(spec, n):
     a row and every simple slot pattern (slot at (2n, 3n - 1)) as a column.
     A filled window is full, so ``window_plan`` is exact; the margin plays
     no part."""
-    counts = [prof.counts for prof in all_profiles(n)]
+    counts = list(_profile_counts(n))
     windows, fillings, below = _enforcer_indexes(n, counts)
     plan = kernel_of(spec).window_plan(4 * n)
     rows = _window_compat(plan, (0, 0, 3 * n - 1, 4 * n - 1), windows, fillings)
@@ -786,7 +808,7 @@ def _projector(projection: dict[str, str], letters: tuple[str, ...]) -> Callable
     else:
         raise PatternError(f"projection image {image} is not a supported alphabet")
     table = str.maketrans({a: projection[a] for a in letters})
-    build = Pattern._from_rows  # noqa: SLF001 - the translated rows are new
+    build = Pattern._of_rows  # noqa: SLF001 - the image letters are the alphabet's
     return lambda rows: build(alphabet, [row.translate(table) for row in rows])
 
 

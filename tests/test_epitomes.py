@@ -2,10 +2,14 @@
 
 import functools
 import itertools
+import math
 import operator
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_kernels import _ring_reads
 
 from shiftlab.core import (
     BINARY,
@@ -17,6 +21,7 @@ from shiftlab.core import (
     contains_forbidden,
     hard_square_spec,
     iter_rect_patterns,
+    kernel_of,
     make_pattern,
     mirror_spec,
     red_black_index_offset,
@@ -46,6 +51,7 @@ from shiftlab.epitomes import (
     simple_pattern_census,
     verify_enforcer,
     _SIMPLE,
+    _coloring_index,
     _enforcer_indexes,
     _mirror_window,
     _simple_cells,
@@ -466,11 +472,20 @@ def test_routes_follow_the_family_object(spec, fam, builtin, margin):
 
 
 def test_identity_family_rejected_with_counterexample(monkeypatch):
-    # one placement pass per block of 2^15 of the 3^12 colorings, and one
-    # more for the counterexample's column: a bit per candidate
+    # the window plan reads the top ring row only as R, the bottom one only
+    # as B, and the side cells as R and B: each read letter is a class of
+    # its own, the unread letters one more, so the 3^12 colorings fall into
+    # 2^8 * 3^4 classes, one block of 2^15; one placement pass sweeps them,
+    # and one more builds the counterexample's column, a bit per candidate
+    reads = _ring_reads(RB, 2, 1)
+    for (r, c), letters in reads.items():
+        assert letters == ({"R"} if r == 0 else {"B"} if r == 3 else {"R", "B"}), (r, c)
+    classes = math.prod(len(letters) + (len(letters) < 3) for letters in reads.values())
+    assert classes == 2**8 * 3**4 == 20_736
     calls = _recorded_window_checks(monkeypatch)
     rep = epitome_property_check(RB, identity_family(), 2)
-    assert len(calls) == -(-3**12 // 2**15) + 1 == 18
+    assert rep.work["annulus_colorings"] == 3**12
+    assert len(calls) == -(-classes // 2**15) + 1 == 2
     assert len(calls[-1]) == 80 and all(row in (0, 1) for row in calls[-1])
     assert not rep.ok
     assert len(rep.entries) == 80 and not any(e["pass"] for e in rep.entries)
@@ -605,6 +620,66 @@ def test_generic_route_matches_brute_force(case):
     }
 
 
+def _first_letter_count(p):
+    return sum(a == p.alphabet.letters[0] for _, a in p.items())
+
+
+_DRAWN_FAMILIES = {
+    "identity": identity_family(),
+    "first-letter": EpitomeFamily("first", _first_letter_count),
+    "first-letter-ordered": EpitomeFamily("first", _first_letter_count, operator.le),
+}
+
+
+@st.composite
+def specs_with_unread_letters(draw):
+    """A spec of one to three forbidden patterns, each of one to three cells
+    in a 2 x 2 box, for n = 1 and margin 1: over BWR the per-coloring oracle
+    makes 3^8 * 3 scans, about 0.6 s.  The generic kernel's window plan is
+    the forbidden list, so a ring cell reads a letter only where a pattern
+    cell holding it can sit; the draw is kept only if some ring cell leaves
+    two or more letters unread, so that they share a class."""
+    alphabet = draw(st.sampled_from((BINARY, BWR)))
+    n, margin = 1, 1
+    box = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    forbidden = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        support = draw(st.sets(st.sampled_from(box), min_size=1, max_size=3))
+        forbidden.append(
+            Pattern(alphabet, {cell: draw(st.sampled_from(alphabet.letters)) for cell in support})
+        )
+    spec = spec_from_patterns("user", alphabet, forbidden)
+    reads = _ring_reads(spec, n, margin)
+    assume(any(len(alphabet) - len(letters) >= 2 for letters in reads.values()))
+    return spec, n, margin
+
+
+@settings(max_examples=20, deadline=None)
+@given(specs_with_unread_letters(), st.sampled_from(sorted(_DRAWN_FAMILIES)))
+def test_generic_route_matches_brute_force_on_random_specs(case, family):
+    # the sweep over coloring classes gives the entries, answer and
+    # counterexample that the per-coloring definition gives
+    spec, n, margin = case
+    fam = _DRAWN_FAMILIES[family]
+    try:
+        entries, ok, counterexample = _brute_generic(spec, fam, n, margin)
+        candidates, rings, _ = _brute_compatible(spec, n, margin)
+    finally:
+        _brute_compatible.cache_clear()
+    side = n + 2 * margin
+    plan = kernel_of(spec).window_plan(side)
+    classes, _, _ = _coloring_index(spec, plan, (0, 0, side - 1, side - 1), annulus(n, n, margin))
+    assert classes < len(rings)
+    if not entries:
+        with pytest.raises(PatternError, match="vacuously"):
+            epitome_property_check(spec, fam, n, margin)
+        return
+    rep = epitome_property_check(spec, fam, n, margin)
+    assert list(rep.entries) == entries
+    assert (rep.ok, rep.counterexample) == (ok, counterexample)
+    assert rep.work["window_checks"] == len(rings) * len(candidates)
+
+
 def test_ordered_check_compares_values_not_candidate_pairs():
     # whether a coloring witnesses a candidate depends only on its value, so
     # the check compares each pair of distinct values once, plus at most one
@@ -638,9 +713,9 @@ def test_brute_force_oracle_cases_cover_both_answers():
 
 def _block_cases():
     """(spec, family, n, margin, blocks) for the block-boundary test.  On
-    red-black at n = 2, margin 1 (3^12 colorings), blocks of 1 and 7 would
-    mean 531,441 and 75,921 window checks, so that window runs at 4,099
-    only.  Interior-popcount reads binary patterns only, so on red-black it
+    red-black at n = 2, margin 1 (20,736 coloring classes), blocks of 1 and
+    7 would mean 20,736 and 2,963 window checks, so that window runs at
+    4,099 only.  Interior-popcount reads binary patterns only, so on red-black it
     is undefined everywhere: blocks None marks a check that is refused."""
     families = {
         "identity": identity_family(),
@@ -689,7 +764,8 @@ def test_reports_do_not_depend_on_the_block_size(case, monkeypatch):
 
 def test_property_check_memory_is_bounded():
     # the whole (candidates, colorings) matrix of red-black identity at n = 2
-    # is 80 x 531,441 bits; one block's rows are 80 ints of 2^15 bits
+    # is 80 x 531,441 bits; the sweep holds one block of 80 ints over its
+    # 20,736 coloring classes
     tracemalloc.start()
     try:
         epitome_property_check(RB, identity_family(), 2)

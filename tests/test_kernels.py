@@ -6,6 +6,9 @@ run-mask kernel agrees with the generic kernel built from the materialized
 red-black list.
 """
 
+import collections
+import itertools
+import math
 import tracemalloc
 
 import pytest
@@ -52,14 +55,23 @@ def _domino_spec(name):
     return spec_from_patterns(name, BWR, [BB])
 
 
+def _annulus_classes(spec, n, margin, annulus):
+    """``_coloring_index`` of ``annulus`` as the generic route builds it."""
+    side = n + 2 * margin
+    plan = kernel_of(spec).window_plan(side)
+    return _coloring_index(spec, plan, (0, 0, side - 1, side - 1), annulus)
+
+
 def _annulus_compat(spec, n, margin, annulus, candidates, lo, hi):
     """``_window_compat`` as the generic route calls it: the candidates in
-    the slot at (margin, margin) of a full window, the kernel's plan."""
+    the slot at (margin, margin) of a full window, the kernel's plan, and
+    coloring classes lo..hi - 1."""
     side = n + 2 * margin
     plan = kernel_of(spec).window_plan(side)
     index = _slot_index(q.translate(margin, margin).cells for q in candidates)
     box = (0, 0, side - 1, side - 1)
-    return _window_compat(plan, box, index, _coloring_index(spec, plan, box, annulus)(lo, hi))
+    _, _, classes = _annulus_classes(spec, n, margin, annulus)
+    return _window_compat(plan, box, index, classes(lo, hi))
 
 
 def _capped_spec(cap):
@@ -245,18 +257,24 @@ def test_load_over_filled_cells_overwrites(box, over, data):
 
 
 def test_run_mask_window_compat_matches_generic_exhaustive():
-    # the red-black kernel's sparse-square plan against the listed squares
+    # the red-black kernel's sparse-square plan against the listed squares;
+    # both read the same letters at each ring cell, so their 2^6 * 3^2
+    # coloring classes are numbered alike
     ring = annulus(1, 1, 1)
+    classes = [_annulus_classes(spec, 1, 1, ring) for spec in (RB_SPEC, _capped_spec(3))]
+    (count, least, _), (other_count, other_least, _) = classes
+    assert count == other_count == 2**6 * 3**2
+    assert list(map(least, range(count))) == list(map(other_least, range(count)))
     candidates = [make_pattern([a], BWR) for a in BWR.letters]
-    fast = _annulus_compat(RB_SPEC, 1, 1, ring, candidates, 0, 3**8)
-    slow = _annulus_compat(_capped_spec(3), 1, 1, ring, candidates, 0, 3**8)
+    fast = _annulus_compat(RB_SPEC, 1, 1, ring, candidates, 0, count)
+    slow = _annulus_compat(_capped_spec(3), 1, 1, ring, candidates, 0, count)
     assert fast == slow
-    assert len(fast) == 3 and all(row >> 3**8 == 0 for row in fast)
-    assert 0 < sum(row.bit_count() for row in fast) < 3 * 3**8
+    assert len(fast) == 3 and all(row >> count == 0 for row in fast)
+    assert 0 < sum(row.bit_count() for row in fast) < 3 * count
     # a block is the same columns of the whole matrix
     for spec in (RB_SPEC, _capped_spec(3)):
-        block = _annulus_compat(spec, 1, 1, ring, candidates, 100, 2000)
-        assert block == [row >> 100 & (1 << 1900) - 1 for row in fast]
+        block = _annulus_compat(spec, 1, 1, ring, candidates, 100, 500)
+        assert block == [row >> 100 & (1 << 400) - 1 for row in fast]
 
 
 # ---------------------------------------------------------------------------
@@ -264,33 +282,102 @@ def test_run_mask_window_compat_matches_generic_exhaustive():
 # ---------------------------------------------------------------------------
 
 
-def _per_pair_window_compat(spec, n, margin, annulus, candidates, lo, hi):
+def _ring_reads(spec, n, margin):
+    """Per annulus cell, the letters that some placement of the kernel's
+    window plan inside the window of margin ``margin`` reads there, found by
+    placing each plan pattern at every anchor and keeping those inside."""
+    side = n + 2 * margin
+    reads = collections.defaultdict(set)
+    for fcells in kernel_of(spec).window_plan(side):
+        for ar, ac in itertools.product(range(-side, side), repeat=2):
+            placed = [((ar + dr, ac + dc), a) for (dr, dc), a in fcells]
+            if all(0 <= r < side and 0 <= c < side for (r, c), _ in placed):
+                for cell, a in placed:
+                    reads[cell].add(a)
+    return {cell: reads[cell] for cell in annulus(n, n, margin)}
+
+
+def _ring_classes(spec, n, margin):
+    """Per annulus cell, the class digit of each letter in alphabet order,
+    from ``_ring_reads``: each read letter is a class, the unread letters
+    one more, and classes are numbered in order of their least letter."""
+    digits = []
+    for letters in _ring_reads(spec, n, margin).values():
+        heads: dict = {}  # a read letter, or None for the unread ones -> digit
+        for a in spec.alphabet.letters:
+            heads.setdefault(a if a in letters else None, len(heads))
+        digits.append([heads[a if a in letters else None] for a in spec.alphabet.letters])
+    return digits
+
+
+def _class_of(digits, base, coloring):
+    """The class number of a coloring (digit t in base ``base`` is the
+    letter at ring cell t): the class at cell t is digit t in mixed radix."""
+    k, run = 0, 1
+    for t, row in enumerate(digits):
+        k += row[coloring // base**t % base] * run
+        run *= max(row) + 1
+    return k
+
+
+def _least_coloring(digits, base, k):
+    """The least coloring of class k: at each cell, its class's least letter."""
+    i, run = 0, 1
+    for t, row in enumerate(digits):
+        radix = max(row) + 1
+        i += row.index(k // run % radix) * base**t
+        run *= radix
+    return i
+
+
+def _class_block(spec, n, margin, lo, hi):
+    """The classes of colorings lo..hi - 1, one per coloring, and the block
+    k0..k1 - 1 of classes they span."""
+    digits = _ring_classes(spec, n, margin)
+    ks = [_class_of(digits, len(spec.alphabet), i) for i in range(lo, hi)]
+    return ks, min(ks), max(ks) + 1
+
+
+def _per_pair_window_compat(spec, n, margin, annulus, candidates, colorings):
     """``_window_compat`` by its definition: one kernel state per coloring
-    of the block, loaded with each candidate in turn and scanned."""
+    (digit t in base |alphabet| is the letter at ``annulus[t]``), loaded
+    with each candidate in turn and scanned; bit i is ``colorings[i]``."""
     letters = spec.alphabet.letters
     base = len(letters)
     side = n + 2 * margin
     compat = [0] * len(candidates)
     slots = [{(r + margin, c + margin): a for (r, c), a in q.items()} for q in candidates]
-    for i in range(lo, hi):
+    for i, coloring in enumerate(colorings):
         state = kernel_of(spec).state((0, 0, side - 1, side - 1))
-        state.load({cell: letters[i // base**t % base] for t, cell in enumerate(annulus)})
+        state.load({cell: letters[coloring // base**t % base] for t, cell in enumerate(annulus)})
         for j, slot in enumerate(slots):
             state.load(slot)
-            compat[j] |= (state.scan() is None) << (i - lo)
+            compat[j] |= (state.scan() is None) << i
             for cell in slot:
                 state.retract(cell)
     return compat
 
 
 def _assert_matches_per_pair(spec, n, margin, lo, hi):
+    """The placement pass over the classes of colorings lo..hi - 1 against
+    a per-pair scan of each class's least coloring, numbered as the
+    ``_ring_reads`` oracle numbers classes, and of every coloring lo..hi - 1,
+    which must scan as its class does."""
     ring = annulus(n, n, margin)
+    base = len(spec.alphabet)
     candidates = list(iter_rect_patterns(spec, n, n))
-    got = _annulus_compat(spec, n, margin, ring, candidates, lo, hi)
-    want = _per_pair_window_compat(spec, n, margin, ring, candidates, lo, hi)
+    digits = _ring_classes(spec, n, margin)
+    count, least, _ = _annulus_classes(spec, n, margin, ring)
+    assert count == math.prod(max(row) + 1 for row in digits)
+    ks, k0, k1 = _class_block(spec, n, margin, lo, hi)
+    leasts = [_least_coloring(digits, base, k) for k in range(k0, k1)]
+    assert leasts == [least(k) for k in range(k0, k1)]
+    got = _annulus_compat(spec, n, margin, ring, candidates, k0, k1)
     assert len(got) == len(candidates)
-    assert all(0 <= row < 1 << (hi - lo) for row in got)
-    assert got == want
+    assert all(0 <= row < 1 << (k1 - k0) for row in got)
+    assert got == _per_pair_window_compat(spec, n, margin, ring, candidates, leasts)
+    each = _per_pair_window_compat(spec, n, margin, ring, candidates, range(lo, hi))
+    assert each == [sum((row >> (k - k0) & 1) << i for i, k in enumerate(ks)) for row in got]
 
 
 @pytest.mark.parametrize(
@@ -338,16 +425,18 @@ def test_placement_masks_match_per_pair_scans_on_random_specs(case):
 @settings(max_examples=50, deadline=None)
 @given(plan_specs_and_blocks())
 def test_swapping_rows_and_columns_transposes_the_bits(case):
+    # over the block of classes that colorings lo..hi - 1 span
     spec, n, margin, lo, hi = case
+    _, k0, k1 = _class_block(spec, n, margin, lo, hi)
     side = n + 2 * margin
     plan = kernel_of(spec).window_plan(side)
     box = (0, 0, side - 1, side - 1)
     index = _slot_index(q.translate(margin, margin).cells for q in iter_rect_patterns(spec, n, n))
-    colorings = _coloring_index(spec, plan, box, annulus(n, n, margin))(lo, hi)
+    colorings = _coloring_index(spec, plan, box, annulus(n, n, margin))[2](k0, k1)
     rows = _window_compat(plan, box, index, colorings)
     cols = _window_compat(plan, box, colorings, index)
-    assert len(cols) == hi - lo
-    assert cols == [sum((row >> i & 1) << j for j, row in enumerate(rows)) for i in range(hi - lo)]
+    assert len(cols) == k1 - k0
+    assert cols == [sum((row >> i & 1) << j for j, row in enumerate(rows)) for i in range(k1 - k0)]
 
 
 @st.composite
@@ -382,25 +471,32 @@ def test_window_check_on_sparse_windows_matches_per_candidate_scans(case):
 
 
 def test_digit_masks_match_their_definition():
-    # blocks at 0, inside one period, across a run's end, and across a
-    # period's end while the period is longer than the block
-    for base in (2, 3):
-        for t in range(5):
-            for x in range(base):
+    # uniform and mixed radices, radix 1 included; blocks at 0, inside one
+    # period, across a run's end, and across a period's end while the period
+    # is longer than the block
+    for radices in ((2,) * 5, (3,) * 5, (2, 3, 1, 3, 2), (3, 1, 2, 2, 3), (1, 1, 3, 2, 2)):
+        run = 1
+        for radix in radices:
+            for x in range(radix):
                 for lo, hi in ((0, 1), (0, 200), (5, 40), (26, 30), (70, 100), (100, 250)):
-                    want = sum(((lo + i) // base**t % base == x) << i for i in range(hi - lo))
-                    assert _digit_mask(base, t, x, lo, hi) == want, (base, t, x, lo, hi)
+                    want = sum(((lo + i) // run % radix == x) << i for i in range(hi - lo))
+                    assert _digit_mask(run, radix, x, lo, hi) == want, (run, radix, x, lo, hi)
+            run *= radix
 
 
 @pytest.mark.parametrize("lo", [5 * 3**12, 5 * 3**19])
 def test_digit_masks_stay_within_the_block(lo):
-    # red-black n = 1, margin 2 has 3^24 colorings; a block far from 0 must
-    # cost bits for its own width, not for every coloring below it
+    # red-black n = 1, margin 2 has 3^24 colorings in 2^10 * 3^14 classes
+    # (ten ring cells are read as R only or as B only, 14 as both); a block
+    # of classes from that of coloring lo, far from 0, must cost bits for
+    # its own width, not for every class below it
     ring = annulus(1, 1, 2)
     candidates = list(iter_rect_patterns(RB_SPEC, 1, 1))
+    _, k, _ = _class_block(RB_SPEC, 1, 2, lo, lo + 1)
+    assert k > 2**18
     tracemalloc.start()
     try:
-        rows = _annulus_compat(RB_SPEC, 1, 2, ring, candidates, lo, lo + 2000)
+        rows = _annulus_compat(RB_SPEC, 1, 2, ring, candidates, k, k + 2000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

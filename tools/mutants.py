@@ -37,6 +37,8 @@ SPARSE = "tests/test_kernels.py::test_window_check_on_sparse_windows_matches_per
 PER_PAIR = "tests/test_kernels.py::test_placement_masks_match_per_pair_scans"
 RUN_MASK = "tests/test_kernels.py::test_run_mask_window_compat_matches_generic_exhaustive"
 BRUTE = "tests/test_epitomes.py::test_generic_route_matches_brute_force"
+RANDOM_BRUTE = "tests/test_epitomes.py::test_generic_route_matches_brute_force_on_random_specs"
+IDENTITY_COUNTEREXAMPLE = "tests/test_epitomes.py::test_identity_family_rejected_with_counterexample"
 DIGITS = "tests/test_kernels.py::test_digit_masks_match_their_definition"
 LOWCFG = "src/shiftlab/lowcfg.py"
 COMPLEXITY = "src/shiftlab/complexity.py"
@@ -122,6 +124,24 @@ MUTANTS = {
     ),
     "coloring-reads-one-row-short": (
         EPITOMES, "r1 - fr1 + dr + 1)", "r1 - fr1 + dr)", [PER_PAIR, BRUTE],
+    ),
+    # the coloring classes
+    "coloring-read-letter-in-unread-class": (
+        # the last letter joins the unread class wherever another letter is
+        # unread, and its digit mask becomes that class's
+        EPITOMES,
+        "if (cell, a) not in reads]",
+        "if (cell, a) not in reads or x == base - 1]",
+        [PER_PAIR, BRUTE, RANDOM_BRUTE],
+    ),
+    "coloring-classes-by-size": (
+        # singleton classes before the unread class: every class is still
+        # swept, but the first compatible class no longer maps to the first
+        # compatible coloring, so the counterexample's annulus moves
+        EPITOMES,
+        "heads = [sorted(set(c)) for c in classes]",
+        "heads = [sorted(set(c), key=c.count) for c in classes]",
+        [IDENTITY_COUNTEREXAMPLE, BRUTE, RANDOM_BRUTE],
     ),
     # the routes
     "profile-bound-base": (
